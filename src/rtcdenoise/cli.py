@@ -23,7 +23,7 @@ from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import analyze_frame
 from .frame import FormatError, VideoSequence
 from .frameio import read_y4m_file, write_y4m_file
-from .metrics import ms_ssim, psnr, ssim, vifp
+from .metrics import MIN_METRIC_SIDE, ms_ssim, psnr, ssim, vifp
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
 
@@ -117,6 +117,14 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _check_metric_size(clip: VideoSequence, path: str) -> None:
+    if len(clip) and min(clip[0].width, clip[0].height) < MIN_METRIC_SIDE:
+        raise FormatError(
+            f"{path}: frames are {clip[0].width}x{clip[0].height}; the quality metrics "
+            f"need at least {MIN_METRIC_SIDE} pixels on each side"
+        )
+
+
 def _fmt(value: float) -> str:
     if value is None or math.isnan(value):
         return "nan"
@@ -131,6 +139,7 @@ def _cmd_simulate(args) -> int:
         print(dump_config(config))
         return 0
     clean = read_y4m_file(args.input)
+    _check_metric_size(clean, args.input)
     result = run_simulate(clean, config)
     if args.out_received:
         write_y4m_file(result.received, args.out_received)
@@ -207,6 +216,8 @@ def _cmd_detect(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = read_y4m_file(args.ref)
     test = read_y4m_file(args.test)
+    _check_metric_size(ref, args.ref)
+    _check_metric_size(test, args.test)
     if len(ref) != len(test):
         raise FormatError(f"frame count mismatch: ref has {len(ref)}, test has {len(test)}")
     rows = []

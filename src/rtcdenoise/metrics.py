@@ -31,6 +31,8 @@ _C2 = (0.03 * 255.0) ** 2
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _VIF_EPS = 1e-10
 _VIF_SIGMA_NSQ = 2.0
+# smallest frame side every metric accepts (VIFp's first window)
+MIN_METRIC_SIDE = 17
 _RETENTION_C = 1e-4 * 255.0 ** 2
 
 
@@ -127,8 +129,8 @@ def ms_ssim(ref: Frame, test: Frame) -> float:
 def vifp(ref: Frame, test: Frame) -> float:
     """Pixel-domain visual information fidelity over 4 scales."""
     a, b = _luma_pair(ref, test)
-    if min(a.shape) < 17:
-        raise ValueError("frame must be at least 17 pixels on each side")
+    if min(a.shape) < MIN_METRIC_SIDE:
+        raise ValueError(f"frame must be at least {MIN_METRIC_SIDE} pixels on each side")
     num = 0.0
     den = 0.0
     for scale in range(1, 5):

@@ -8,10 +8,15 @@ min(cohort_end + 2, n - 1) has arrived; window positions landing on keyframe
 indices use the keyframe's finished output (denoised or passed through,
 whatever its own cohort decided).
 
-Two execution modes share the same stage objects and therefore the exact same
-arithmetic: `sequential` chains the stages in one loop, `threaded` connects
-them with bounded in-order queues (capacity 8). Both must produce
-bit-identical videos, reports, and feedback logs.
+The work splits into pure units: a keyframe unit (detect, fork, keyframe
+cascade) per keyframe, and a cohort unit (the cohort's temporal windows, then
+one report per frame) per cohort. One driver loop produces frames, submits
+each unit as soon as its inputs have arrived, and collects the results in
+order. The execution mode only decides how a unit runs: `sequential` runs it
+inline, `threaded` on a thread pool sized to the CPUs the process may use.
+Either way the units do the exact same arithmetic, so both modes produce
+bit-identical videos, reports, and feedback logs, and an exception raised in
+a unit reaches the caller.
 
 Determinism versus timing: reports and the feedback policy carry a *modeled*
 runtime (a fixed cost in nanoseconds per pixel per unit of work, calibrated
@@ -29,12 +34,14 @@ position in both execution modes.
 
 from __future__ import annotations
 
-import threading
+import os
 import time
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from queue import Queue
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analyzer import (
     AnalyzerReport,
@@ -49,7 +56,6 @@ from .config import PipelineConfig, fresh_loss_model
 from .detector import (
     ForkDecision,
     NoiseCategory,
-    NoiseEstimate,
     Route,
     analyze_frame,
     estimate_sigma,
@@ -58,11 +64,9 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, denoise_keyframe
-from .metrics import detail_retention
 from .rng import NoiseRng
 from .video_denoiser import BlockMode, FrameRole, WindowPlan, denoise_window, schedule_windows
 
-QUEUE_CAPACITY = 8
 _CAPTURE_STREAM = 1  # rng substream tags under the pipeline seed
 _LOSS_STREAM = 2
 
@@ -117,19 +121,7 @@ class PipelineStats:
     wall_ms: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_count": self.frame_count,
-            "frames_bypassed": self.frames_bypassed,
-            "frames_denoised": self.frames_denoised,
-            "detect_ms": list(self.detect_ms),
-            "image_denoise_ms": list(self.image_denoise_ms),
-            "video_denoise_ms": list(self.video_denoise_ms),
-            "analyze_ms": list(self.analyze_ms),
-            "mean_latency_ms": self.mean_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "achieved_fps": self.achieved_fps,
-            "wall_ms": self.wall_ms,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -159,13 +151,13 @@ class SimulationResult(NamedTuple):
 
 @dataclass(frozen=True)
 class _KeyframeRecord:
-    index: int
     decision: ForkDecision
     sigma_work: float        # post-prefilter sigma driving the filters
     output: Frame
     detect_ms: float         # measured
     image_ms: Optional[float]
     virtual_ms: float        # modeled runtime for the report
+    span_ms: float           # measured wall time of the whole keyframe unit
 
 
 @dataclass(frozen=True)
@@ -173,11 +165,9 @@ class _Emitted:
     index: int
     received: Frame
     output: Frame
-    keyframe: _KeyframeRecord  # cohort's keyframe record
-    is_keyframe: bool
-    video_ms: Optional[float]  # measured, temporal DENOISE frames only
     virtual_ms: float
-    span_ms: float             # wall time attributable to this frame so far
+    video_ms: Optional[float]  # measured, temporal DENOISE frames only
+    span_ms: float             # measured window span (keyframe span on keyframes)
 
 
 def _cohort_end(start: int, cadence: int, n: int) -> int:
@@ -199,185 +189,162 @@ def _feedback_apply_points(n: int, cadence: int, window: int) -> List[int]:
     return points
 
 
-class _KeyframeStage:
-    """Detect noise on a keyframe, fork, and (on DENOISE) run the cascade."""
+def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
+    """Keyframe unit: detect noise, fork, and (on DENOISE) run the cascade."""
+    t0 = time.perf_counter()
+    estimate = analyze_frame(frame)
+    work = frame
+    sigma_work = estimate.sigma
+    prefiltered = estimate.category is NoiseCategory.SALT_PEPPER
+    if prefiltered:
+        work = median_filter_3x3(frame)
+        sigma_work = estimate_sigma(work)
+    decision = fork_decision(estimate, config.threshold)
+    t1 = time.perf_counter()
 
-    def __init__(self, config: PipelineConfig):
-        self._config = config
-
-    def process(self, index: int, frame: Frame) -> _KeyframeRecord:
-        config = self._config
-        t0 = time.perf_counter()
-        estimate = analyze_frame(frame)
-        work = frame
-        sigma_work = estimate.sigma
-        prefiltered = estimate.category is NoiseCategory.SALT_PEPPER
-        if prefiltered:
-            work = median_filter_3x3(frame)
-            sigma_work = estimate_sigma(work)
-        decision = fork_decision(estimate, config.threshold)
-        t1 = time.perf_counter()
-
-        pixels = frame.width * frame.height
-        virtual = pixels * _NS_DETECT * 1e-6
-        if prefiltered:
-            virtual += pixels * _NS_MEDIAN * 1e-6
-        image_ms = None
-        if decision.route is Route.DENOISE:
-            output = denoise_keyframe(work, sigma_work, config.cascade)
-            image_ms = (time.perf_counter() - t1) * 1e3
-            if sigma_work >= PASSTHROUGH_SIGMA:
-                virtual += _virtual_image_ms(pixels, sigma_work, config)
-        else:
-            output = frame  # bypass: bit-identical passthrough
-        return _KeyframeRecord(
-            index=index,
-            decision=decision,
-            sigma_work=sigma_work,
-            output=output,
-            detect_ms=(t1 - t0) * 1e3,
-            image_ms=image_ms,
-            virtual_ms=virtual,
-        )
+    pixels = frame.width * frame.height
+    virtual = pixels * _NS_DETECT * 1e-6
+    if prefiltered:
+        virtual += pixels * _NS_MEDIAN * 1e-6
+    image_ms = None
+    if decision.route is Route.DENOISE:
+        output = denoise_keyframe(work, sigma_work, config.cascade)
+        image_ms = (time.perf_counter() - t1) * 1e3
+        if sigma_work >= PASSTHROUGH_SIGMA:
+            virtual += _virtual_image_ms(pixels, sigma_work, config)
+    else:
+        output = frame  # bypass: bit-identical passthrough
+    return _KeyframeRecord(
+        decision=decision,
+        sigma_work=sigma_work,
+        output=output,
+        detect_ms=(t1 - t0) * 1e3,
+        image_ms=image_ms,
+        virtual_ms=virtual,
+        span_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
 
-class _AssembleStage:
-    """Buffer received frames, complete cohorts in order, emit output frames."""
-
-    def __init__(self, config: PipelineConfig, n_frames: int, plan: WindowPlan):
-        self._config = config
-        self._n = n_frames
-        self._plan = plan
-        self._received: dict = {}
-        self._records: dict = {}
-        self._emit_next = 0  # next cohort start to emit
-
-    def push(self, index: int, frame: Frame, record: Optional[_KeyframeRecord]) -> List[_Emitted]:
-        self._received[index] = frame
-        if record is not None:
-            self._records[index] = record
-        emitted: List[_Emitted] = []
-        while (
-            self._emit_next < self._n
-            and index >= _cohort_ready_at(self._emit_next, self._config.cadence, self._n)
-        ):
-            emitted.extend(self._emit_cohort(self._emit_next))
-            self._emit_next += self._config.cadence
-        if self._emit_next >= self._n:
-            # all cohorts emitted; buffers are no longer needed
-            self._received.clear()
-        return emitted
-
-    def _window_source(self, idx: int) -> Frame:
-        record = self._records.get(idx)
-        return record.output if record is not None else self._received[idx]
-
-    def _emit_cohort(self, start: int) -> List[_Emitted]:
-        config = self._config
-        end = _cohort_end(start, config.cadence, self._n)
-        record = self._records[start]
-        denoise = record.decision.route is Route.DENOISE
-        blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
-        out: List[_Emitted] = []
-        for t in range(start, end + 1):
-            t0 = time.perf_counter()
-            received = self._received[t]
-            video_ms = None
-            if t == start:
-                output = record.output
-                virtual = record.virtual_ms
-            elif denoise:
-                window = [self._window_source(i) for i in self._plan.window(t)]
-                v0 = time.perf_counter()
-                output = denoise_window(window, record.sigma_work, config.block, blocks)
-                video_ms = (time.perf_counter() - v0) * 1e3
-                virtual = _virtual_window_ms(received.width * received.height,
-                                             record.sigma_work, config)
-            else:
-                output = received
-                virtual = 0.0
-            out.append(
-                _Emitted(
-                    index=t,
-                    received=received,
-                    output=output,
-                    keyframe=record,
-                    is_keyframe=t == start,
-                    video_ms=video_ms,
-                    virtual_ms=virtual,
-                    span_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-        return out
-
-
-class _AnalyzeStage:
-    """Build per-frame reports and window feedback; owns result accumulation."""
-
-    def __init__(self, config: PipelineConfig, reference: Optional[VideoSequence]):
-        self._config = config
-        self._reference = reference
-        self._policy = FeedbackPolicy(
-            sigma_threshold=config.threshold,
+def _report(item: _Emitted, record: _KeyframeRecord, reference: Optional[Frame],
+            config: PipelineConfig) -> AnalyzerReport:
+    """Report unit: full-reference when a reference frame exists, else no-reference."""
+    if reference is not None:
+        return build_report(
+            frame_index=item.index,
+            reference=reference,
+            noisy=item.received,
+            denoised=item.output,
+            sigma=record.decision.estimate.sigma,
+            runtime_ms=item.virtual_ms,
             budget_ms=config.budget_ms,
-            window=max(config.feedback_window, 1),
+            weights=config.analyzer_weights,
         )
-        self.reports: List[AnalyzerReport] = []
-        self.feedback_log: List[FeedbackMessage] = []
-        self.analyze_ms: dict = {}
+    if record.decision.route is Route.DENOISE:
+        return build_report_noref(
+            frame_index=item.index,
+            noisy=item.received,
+            denoised=item.output,
+            sigma_before=record.decision.estimate.sigma,
+            sigma_after=estimate_sigma(item.output),
+            runtime_ms=item.virtual_ms,
+            budget_ms=config.budget_ms,
+            weights=config.analyzer_weights,
+        )
+    # bypass: no work performed, so no improvement is claimed; the values
+    # below are what build_report_noref would compute for an untouched
+    # frame, skipping the redundant metric evaluation
+    return AnalyzerReport(
+        frame_index=item.index,
+        reference_mode="noref",
+        psnr_noisy=None, psnr_denoised=None,
+        ssim_noisy=None, ssim_denoised=None,
+        ms_ssim_noisy=None, ms_ssim_denoised=None,
+        vifp_noisy=None, vifp_denoised=None,
+        detail_retention=1.0,
+        delta_psnr=None, delta_ssim=None, delta_sigma=0.0,
+        sigma=record.decision.estimate.sigma,
+        runtime_ms=0.0,
+        score=0.0,
+    )
 
-    def push(self, item: _Emitted) -> Optional[FeedbackMessage]:
-        config = self._config
-        record = item.keyframe
+
+def _cohort(
+    start: int,
+    frames: Sequence[Frame],
+    first: int,
+    keyframes: Dict[int, Future],
+    plan: WindowPlan,
+    config: PipelineConfig,
+    reference: Optional[VideoSequence],
+) -> Tuple[_KeyframeRecord, List[Tuple[_Emitted, AnalyzerReport, float]]]:
+    """Cohort unit: the cohort's temporal windows, then one report per frame.
+
+    frames holds the received frames from index first on, through the frame
+    that completes the cohort. keyframes maps every keyframe index the
+    windows reach to its keyframe unit's future. Each frame comes back with
+    its report and the measured report span.
+    """
+    record = keyframes[start].result()
+    denoise = record.decision.route is Route.DENOISE
+
+    def window_source(idx: int) -> Frame:
+        future = keyframes.get(idx)
+        return future.result().output if future is not None else frames[idx - first]
+
+    blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
+    emitted: List[_Emitted] = []
+    for t in range(start, _cohort_end(start, plan.cadence, plan.n_frames) + 1):
         t0 = time.perf_counter()
-        if self._reference is not None:
-            report = build_report(
-                frame_index=item.index,
-                reference=self._reference[item.index],
-                noisy=item.received,
-                denoised=item.output,
-                sigma=record.decision.estimate.sigma,
-                runtime_ms=item.virtual_ms,
-                budget_ms=config.budget_ms,
-                weights=config.analyzer_weights,
-            )
-        elif record.decision.route is Route.DENOISE:
-            report = build_report_noref(
-                frame_index=item.index,
-                noisy=item.received,
-                denoised=item.output,
-                sigma_before=record.decision.estimate.sigma,
-                sigma_after=estimate_sigma(item.output),
-                runtime_ms=item.virtual_ms,
-                budget_ms=config.budget_ms,
-                weights=config.analyzer_weights,
-            )
+        received = frames[t - first]
+        video_ms = None
+        if t == start:
+            output, virtual = record.output, record.virtual_ms
+        elif denoise:
+            window = [window_source(i) for i in plan.window(t)]
+            v0 = time.perf_counter()
+            output = denoise_window(window, record.sigma_work, config.block, blocks)
+            video_ms = (time.perf_counter() - v0) * 1e3
+            virtual = _virtual_window_ms(received.width * received.height,
+                                         record.sigma_work, config)
         else:
-            # bypass: no work performed, so no improvement is claimed; the
-            # values below are what build_report_noref would compute for an
-            # untouched frame, skipping the redundant metric evaluation
-            report = AnalyzerReport(
-                frame_index=item.index,
-                reference_mode="noref",
-                psnr_noisy=None, psnr_denoised=None,
-                ssim_noisy=None, ssim_denoised=None,
-                ms_ssim_noisy=None, ms_ssim_denoised=None,
-                vifp_noisy=None, vifp_denoised=None,
-                detail_retention=1.0,
-                delta_psnr=None, delta_ssim=None, delta_sigma=0.0,
-                sigma=record.decision.estimate.sigma,
-                runtime_ms=0.0,
-                score=0.0,
-            )
-        self.reports.append(report)
-        self.analyze_ms[item.index] = (time.perf_counter() - t0) * 1e3
+            output, virtual = received, 0.0
+        span_ms = (time.perf_counter() - t0) * 1e3
+        if t == start:
+            span_ms += record.span_ms
+        emitted.append(_Emitted(t, received, output, virtual, video_ms, span_ms))
 
-        window = self._config.feedback_window
-        if window > 0 and self._reference is not None and len(self.reports) % window == 0:
-            message = make_feedback(self.reports[-window:], self._policy)
-            self.feedback_log.append(message)
-            return message
-        return None
+    results = []
+    for item in emitted:
+        t0 = time.perf_counter()
+        report = _report(item, record, None if reference is None else reference[item.index],
+                         config)
+        results.append((item, report, (time.perf_counter() - t0) * 1e3))
+    return record, results
+
+
+def _run_inline(unit: Callable, *args) -> Future:
+    future: Future = Future()
+    future.set_result(unit(*args))
+    return future
+
+
+@contextmanager
+def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
+    """Yield submit(unit, *args) -> Future for the execution mode.
+
+    The pool runs units in submission order, and a unit waits only on units
+    submitted before it, so the waits cannot deadlock.
+    """
+    if execution == "sequential":
+        yield _run_inline
+        return
+    # one worker per usable CPU: more workers only contend for the same cores
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(max_workers=workers or 1)
+    try:
+        yield pool.submit
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _Sender:
@@ -422,183 +389,96 @@ class _Sender:
         return received
 
 
-class _RunAccumulator:
-    def __init__(self, n: int):
-        self.n = n
-        self.outputs: List[Optional[Frame]] = [None] * n
-        self.latency_ms: List[float] = [0.0] * n
-        self.detect_ms: List[float] = []
-        self.image_ms: List[float] = []
-        self.video_ms: List[float] = []
-        self.bypassed = 0
-        self.denoised = 0
-
-    def arrival(self, record: _KeyframeRecord, span_ms: float) -> None:
-        self.detect_ms.append(record.detect_ms)
-        if record.image_ms is not None:
-            self.image_ms.append(record.image_ms)
-        self.latency_ms[record.index] += span_ms
-
-    def emitted(self, item: _Emitted) -> None:
-        self.outputs[item.index] = item.output
-        self.latency_ms[item.index] += item.span_ms
-        if item.video_ms is not None:
-            self.video_ms.append(item.video_ms)
-        if item.keyframe.decision.route is Route.DENOISE:
-            self.denoised += 1
-        else:
-            self.bypassed += 1
-
-    def finish(self, analyze_ms: dict, wall_ms: float) -> PipelineStats:
-        for index, ms in analyze_ms.items():
-            self.latency_ms[index] += ms
-        ordered = sorted(self.latency_ms)
-        p95 = ordered[max(0, -(-len(ordered) * 95 // 100) - 1)] if ordered else 0.0
-        mean = sum(ordered) / len(ordered) if ordered else 0.0
-        return PipelineStats(
-            frame_count=self.n,
-            frames_bypassed=self.bypassed,
-            frames_denoised=self.denoised,
-            detect_ms=tuple(self.detect_ms),
-            image_denoise_ms=tuple(self.image_ms),
-            video_denoise_ms=tuple(self.video_ms),
-            analyze_ms=tuple(analyze_ms[i] for i in sorted(analyze_ms)),
-            mean_latency_ms=mean,
-            p95_latency_ms=p95,
-            achieved_fps=self.n / (wall_ms / 1e3) if wall_ms > 0 else 0.0,
-            wall_ms=wall_ms,
-        )
-
-
 def _execute(
     config: PipelineConfig,
     n: int,
-    frame_rate: Fraction,
     produce: Callable[[int], Frame],
     reference: Optional[VideoSequence],
     on_feedback: Optional[Callable[[FeedbackMessage, int], None]],
-) -> Tuple[List[Frame], _AnalyzeStage, PipelineStats]:
-    """Drive the three stages over n frames in the configured execution mode.
+) -> Tuple[List[Frame], List[AnalyzerReport], List[FeedbackMessage], PipelineStats]:
+    """Drive the keyframe and cohort units over n frames; collect in order.
 
+    With a reference, every feedback window's reports make a message;
     on_feedback, when given, is invoked with (message, apply_index) at the
     plan-derived apply point, before frame apply_index is produced.
     """
-    plan = schedule_windows(n, config.cadence)
-    keyframe_stage = _KeyframeStage(config)
-    assemble = _AssembleStage(config, n, plan)
-    analyze = _AnalyzeStage(config, reference)
-    acc = _RunAccumulator(n)
-    apply_points = _feedback_apply_points(n, config.cadence, config.feedback_window)
-    if reference is None or on_feedback is None:
-        apply_points = []
-    wall_start = time.perf_counter()
+    cadence = config.cadence
+    plan = schedule_windows(n, cadence)
+    window = config.feedback_window
+    policy = FeedbackPolicy(
+        sigma_threshold=config.threshold, budget_ms=config.budget_ms, window=max(window, 1)
+    )
+    apply_points = _feedback_apply_points(n, cadence, window) if on_feedback else []
 
-    if config.execution == "sequential":
-        pending: List[FeedbackMessage] = []
-        applied = 0
+    received: List[Frame] = []
+    keyframes: Dict[int, Future] = {}
+    cohorts: deque = deque()  # cohort futures, in cohort order
+    outputs: List[Frame] = []
+    reports: List[AnalyzerReport] = []
+    feedback_log: List[FeedbackMessage] = []
+    latency_ms: List[float] = []
+    detect_ms: List[float] = []
+    image_ms: List[float] = []
+    video_ms: List[float] = []
+    analyze_ms: List[float] = []
+    denoised = 0
+
+    def collect() -> None:
+        nonlocal denoised
+        record, results = cohorts.popleft().result()
+        detect_ms.append(record.detect_ms)
+        if record.image_ms is not None:
+            image_ms.append(record.image_ms)
+        if record.decision.route is Route.DENOISE:
+            denoised += len(results)
+        for item, report, report_ms in results:
+            outputs.append(item.output)
+            reports.append(report)
+            if item.video_ms is not None:
+                video_ms.append(item.video_ms)
+            analyze_ms.append(report_ms)
+            latency_ms.append(item.span_ms + report_ms)  # keyframe + window + report
+            if window > 0 and reference is not None and len(reports) % window == 0:
+                feedback_log.append(make_feedback(reports[-window:], policy))
+
+    wall_start = time.perf_counter()
+    with _unit_runner(config.execution) as submit:
+        next_cohort = applied = 0
         for t in range(n):
             while applied < len(apply_points) and apply_points[applied] <= t:
-                on_feedback(pending[applied], t)
+                while len(feedback_log) <= applied:
+                    collect()
+                on_feedback(feedback_log[applied], t)
                 applied += 1
             frame = produce(t)
-            record = None
+            received.append(frame)
             if plan.role(t) is FrameRole.KEYFRAME:
-                t0 = time.perf_counter()
-                record = keyframe_stage.process(t, frame)
-                acc.arrival(record, (time.perf_counter() - t0) * 1e3)
-            for item in assemble.push(t, frame, record):
-                acc.emitted(item)
-                message = analyze.push(item)
-                if message is not None:
-                    pending.append(message)
-    else:
-        q_in: Queue = Queue(maxsize=QUEUE_CAPACITY)
-        q_mid: Queue = Queue(maxsize=QUEUE_CAPACITY)
-        q_emit: Queue = Queue(maxsize=QUEUE_CAPACITY)
-        feedback_q: Queue = Queue()
-        failures: List[BaseException] = []
-
-        def detect_worker():
-            try:
-                while True:
-                    got = q_in.get()
-                    if got is None:
-                        q_mid.put(None)
-                        return
-                    t, frame = got
-                    record = None
-                    if plan.role(t) is FrameRole.KEYFRAME:
-                        t0 = time.perf_counter()
-                        record = keyframe_stage.process(t, frame)
-                        acc.arrival(record, (time.perf_counter() - t0) * 1e3)
-                    q_mid.put((t, frame, record))
-            except BaseException as exc:  # propagate to the main thread
-                failures.append(exc)
-                q_mid.put(None)
-
-        def assemble_worker():
-            try:
-                while True:
-                    got = q_mid.get()
-                    if got is None:
-                        q_emit.put(None)
-                        return
-                    for item in assemble.push(*got):
-                        q_emit.put(item)
-            except BaseException as exc:
-                failures.append(exc)
-                q_emit.put(None)
-
-        def analyze_worker():
-            try:
-                while True:
-                    item = q_emit.get()
-                    if item is None:
-                        feedback_q.put(None)
-                        return
-                    acc.emitted(item)
-                    message = analyze.push(item)
-                    if message is not None:
-                        feedback_q.put(message)
-            except BaseException as exc:
-                failures.append(exc)
-                feedback_q.put(None)
-
-        threads = [
-            threading.Thread(target=worker, name=name, daemon=True)
-            for name, worker in (
-                ("detect", detect_worker),
-                ("assemble", assemble_worker),
-                ("analyze", analyze_worker),
-            )
-        ]
-        for thread in threads:
-            thread.start()
-        applied = 0
-        ended_early = False
-        for t in range(n):
-            while applied < len(apply_points) and apply_points[applied] <= t:
-                message = feedback_q.get()
-                if message is None:  # a stage died; stop feeding
-                    ended_early = True
-                    break
-                on_feedback(message, t)
-                applied += 1
-            if ended_early:
-                break
-            q_in.put((t, produce(t)))
-        q_in.put(None)
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-
+                keyframes[t] = submit(_keyframe, frame, config)
+            while next_cohort < n and t >= _cohort_ready_at(next_cohort, cadence, n):
+                first = max(next_cohort - 1, 0)  # the first window reaches one frame back
+                reach = {k: keyframes[k] for k in range(next_cohort, t + 1, cadence)}
+                cohorts.append(submit(_cohort, next_cohort, received[first:t + 1], first,
+                                      reach, plan, config, reference))
+                next_cohort += cadence
+        while cohorts:
+            collect()
     wall_ms = (time.perf_counter() - wall_start) * 1e3
-    missing = [i for i, f in enumerate(acc.outputs) if f is None]
-    if missing:
-        raise RuntimeError(f"pipeline failed to emit frames {missing[:5]}")
-    stats = acc.finish(analyze.analyze_ms, wall_ms)
-    return acc.outputs, analyze, stats
+
+    ordered = sorted(latency_ms)
+    stats = PipelineStats(
+        frame_count=n,
+        frames_bypassed=n - denoised,
+        frames_denoised=denoised,
+        detect_ms=tuple(detect_ms),
+        image_denoise_ms=tuple(image_ms),
+        video_denoise_ms=tuple(video_ms),
+        analyze_ms=tuple(analyze_ms),
+        mean_latency_ms=sum(ordered) / n,
+        p95_latency_ms=ordered[max(0, -(-n * 95 // 100) - 1)],
+        achieved_fps=n / (wall_ms / 1e3) if wall_ms > 0 else 0.0,
+        wall_ms=wall_ms,
+    )
+    return outputs, reports, feedback_log, stats
 
 
 def run_denoise(
@@ -608,15 +488,14 @@ def run_denoise(
     """Receiver-only pipeline: detect, fork, denoise. Reports are no-reference."""
     if len(video) == 0:
         raise ValueError("input sequence is empty")
-    outputs, analyze, stats = _execute(
+    outputs, reports, _, stats = _execute(
         config=config,
         n=len(video),
-        frame_rate=video.frame_rate,
         produce=lambda t: video[t],
         reference=None,
         on_feedback=None,
     )
-    return video.replace_frames(outputs), analyze.reports, stats
+    return video.replace_frames(outputs), reports, stats
 
 
 def run_simulate(
@@ -634,10 +513,9 @@ def run_simulate(
         received.append(frame)
         return frame
 
-    outputs, analyze, stats = _execute(
+    outputs, reports, feedback_log, stats = _execute(
         config=config,
         n=len(clean),
-        frame_rate=clean.frame_rate,
         produce=produce,
         reference=clean,
         on_feedback=sender.apply,
@@ -645,8 +523,8 @@ def run_simulate(
     return SimulationResult(
         received=clean.replace_frames(received),
         denoised=clean.replace_frames(outputs),
-        reports=analyze.reports,
-        feedback_log=analyze.feedback_log,
+        reports=reports,
+        feedback_log=feedback_log,
         sender_trace=sender.trace,
         stats=stats,
     )

@@ -17,11 +17,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .frame import Frame, VideoSequence
+from .frame import Frame
 from .image_denoiser import CascadeParams, stage_detail
 from .rng import NoiseRng
 
@@ -284,43 +284,3 @@ def denoise_window(window: Sequence[Frame], sigma: float,
         return blocks[key][1]
 
     return denoise_block(first_level(0), first_level(1), first_level(2), sigma, params)
-
-
-def denoise_stream(
-    frames: Sequence[Frame],
-    keyframe_outputs: Mapping[int, Frame],
-    sigma_per_keyframe: Mapping[int, float],
-    plan: WindowPlan,
-    params: BlockParams = BlockParams(),
-) -> VideoSequence:
-    """Assemble the output sequence: keyframes verbatim, temporal frames denoised.
-
-    Window positions that land on a keyframe index use the keyframe's denoised
-    output; other positions use the received frames. Each temporal frame uses
-    the sigma inherited from its most recent keyframe.
-    """
-    if plan.n_frames != len(frames):
-        raise ValueError(f"plan covers {plan.n_frames} frames, sequence has {len(frames)}")
-    for k in plan.keyframe_indices:
-        if k not in keyframe_outputs:
-            raise ValueError(f"missing keyframe output for index {k}")
-        if k not in sigma_per_keyframe:
-            raise ValueError(f"missing keyframe sigma for index {k}")
-
-    def source(idx: int) -> Frame:
-        return keyframe_outputs.get(idx, frames[idx])
-
-    out = []
-    rate = frames.frame_rate if isinstance(frames, VideoSequence) else None
-    blocks: dict = {}  # first-level blocks shared within the current cohort
-    for t in range(plan.n_frames):
-        if plan.role(t) is FrameRole.KEYFRAME:
-            out.append(keyframe_outputs[t])
-            blocks = {}
-        else:
-            sigma = sigma_per_keyframe[plan.last_keyframe_at_or_before(t)]
-            window = [source(i) for i in plan.window(t)]
-            out.append(denoise_window(window, sigma, params, blocks))
-    if rate is not None:
-        return VideoSequence(frames=tuple(out), frame_rate=rate)
-    return VideoSequence(frames=tuple(out))

@@ -6,7 +6,8 @@ an explicit 2-D Gaussian weight mask (sliding_window_view + einsum), never
 with separable one-dimensional passes, so agreement with the optimized code
 is evidence rather than tautology.
 
-All functions take plain 2-D float64 arrays in [0, 255].
+All metric functions take plain 2-D float64 arrays in [0, 255].
+`denoise_stream` is the window-assembly reference the pipeline must match.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from rtcdenoise import BlockParams, FrameRole, VideoSequence, denoise_window
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
@@ -233,3 +236,31 @@ def mean_var_correlation(plane: np.ndarray) -> float:
     if means.std() == 0 or variances.std() == 0:
         return 0.0
     return float(np.corrcoef(means, variances)[0, 1])
+
+
+def denoise_stream(frames, keyframe_outputs, sigma_per_keyframe, plan, params=BlockParams()):
+    """Assemble the output sequence: keyframes verbatim, temporal frames denoised.
+
+    Window positions that land on a keyframe index use the keyframe's denoised
+    output; other positions use the received frames. Each temporal frame uses
+    the sigma inherited from its most recent keyframe. Every window is
+    denoised from scratch, without the pipeline's per-cohort block cache.
+    """
+    if plan.n_frames != len(frames):
+        raise ValueError(f"plan covers {plan.n_frames} frames, sequence has {len(frames)}")
+    for k in plan.keyframe_indices:
+        if k not in keyframe_outputs:
+            raise ValueError(f"missing keyframe output for index {k}")
+        if k not in sigma_per_keyframe:
+            raise ValueError(f"missing keyframe sigma for index {k}")
+    out = []
+    for t in range(plan.n_frames):
+        if plan.role(t) is FrameRole.KEYFRAME:
+            out.append(keyframe_outputs[t])
+        else:
+            sigma = sigma_per_keyframe[plan.last_keyframe_at_or_before(t)]
+            window = [keyframe_outputs.get(i, frames[i]) for i in plan.window(t)]
+            out.append(denoise_window(window, sigma, params))
+    if isinstance(frames, VideoSequence):
+        return VideoSequence(frames=tuple(out), frame_rate=frames.frame_rate)
+    return VideoSequence(frames=tuple(out))

@@ -197,6 +197,25 @@ def test_metrics_frame_count_mismatch_is_data_error(tmp_path, clean_clip, capsys
     assert "frame count mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", [8, 16])
+def test_frames_below_metric_minimum_are_data_errors(tmp_path, side, capsys):
+    tiny = tmp_path / "tiny.y4m"
+    write_y4m_file(make_sequence(4, side, side, seed=5), tiny)
+    assert main(["simulate", "--in", str(tiny)]) == 2
+    assert main(["metrics", "--ref", str(tiny), "--test", str(tiny)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(f"{side}x{side}" in line and "at least 17 pixels" in line for line in err)
+
+
+def test_frames_at_metric_minimum_are_accepted(tmp_path, capsys):
+    small = tmp_path / "small.y4m"
+    write_y4m_file(make_sequence(4, 17, 17, seed=5), small)
+    assert main(["simulate", "--in", str(small)]) == 0
+    assert main(["metrics", "--ref", str(small), "--test", str(small)]) == 0
+    capsys.readouterr()
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_usage_errors_exit_1(capsys):

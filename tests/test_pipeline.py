@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from rtcdenoise import (
     schedule_windows,
 )
 
+import rtcdenoise.pipeline
+from oracles import denoise_stream
 from util import frames_equal, sequences_equal
 
 
@@ -123,6 +126,49 @@ def test_run_denoise_matches_manual_recomposition():
         else:
             expected = noisy[t]
         assert frames_equal(out[t], expected), f"frame {t} diverges"
+
+
+@pytest.mark.parametrize("cadence, n", [(2, 7), (3, 11), (5, 13)])
+def test_run_denoise_matches_stream_oracle(cadence, n):
+    """Windows assembled cohort by cohort equal the whole-stream reference."""
+    _, noisy = _noisy_sequence(n, 25.0, seed=16)
+    out, reports, stats = run_denoise(noisy, PipelineConfig(cadence=cadence))
+    assert stats.frames_denoised == n
+    plan = schedule_windows(n, cadence)
+    keys = plan.keyframe_indices
+    expected = denoise_stream(noisy, {k: out[k] for k in keys},
+                              {k: reports[k].sigma for k in keys}, plan)
+    assert sequences_equal(out, expected)
+
+
+# --- failures -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_stage_failure_raises_instead_of_hanging(execution, monkeypatch):
+    _, noisy = _noisy_sequence(40, 25.0, seed=15)
+    original = rtcdenoise.pipeline.denoise_window
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 3:
+            raise RuntimeError("injected window fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rtcdenoise.pipeline, "denoise_window", failing)
+    raised = []
+
+    def run():
+        try:
+            run_denoise(noisy, PipelineConfig(execution=execution))
+        except Exception as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "run_denoise hung after a stage failure"
+    assert len(raised) == 1 and str(raised[0]) == "injected window fault"
 
 
 # --- simulation loop ---------------------------------------------------------------
