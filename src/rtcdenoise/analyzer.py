@@ -24,7 +24,10 @@ from typing import Optional, Sequence
 
 from .detector import DEFAULT_FORK_THRESHOLD
 from .frame import Frame
-from .metrics import detail_retention, ms_ssim, psnr, ssim, vifp
+from .metrics import detail_retention, full_reference_scores
+# bench/tracing.py looks these up on this module; build_report scores
+# through full_reference_scores instead of calling them
+from .metrics import ms_ssim, psnr, ssim, vifp  # noqa: F401
 
 DEFAULT_BUDGET_MS = 40.0
 DEFAULT_FEEDBACK_WINDOW = 25
@@ -122,24 +125,26 @@ def build_report(
     budget_ms: float = DEFAULT_BUDGET_MS,
     weights: tuple = DEFAULT_WEIGHTS,
 ) -> AnalyzerReport:
-    """Full-reference report: metrics for noisy and denoised versus reference."""
-    psnr_noisy = psnr(reference, noisy)
-    psnr_denoised = psnr(reference, denoised)
-    ssim_noisy = ssim(reference, noisy)
-    ssim_denoised = ssim(reference, denoised)
-    delta_psnr = _delta(psnr_denoised, psnr_noisy)
-    delta_ssim = ssim_denoised - ssim_noisy
+    """Full-reference report: metrics for noisy and denoised versus reference.
+
+    The reference side of every metric is computed once for both frames; a
+    denoised frame that is the noisy one (a bypassed frame) is scored once.
+    """
+    scores = full_reference_scores(reference, [noisy] if denoised is noisy else [noisy, denoised])
+    noisy_scores, denoised_scores = scores[0], scores[-1]
+    delta_psnr = _delta(denoised_scores.psnr, noisy_scores.psnr)
+    delta_ssim = denoised_scores.ssim - noisy_scores.ssim
     return AnalyzerReport(
         frame_index=frame_index,
         reference_mode="full",
-        psnr_noisy=psnr_noisy,
-        psnr_denoised=psnr_denoised,
-        ssim_noisy=ssim_noisy,
-        ssim_denoised=ssim_denoised,
-        ms_ssim_noisy=ms_ssim(reference, noisy),
-        ms_ssim_denoised=ms_ssim(reference, denoised),
-        vifp_noisy=vifp(reference, noisy),
-        vifp_denoised=vifp(reference, denoised),
+        psnr_noisy=noisy_scores.psnr,
+        psnr_denoised=denoised_scores.psnr,
+        ssim_noisy=noisy_scores.ssim,
+        ssim_denoised=denoised_scores.ssim,
+        ms_ssim_noisy=noisy_scores.ms_ssim,
+        ms_ssim_denoised=denoised_scores.ms_ssim,
+        vifp_noisy=noisy_scores.vifp,
+        vifp_denoised=denoised_scores.vifp,
         detail_retention=detail_retention(reference, denoised),
         delta_psnr=delta_psnr,
         delta_ssim=delta_ssim,

@@ -23,7 +23,7 @@ from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import analyze_frame
 from .frame import FormatError, VideoSequence
 from .frameio import read_y4m_file, write_y4m_file
-from .metrics import MIN_METRIC_SIDE, ms_ssim, psnr, ssim, vifp
+from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
 
@@ -117,10 +117,17 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _read_clip(path: str) -> VideoSequence:
+    clip = read_y4m_file(path)
+    if not len(clip):
+        raise FormatError(f"{path}: no frames after the Y4M header")
+    return clip
+
+
 def _check_metric_size(clip: VideoSequence, path: str) -> None:
-    if len(clip) and min(clip[0].width, clip[0].height) < MIN_METRIC_SIDE:
+    if min(clip.width, clip.height) < MIN_METRIC_SIDE:
         raise FormatError(
-            f"{path}: frames are {clip[0].width}x{clip[0].height}; the quality metrics "
+            f"{path}: frames are {clip.width}x{clip.height}; the quality metrics "
             f"need at least {MIN_METRIC_SIDE} pixels on each side"
         )
 
@@ -138,7 +145,7 @@ def _cmd_simulate(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    clean = read_y4m_file(args.input)
+    clean = _read_clip(args.input)
     _check_metric_size(clean, args.input)
     result = run_simulate(clean, config)
     if args.out_received:
@@ -167,7 +174,7 @@ def _cmd_denoise(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    noisy = read_y4m_file(args.input)
+    noisy = _read_clip(args.input)
     output, reports, stats = run_denoise(noisy, config)
     if args.out:
         write_y4m_file(output, args.out)
@@ -181,7 +188,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    clean = read_y4m_file(args.input)
+    clean = _read_clip(args.input)
     root = NoiseRng(args.seed)
     frames = list(clean)
     for op_index, (kind, strength) in enumerate(args.noise):
@@ -214,21 +221,21 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    ref = read_y4m_file(args.ref)
-    test = read_y4m_file(args.test)
+    ref = _read_clip(args.ref)
+    test = _read_clip(args.test)
     _check_metric_size(ref, args.ref)
     _check_metric_size(test, args.test)
     if len(ref) != len(test):
         raise FormatError(f"frame count mismatch: ref has {len(ref)}, test has {len(test)}")
+    if (ref.width, ref.height) != (test.width, test.height):
+        raise FormatError(
+            f"frame size mismatch: {args.ref} is {ref.width}x{ref.height}, "
+            f"{args.test} is {test.width}x{test.height}"
+        )
     rows = []
     for t, (a, b) in enumerate(zip(ref, test)):
-        rows.append({
-            "frame": t,
-            "psnr": psnr(a, b),
-            "ssim": ssim(a, b),
-            "ms_ssim": ms_ssim(a, b),
-            "vifp": vifp(a, b),
-        })
+        (scores,) = full_reference_scores(a, [b])
+        rows.append({"frame": t, **scores._asdict()})
     means = {
         key: sum(row[key] for row in rows) / len(rows)
         for key in ("psnr", "ssim", "ms_ssim", "vifp")

@@ -119,15 +119,15 @@ def quantize_plane(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def chunk_bounds(n: int) -> Iterator[tuple[int, int]]:
-    """Consecutive [start, stop) runs of at most CHUNK_PIXELS covering range(n).
+def chunk_bounds(n: int, size: int = CHUNK_PIXELS) -> Iterator[tuple[int, int]]:
+    """Consecutive [start, stop) runs of at most ``size`` covering range(n).
 
     Elementwise passes run one run at a time so their temporaries stay small
     and in cache; a frame-sized temporary per pass would be allocated (and
     page-faulted in) afresh on every call.
     """
-    for c0 in range(0, n, CHUNK_PIXELS):
-        yield c0, min(c0 + CHUNK_PIXELS, n)
+    for c0 in range(0, n, size):
+        yield c0, min(c0 + size, n)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,16 @@ VIFp follows the standard pixel-domain formulation: four scales, Gaussian
 windows of size 17/9/5/3, Gaussian scale-mixture stabilization rules, and a
 1e-10 floor in divisions and logarithms.
 
+A full-reference report scores the received and the denoised frame against
+one reference. full_reference_scores builds each metric's reference side once
+for both: the float64 plane, and at every MS-SSIM level and VIFp scale its
+windowed mean and variance (for VIFp also the weak-reference mask and the
+denominator term). SSIM is the mean of luminance * cs at MS-SSIM level 0, so
+it needs no filtering of its own. The standalone functions run through the
+same code and give the same bits. Moments are filtered in row bands and the
+elementwise map arithmetic runs band by band, so no frame-sized temporaries
+are allocated beyond the maps whose means are taken.
+
 All SSIM-family metrics are exactly symmetric in their two arguments: every
 mixed term is a commutative product or sum, so swapping arguments produces
 bit-identical floats.
@@ -16,6 +26,7 @@ bit-identical floats.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -43,18 +54,14 @@ def _check_dimensions(ref: Frame, test: Frame) -> None:
         )
 
 
+def _require_side(plane: np.ndarray, side: int) -> None:
+    if min(plane.shape) < side:
+        raise ValueError(f"frame must be at least {side} pixels on each side")
+
+
 def _luma_pair(ref: Frame, test: Frame) -> tuple[np.ndarray, np.ndarray]:
     _check_dimensions(ref, test)
     return ref.luma_f64(), test.luma_f64()
-
-
-def psnr(ref: Frame, test: Frame) -> float:
-    """Peak signal-to-noise ratio in dB; identical frames give math.inf."""
-    a, b = _luma_pair(ref, test)
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return INFINITE
-    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -63,33 +70,111 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+_SSIM_TAPS = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
+_VIF_TAPS = tuple(_gaussian_taps(size, size / 5.0) for size in (17, 9, 5, 3))
+
+
+# Output pixels per row band of the moment filters. A band's temporaries
+# stay in cache and are reused rather than page-faulted in afresh, and the
+# rows a band filters beyond its own (the window's reach) stay few. At
+# 480x360, 1 << 15 and 1 << 16 took about 3.5x and 5x the page faults of 1 << 14.
+_BAND_PIXELS = 1 << 14
+
+
+class _Scratch:
+    """Named float64 maps; a name's buffer serves every later, smaller request.
+
+    A frame-sized array is page-faulted in afresh on each allocation (see
+    frame.chunk_bounds), so one scratch set serves a whole report.
+    """
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def plane(self, name: str, shape: tuple) -> np.ndarray:
+        size = shape[0] * shape[1]
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=np.float64)
+        return flat[:size].reshape(shape)
+
+
 def _filter_valid(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable correlation, keeping only fully-covered window positions."""
+    """Separable correlation, keeping only fully-covered window positions.
+
+    The second pass filters only the rows the crop keeps, each row on its own,
+    so the values are those of filtering the whole plane and cropping.
+    """
     r = (len(taps) - 1) // 2
-    out = correlate1d(plane, taps, axis=0, mode="constant")
-    out = correlate1d(out, taps, axis=1, mode="constant")
-    return out[r : plane.shape[0] - r, r : plane.shape[1] - r]
+    rows = correlate1d(plane, taps, axis=0, mode="constant")[r : plane.shape[0] - r]
+    return correlate1d(rows, taps, axis=1, mode="constant")[:, r : plane.shape[1] - r]
 
 
-def _ssim_maps(a: np.ndarray, b: np.ndarray, taps: np.ndarray):
-    mu_a = _filter_valid(a, taps)
-    mu_b = _filter_valid(b, taps)
-    var_a = _filter_valid(a * a, taps) - mu_a * mu_a
-    var_b = _filter_valid(b * b, taps) - mu_b * mu_b
-    cov = _filter_valid(a * b, taps) - mu_a * mu_b
-    luminance = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
-    cs = (2.0 * cov + _C2) / (var_a + var_b + _C2)
-    return luminance, cs
+def _moment_bands(plane: np.ndarray, taps: np.ndarray, ref: Optional[np.ndarray] = None):
+    """Windowed moments of a plane, one row band of fully-covered positions at a time.
+
+    Yields (rows, mean, filtered plane², filtered ref * plane); the last is
+    None without a ref plane. A band filters its own rows plus the window's
+    reach above and below, and each filtered value depends on those rows
+    alone, so every value equals that of filtering the whole plane.
+    """
+    reach = len(taps) - 1
+    for r0, r1 in chunk_bounds(plane.shape[0] - reach, max(1, _BAND_PIXELS // plane.shape[1])):
+        band = plane[r0 : r1 + reach]
+        cross = None if ref is None else _filter_valid(ref[r0 : r1 + reach] * band, taps)
+        yield slice(r0, r1), _filter_valid(band, taps), _filter_valid(band * band, taps), cross
 
 
-def ssim(ref: Frame, test: Frame) -> float:
-    """Structural similarity, mean over valid 11x11 window positions."""
-    a, b = _luma_pair(ref, test)
-    if min(a.shape) < _SSIM_WINDOW:
-        raise ValueError(f"frame must be at least {_SSIM_WINDOW} pixels on each side")
-    taps = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
-    luminance, cs = _ssim_maps(a, b, taps)
-    return float(np.mean(luminance * cs))
+def _filter_halve(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """_filter_valid(plane, taps)[::2, ::2], filtered one even-aligned row band at a time."""
+    reach = len(taps) - 1
+    rows = plane.shape[0] - reach
+    out = np.empty(((rows + 1) // 2, (plane.shape[1] - reach + 1) // 2), dtype=np.float64)
+    for r0, r1 in chunk_bounds(rows, max(2, _BAND_PIXELS // plane.shape[1] // 2 * 2)):
+        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(plane[r0 : r1 + reach], taps)[::2, ::2]
+    return out
+
+
+class _Moments(NamedTuple):
+    """A reference plane with its windowed mean and variance."""
+
+    plane: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray
+
+
+def _reference_moments(plane: np.ndarray, taps: np.ndarray) -> _Moments:
+    reach = len(taps) - 1
+    shape = (plane.shape[0] - reach, plane.shape[1] - reach)
+    mu = np.empty(shape, dtype=np.float64)
+    var = np.empty(shape, dtype=np.float64)
+    for rows, mu_a, square, _ in _moment_bands(plane, taps):
+        mu[rows] = mu_a
+        np.subtract(square, mu_a * mu_a, out=var[rows])
+    return _Moments(plane, mu, var)
+
+
+def _psnr(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> float:
+    error = np.subtract(a, b, out=scratch.plane("map", a.shape))
+    error **= 2
+    mse = float(np.mean(error))
+    if mse == 0.0:
+        return INFINITE
+    return 10.0 * math.log10(255.0 ** 2 / mse)
+
+
+def _ssim_maps(ref: _Moments, plane: np.ndarray, scratch: _Scratch):
+    """cs and luminance * cs maps of a test plane against one reference level."""
+    cs_map = scratch.plane("map", ref.mu.shape)
+    ssim_map = scratch.plane("ssim", ref.mu.shape)
+    for rows, mu_b, square, cross in _moment_bands(plane, _SSIM_TAPS, ref.plane):
+        mu_a = ref.mu[rows]
+        var_b = square - mu_b * mu_b
+        cov = cross - mu_a * mu_b
+        luminance = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
+        cs = np.divide(2.0 * cov + _C2, ref.var[rows] + var_b + _C2, out=cs_map[rows])
+        np.multiply(luminance, cs, out=ssim_map[rows])
+    return cs_map, ssim_map
 
 
 def _downsample2(plane: np.ndarray) -> np.ndarray:
@@ -97,80 +182,173 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
 
 
-def ms_ssim(ref: Frame, test: Frame) -> float:
-    """Multi-scale SSIM; scale count adapts to frame size (5 max)."""
-    a, b = _luma_pair(ref, test)
-    levels = 0
-    dim = min(a.shape)
-    while dim >= _SSIM_WINDOW and levels < len(MS_SSIM_WEIGHTS):
-        levels += 1
+def _ms_ssim_levels(plane: np.ndarray) -> list:
+    """Reference moments at every MS-SSIM level the frame size allows (5 max)."""
+    levels = []
+    dim = min(plane.shape)
+    while dim >= _SSIM_WINDOW and len(levels) < len(MS_SSIM_WEIGHTS):
+        if levels:
+            plane = _downsample2(plane)
+        levels.append(_reference_moments(plane, _SSIM_TAPS))
         dim //= 2
-    if levels == 0:
-        raise ValueError(f"frame must be at least {_SSIM_WINDOW} pixels on each side")
-    weights = np.array(MS_SSIM_WEIGHTS[:levels], dtype=np.float64)
-    weights /= weights.sum()
+    return levels
 
-    taps = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
+
+def _ms_ssim(levels: list, plane: np.ndarray, scratch: _Scratch) -> tuple[float, float]:
+    """(MS-SSIM, SSIM) of a test plane; SSIM is level 0's mean of luminance * cs."""
+    weights = np.array(MS_SSIM_WEIGHTS[: len(levels)], dtype=np.float64)
+    weights /= weights.sum()
     score = 1.0
-    for level in range(levels):
-        luminance, cs = _ssim_maps(a, b, taps)
-        if level == levels - 1:
-            term = float(np.mean(luminance * cs))
-        else:
-            term = float(np.mean(cs))
-            a = _downsample2(a)
-            b = _downsample2(b)
+    for level, ref in enumerate(levels):
+        if level:
+            plane = _downsample2(plane)
+        cs_map, ssim_map = _ssim_maps(ref, plane, scratch)
+        if level == 0:
+            ssim_value = float(np.mean(ssim_map))
+        term = float(np.mean(ssim_map if level == len(levels) - 1 else cs_map))
         # negative means are possible on adversarial inputs; clamp before the
         # fractional power, which is undefined for negative bases
         score *= max(term, 0.0) ** weights[level]
-    return float(score)
+    return float(score), ssim_value
+
+
+class _VifScale(NamedTuple):
+    """Reference side of one VIFp scale."""
+
+    plane: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray  # clamped at 0, then zeroed where weak
+    taps: np.ndarray
+    weak: np.ndarray  # variance below eps: no reference signal to carry
+    den: float  # this scale's denominator term
+
+
+def _vifp_scales(plane: np.ndarray) -> list:
+    """Reference side of each VIFp scale the frame size allows (none below 17 px)."""
+    scales = []
+    for scale, taps in enumerate(_VIF_TAPS, start=1):
+        if scale > 1:
+            if min(plane.shape) < len(taps):
+                break
+            plane = _filter_halve(plane, taps)
+        if min(plane.shape) < len(taps):
+            break
+        _, mu, var = _reference_moments(plane, taps)
+        np.maximum(var, 0.0, out=var)
+        weak = var < _VIF_EPS
+        var[weak] = 0.0
+        den = float(np.log10(1.0 + var / _VIF_SIGMA_NSQ).sum())
+        scales.append(_VifScale(plane, mu, var, taps, weak, den))
+    return scales
+
+
+def _vifp(scales: list, plane: np.ndarray, scratch: _Scratch) -> float:
+    num = 0.0
+    den = 0.0
+    for index, ref in enumerate(scales):
+        if index:
+            plane = _filter_halve(plane, ref.taps)
+        info = scratch.plane("map", ref.mu.shape)
+        for rows, mu_b, square, cross in _moment_bands(plane, ref.taps, ref.plane):
+            mu_a = ref.mu[rows]
+            var_b = square - mu_b * mu_b
+            cov = cross - mu_a * mu_b
+            np.maximum(var_b, 0.0, out=var_b)
+
+            # var_a is zero at weak-reference positions; the g and sv_sq it
+            # gives there are overwritten by the weak-reference rule below
+            var_a = ref.var[rows]
+            g = cov / (var_a + _VIF_EPS)
+            sv_sq = var_b - g * cov
+
+            weak_ref = ref.weak[rows]
+            g[weak_ref] = 0.0
+            sv_sq[weak_ref] = var_b[weak_ref]
+
+            weak_test = var_b < _VIF_EPS
+            g[weak_test] = 0.0
+            sv_sq[weak_test] = 0.0
+
+            negative_gain = g < 0.0
+            sv_sq[negative_gain] = var_b[negative_gain]
+            g[negative_gain] = 0.0
+            np.maximum(sv_sq, _VIF_EPS, out=sv_sq)
+
+            np.log10(1.0 + g * g * var_a / (sv_sq + _VIF_SIGMA_NSQ), out=info[rows])
+        num += float(info.sum())
+        den += ref.den
+    return num / max(den, _VIF_EPS)
+
+
+def psnr(ref: Frame, test: Frame) -> float:
+    """Peak signal-to-noise ratio in dB; identical frames give math.inf."""
+    a, b = _luma_pair(ref, test)
+    return _psnr(a, b, _Scratch())
+
+
+def ssim(ref: Frame, test: Frame) -> float:
+    """Structural similarity, mean over valid 11x11 window positions."""
+    a, b = _luma_pair(ref, test)
+    _require_side(a, _SSIM_WINDOW)
+    scratch = _Scratch()
+    _, ssim_map = _ssim_maps(_reference_moments(a, _SSIM_TAPS), b, scratch)
+    return float(np.mean(ssim_map))
+
+
+def ms_ssim(ref: Frame, test: Frame) -> float:
+    """Multi-scale SSIM; scale count adapts to frame size (5 max)."""
+    a, b = _luma_pair(ref, test)
+    _require_side(a, _SSIM_WINDOW)
+    scratch = _Scratch()
+    return _ms_ssim(_ms_ssim_levels(a), b, scratch)[0]
 
 
 def vifp(ref: Frame, test: Frame) -> float:
     """Pixel-domain visual information fidelity over 4 scales."""
     a, b = _luma_pair(ref, test)
-    if min(a.shape) < MIN_METRIC_SIDE:
-        raise ValueError(f"frame must be at least {MIN_METRIC_SIDE} pixels on each side")
-    num = 0.0
-    den = 0.0
-    for scale in range(1, 5):
-        size = 2 ** (5 - scale) + 1
-        taps = _gaussian_taps(size, size / 5.0)
-        if scale > 1:
-            if min(a.shape) < size:
-                break
-            a = _filter_valid(a, taps)[::2, ::2]
-            b = _filter_valid(b, taps)[::2, ::2]
-        if min(a.shape) < size:
-            break
-        mu_a = _filter_valid(a, taps)
-        mu_b = _filter_valid(b, taps)
-        var_a = _filter_valid(a * a, taps) - mu_a * mu_a
-        var_b = _filter_valid(b * b, taps) - mu_b * mu_b
-        cov = _filter_valid(a * b, taps) - mu_a * mu_b
-        np.maximum(var_a, 0.0, out=var_a)
-        np.maximum(var_b, 0.0, out=var_b)
+    _require_side(a, MIN_METRIC_SIDE)
+    scratch = _Scratch()
+    return _vifp(_vifp_scales(a), b, scratch)
 
-        g = cov / (var_a + _VIF_EPS)
-        sv_sq = var_b - g * cov
 
-        weak_ref = var_a < _VIF_EPS
-        g[weak_ref] = 0.0
-        sv_sq[weak_ref] = var_b[weak_ref]
-        var_a[weak_ref] = 0.0
+class FullReferenceScores(NamedTuple):
+    """The full-reference metrics of one test frame."""
 
-        weak_test = var_b < _VIF_EPS
-        g[weak_test] = 0.0
-        sv_sq[weak_test] = 0.0
+    psnr: float
+    ssim: float
+    ms_ssim: float
+    vifp: float
 
-        negative_gain = g < 0.0
-        sv_sq[negative_gain] = var_b[negative_gain]
-        g[negative_gain] = 0.0
-        np.maximum(sv_sq, _VIF_EPS, out=sv_sq)
 
-        num += float(np.log10(1.0 + g * g * var_a / (sv_sq + _VIF_SIGMA_NSQ)).sum())
-        den += float(np.log10(1.0 + var_a / _VIF_SIGMA_NSQ).sum())
-    return num / max(den, _VIF_EPS)
+def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
+    """PSNR, SSIM, MS-SSIM and VIFp of each test frame against one reference.
+
+    Each metric's reference side is built once and serves every test frame.
+    The metrics run one after another, so the MS-SSIM levels are released
+    before the VIFp scales are built. Nothing is kept across calls.
+    """
+    for test in tests:
+        _check_dimensions(reference, test)
+    a = reference.luma_f64()
+    _require_side(a, _SSIM_WINDOW)
+    _require_side(a, MIN_METRIC_SIDE)
+    scratch = _Scratch()
+    plane = scratch.plane("test", a.shape)
+
+    def load(test: Frame) -> np.ndarray:
+        np.copyto(plane, test.y)
+        return plane
+
+    psnr_values = [_psnr(a, load(test), scratch) for test in tests]
+    levels = _ms_ssim_levels(a)
+    ms_ssim_pairs = [_ms_ssim(levels, load(test), scratch) for test in tests]
+    del levels
+    scales = _vifp_scales(a)
+    vifp_values = [_vifp(scales, load(test), scratch) for test in tests]
+    return [
+        FullReferenceScores(p, s, m, v)
+        for p, (m, s), v in zip(psnr_values, ms_ssim_pairs, vifp_values)
+    ]
 
 
 # hypot of every pair of half-integer central differences, indexed by

@@ -8,6 +8,12 @@ is evidence rather than tautology.
 
 All metric functions take plain 2-D float64 arrays in [0, 255].
 `denoise_stream` is the window-assembly reference the pipeline must match.
+
+The `separable_*` metrics are the exception: they are the package's own
+separable-filter formulas as they stood before full-reference reports shared
+reference-side moments, one whole-plane filter per statistic and per call.
+`full_reference_report` assembles a report from them, and the package's
+`build_report` must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +22,16 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate1d
 
-from rtcdenoise import BlockParams, FrameRole, VideoSequence, denoise_window
+from rtcdenoise import (
+    AnalyzerReport,
+    BlockParams,
+    FrameRole,
+    VideoSequence,
+    denoise_window,
+    performance_score,
+)
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
@@ -264,3 +278,146 @@ def denoise_stream(frames, keyframe_outputs, sigma_per_keyframe, plan, params=Bl
     if isinstance(frames, VideoSequence):
         return VideoSequence(frames=tuple(out), frame_rate=frames.frame_rate)
     return VideoSequence(frames=tuple(out))
+
+
+# --- separable metrics, the bit-exact reference for build_report ---------------
+
+def _separable_taps(size: int, sigma: float) -> np.ndarray:
+    xs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    taps = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    return taps / taps.sum()
+
+
+def _separable_filter(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    r = (len(taps) - 1) // 2
+    out = correlate1d(plane, taps, axis=0, mode="constant")
+    out = correlate1d(out, taps, axis=1, mode="constant")
+    return out[r : plane.shape[0] - r, r : plane.shape[1] - r]
+
+
+def _separable_ssim_maps(a: np.ndarray, b: np.ndarray, taps: np.ndarray):
+    mu_a = _separable_filter(a, taps)
+    mu_b = _separable_filter(b, taps)
+    var_a = _separable_filter(a * a, taps) - mu_a * mu_a
+    var_b = _separable_filter(b * b, taps) - mu_b * mu_b
+    cov = _separable_filter(a * b, taps) - mu_a * mu_b
+    luminance = (2.0 * mu_a * mu_b + C1) / (mu_a * mu_a + mu_b * mu_b + C1)
+    cs = (2.0 * cov + C2) / (var_a + var_b + C2)
+    return luminance, cs
+
+
+def separable_psnr(a: np.ndarray, b: np.ndarray) -> float:
+    mse = float(np.mean((a - b) ** 2))
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0 ** 2 / mse)
+
+
+def separable_ssim(a: np.ndarray, b: np.ndarray) -> float:
+    luminance, cs = _separable_ssim_maps(a, b, _separable_taps(11, 1.5))
+    return float(np.mean(luminance * cs))
+
+
+def _separable_halve(plane: np.ndarray) -> np.ndarray:
+    h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
+    return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+
+
+def separable_ms_ssim(a: np.ndarray, b: np.ndarray) -> float:
+    levels = 0
+    dim = min(a.shape)
+    while dim >= 11 and levels < len(MS_WEIGHTS):
+        levels += 1
+        dim //= 2
+    weights = np.array(MS_WEIGHTS[:levels], dtype=np.float64)
+    weights /= weights.sum()
+    taps = _separable_taps(11, 1.5)
+    score = 1.0
+    for level in range(levels):
+        luminance, cs = _separable_ssim_maps(a, b, taps)
+        if level == levels - 1:
+            term = float(np.mean(luminance * cs))
+        else:
+            term = float(np.mean(cs))
+            a = _separable_halve(a)
+            b = _separable_halve(b)
+        score *= max(term, 0.0) ** weights[level]
+    return float(score)
+
+
+def separable_vifp(a: np.ndarray, b: np.ndarray) -> float:
+    num = 0.0
+    den = 0.0
+    for scale in range(1, 5):
+        size = 2 ** (5 - scale) + 1
+        taps = _separable_taps(size, size / 5.0)
+        if scale > 1:
+            if min(a.shape) < size:
+                break
+            a = _separable_filter(a, taps)[::2, ::2]
+            b = _separable_filter(b, taps)[::2, ::2]
+        if min(a.shape) < size:
+            break
+        mu_a = _separable_filter(a, taps)
+        mu_b = _separable_filter(b, taps)
+        var_a = _separable_filter(a * a, taps) - mu_a * mu_a
+        var_b = _separable_filter(b * b, taps) - mu_b * mu_b
+        cov = _separable_filter(a * b, taps) - mu_a * mu_b
+        np.maximum(var_a, 0.0, out=var_a)
+        np.maximum(var_b, 0.0, out=var_b)
+
+        g = cov / (var_a + VIF_EPS)
+        sv_sq = var_b - g * cov
+
+        weak_ref = var_a < VIF_EPS
+        g[weak_ref] = 0.0
+        sv_sq[weak_ref] = var_b[weak_ref]
+        var_a[weak_ref] = 0.0
+
+        weak_test = var_b < VIF_EPS
+        g[weak_test] = 0.0
+        sv_sq[weak_test] = 0.0
+
+        negative_gain = g < 0.0
+        sv_sq[negative_gain] = var_b[negative_gain]
+        g[negative_gain] = 0.0
+        np.maximum(sv_sq, VIF_EPS, out=sv_sq)
+
+        num += float(np.log10(1.0 + g * g * var_a / (sv_sq + VIF_SIGMA_NSQ)).sum())
+        den += float(np.log10(1.0 + var_a / VIF_SIGMA_NSQ).sum())
+    return num / max(den, VIF_EPS)
+
+
+def full_reference_report(frame_index, reference, noisy, denoised, sigma, runtime_ms,
+                          budget_ms, weights) -> AnalyzerReport:
+    """build_report from one standalone separable call per metric and frame."""
+    ref = reference.luma_f64()
+
+    def scores(frame):
+        test = frame.luma_f64()
+        return (separable_psnr(ref, test), separable_ssim(ref, test),
+                separable_ms_ssim(ref, test), separable_vifp(ref, test))
+
+    psnr_n, ssim_n, ms_n, vif_n = scores(noisy)
+    psnr_d, ssim_d, ms_d, vif_d = scores(denoised)
+    delta_psnr = 0.0 if math.isinf(psnr_d) and math.isinf(psnr_n) else psnr_d - psnr_n
+    delta_ssim = ssim_d - ssim_n
+    return AnalyzerReport(
+        frame_index=frame_index,
+        reference_mode="full",
+        psnr_noisy=psnr_n,
+        psnr_denoised=psnr_d,
+        ssim_noisy=ssim_n,
+        ssim_denoised=ssim_d,
+        ms_ssim_noisy=ms_n,
+        ms_ssim_denoised=ms_d,
+        vifp_noisy=vif_n,
+        vifp_denoised=vif_d,
+        detail_retention=detail_retention(reference.y, denoised.y),
+        delta_psnr=delta_psnr,
+        delta_ssim=delta_ssim,
+        delta_sigma=None,
+        sigma=sigma,
+        runtime_ms=runtime_ms,
+        score=performance_score(delta_psnr, delta_ssim, runtime_ms, budget_ms, weights),
+    )

@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rtcdenoise import (
     DEFAULT_BUDGET_MS,
+    DEFAULT_WEIGHTS,
     AnalyzerReport,
     FeedbackMessage,
     FeedbackPolicy,
+    Frame,
     Recommendation,
     add_gaussian_noise,
     build_report,
@@ -21,7 +24,10 @@ from rtcdenoise import (
     psnr,
     report_to_json,
     ssim,
+    stage_smooth,
 )
+
+import oracles
 
 
 def _report(delta_psnr=1.0, delta_sigma=None, sigma=25.0, runtime_ms=10.0, index=0):
@@ -111,6 +117,66 @@ def test_build_report_identical_frames_zero_delta(natural_frames):
     assert report.delta_psnr == 0.0
     assert report.psnr_noisy == math.inf
     assert report.score == pytest.approx(0.0)
+
+
+def _noisy_pair(ref, sigma, seed):
+    noisy = add_gaussian_noise(ref, sigma, seed=seed)
+    return noisy, stage_smooth(noisy, sigma)
+
+
+def _flat(value, h, w):
+    return Frame(y=np.full((h, w), value, dtype=np.uint8))
+
+
+def _half_flat(frame):
+    y = frame.y.copy()
+    y[:, : y.shape[1] // 2] = 77
+    return Frame(y=y)
+
+
+def _sized(h, w, seed):
+    return make_frame(w, h, seed=seed, style="grain")
+
+
+def _report_case(name):
+    natural = make_frame(128, 96, seed=4)
+    if name == "natural":
+        return (natural, *_noisy_pair(natural, 25.0, 1))
+    if name == "flat-reference":
+        ref = _flat(100, 48, 64)
+        return (ref, *_noisy_pair(ref, 15.0, 2))
+    if name == "half-flat-reference":
+        ref = _half_flat(natural)
+        return (ref, *_noisy_pair(ref, 10.0, 3))
+    if name == "flat-test":
+        return natural, _flat(30, 96, 128), stage_smooth(natural, 20.0)
+    if name == "inverted-test":
+        inverted = Frame(y=255 - natural.y)
+        return natural, inverted, stage_smooth(inverted, 20.0)
+    if name == "identical":
+        return natural, Frame(y=natural.y.copy()), Frame(y=natural.y.copy())
+    if name == "denoised-is-noisy":
+        noisy = add_gaussian_noise(natural, 25.0, seed=5)
+        return natural, noisy, noisy
+    h, w = (int(side) for side in name.split("x"))
+    ref = _sized(h, w, seed=h)
+    return (ref, *_noisy_pair(ref, 20.0, w))
+
+
+@pytest.mark.parametrize("case", [
+    "natural", "flat-reference", "half-flat-reference", "flat-test", "inverted-test",
+    "identical", "denoised-is-noisy", "17x17", "24x31", "45x90",
+])
+def test_build_report_equals_separable_reference_exactly(case):
+    """Shared reference-side moments must not change a single bit of a report."""
+    ref, noisy, denoised = _report_case(case)
+    report = build_report(5, ref, noisy, denoised, sigma=12.5, runtime_ms=9.0)
+    expected = oracles.full_reference_report(
+        5, ref, noisy, denoised, 12.5, 9.0, DEFAULT_BUDGET_MS, DEFAULT_WEIGHTS
+    )
+    assert report == expected
+    if case == "identical":
+        assert report.psnr_noisy == math.inf and report.delta_psnr == 0.0
 
 
 def test_build_report_noref_uses_sigma_proxy(report_inputs):

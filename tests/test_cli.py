@@ -15,6 +15,8 @@ from rtcdenoise import (
 )
 from rtcdenoise.cli import main
 
+import oracles
+
 
 @pytest.fixture()
 def clean_clip(tmp_path):
@@ -195,6 +197,49 @@ def test_metrics_frame_count_mismatch_is_data_error(tmp_path, clean_clip, capsys
     write_y4m_file(make_sequence(3, 64, 48, seed=4), short)
     assert main(["metrics", "--ref", str(clean_clip), "--test", str(short)]) == 2
     assert "frame count mismatch" in capsys.readouterr().err
+
+
+def test_metrics_rows_equal_separable_reference(tmp_path, clean_clip, noisy_clip, capsys):
+    json_path = tmp_path / "metrics.jsonl"
+    assert main(["metrics", "--ref", str(clean_clip), "--test", str(noisy_clip),
+                 "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in json_path.read_text().splitlines()]
+    for row, ref, test in zip(rows, read_y4m_file(clean_clip), read_y4m_file(noisy_clip)):
+        a, b = ref.luma_f64(), test.luma_f64()
+        assert row == {
+            "frame": row["frame"],
+            "psnr": oracles.separable_psnr(a, b),
+            "ssim": oracles.separable_ssim(a, b),
+            "ms_ssim": oracles.separable_ms_ssim(a, b),
+            "vifp": oracles.separable_vifp(a, b),
+        }
+
+
+def test_metrics_frame_size_mismatch_is_data_error(tmp_path, capsys):
+    wide, tall = tmp_path / "wide.y4m", tmp_path / "tall.y4m"
+    write_y4m_file(make_sequence(3, 64, 48, seed=4), wide)
+    write_y4m_file(make_sequence(3, 48, 64, seed=4), tall)
+    assert main(["metrics", "--ref", str(wide), "--test", str(tall)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "64x48" in err[0] and "48x64" in err[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["denoise", "--in", "{clip}"],
+    ["simulate", "--in", "{clip}"],
+    ["metrics", "--ref", "{clip}", "--test", "{clip}"],
+    ["inject", "--in", "{clip}", "--noise", "gaussian:4", "--out", "{out}"],
+])
+def test_header_only_input_is_data_error(tmp_path, command, capsys):
+    empty = tmp_path / "empty.y4m"
+    empty.write_bytes(b"YUV4MPEG2 W64 H48 F25:1 Ip A1:1 Cmono\n")
+    argv = [arg.format(clip=empty, out=tmp_path / "out.y4m") for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "no frames" in err[0] and "empty.y4m" in err[0]
 
 
 @pytest.mark.parametrize("side", [8, 16])

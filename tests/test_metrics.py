@@ -176,6 +176,15 @@ def test_vifp_rejects_small_frames():
         vifp(_const(0, 16, 64), _const(0, 16, 64))
 
 
+def test_standalone_metrics_equal_separable_reference_exactly(metric_pairs):
+    for ref, test in metric_pairs:
+        a, b = ref.luma_f64(), test.luma_f64()
+        assert psnr(ref, test) == oracles.separable_psnr(a, b)
+        assert ssim(ref, test) == oracles.separable_ssim(a, b)
+        assert ms_ssim(ref, test) == oracles.separable_ms_ssim(a, b)
+        assert vifp(ref, test) == oracles.separable_vifp(a, b)
+
+
 # --- detail retention -----------------------------------------------------------
 
 def test_detail_retention_identical_is_one(natural_frames):
