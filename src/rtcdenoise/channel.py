@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .frame import Frame, quantize_plane
+from .frame import Frame, chunk_bounds, quantize_plane
 from .rng import NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
@@ -103,15 +103,29 @@ class LossModel:
         return lost
 
 
+def _add_normals(frame: Frame, seed: int, combine) -> Frame:
+    """Luma quantize(combine(luma, normals)), one frame.chunk_bounds run at a time.
+
+    The normals are NoiseRng(seed).normals(pixels) in raster order, drawn run
+    by run, so the frame equals the whole-plane formula bit for bit without
+    frame-sized float64 temporaries.
+    """
+    rng = NoiseRng(seed=seed)
+    luma = frame.y.reshape(-1)
+    out = np.empty(luma.size, dtype=np.uint8)
+    for c0, c1 in chunk_bounds(luma.size):
+        noise = rng.normal_run(luma.size, c0, c1)
+        out[c0:c1] = quantize_plane(combine(luma[c0:c1].astype(np.float64), noise))
+    return Frame(y=out.reshape(frame.y.shape), u=frame.u, v=frame.v)
+
+
 def add_gaussian_noise(frame: Frame, sigma: float, seed: int = 0) -> Frame:
     """Additive zero-mean Gaussian noise on luma, clamped to [0, 255]."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return frame
-    noise = NoiseRng(seed=seed).normals(frame.height * frame.width)
-    noisy = frame.luma_f64() + sigma * noise.reshape(frame.height, frame.width)
-    return frame.with_luma(noisy)
+    return _add_normals(frame, seed, lambda x, noise: x + sigma * noise)
 
 
 def add_salt_pepper(frame: Frame, density: float, seed: int = 0) -> Frame:
@@ -138,10 +152,7 @@ def add_speckle(frame: Frame, sigma_mult: float, seed: int = 0) -> Frame:
         raise ValueError("sigma_mult must be non-negative")
     if sigma_mult == 0:
         return frame
-    noise = NoiseRng(seed=seed).normals(frame.height * frame.width)
-    x = frame.luma_f64()
-    noisy = x * (1.0 + sigma_mult * noise.reshape(frame.height, frame.width))
-    return frame.with_luma(noisy)
+    return _add_normals(frame, seed, lambda x, noise: x * (1.0 + sigma_mult * noise))
 
 
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import List, Optional
 from .analyzer import feedback_to_json, report_to_json
 from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
-from .detector import analyze_frame
+from .detector import MIN_DETECT_SIDE, analyze_frame
 from .frame import FormatError, VideoSequence
 from .frameio import read_y4m_file, write_y4m_file
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
@@ -51,12 +51,17 @@ def _noise_spec(text: str):
         raise argparse.ArgumentTypeError(
             f"expected kind:value with kind one of {', '.join(sorted(_INJECTORS))}, got {text!r}"
         )
+    name = _INJECTORS[kind][1]
     try:
         strength = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad {_INJECTORS[kind][1]} in {text!r}")
+        raise argparse.ArgumentTypeError(f"bad {name} in {text!r}")
+    if not math.isfinite(strength):
+        raise argparse.ArgumentTypeError(f"{name} must be finite, got {value!r}")
     if strength < 0:
-        raise argparse.ArgumentTypeError(f"{_INJECTORS[kind][1]} must be non-negative")
+        raise argparse.ArgumentTypeError(f"{name} must be non-negative")
+    if kind == "saltpepper" and strength > 1:
+        raise argparse.ArgumentTypeError(f"{name} must be at most 1, got {value!r}")
     return kind, strength
 
 
@@ -124,12 +129,16 @@ def _read_clip(path: str) -> VideoSequence:
     return clip
 
 
-def _check_metric_size(clip: VideoSequence, path: str) -> None:
-    if min(clip.width, clip.height) < MIN_METRIC_SIDE:
+def _check_frame_size(clip: VideoSequence, path: str, minimum: int, user: str) -> None:
+    if min(clip.width, clip.height) < minimum:
         raise FormatError(
-            f"{path}: frames are {clip.width}x{clip.height}; the quality metrics "
-            f"need at least {MIN_METRIC_SIDE} pixels on each side"
+            f"{path}: frames are {clip.width}x{clip.height}; {user} "
+            f"need at least {minimum} pixels on each side"
         )
+
+
+def _check_metric_size(clip: VideoSequence, path: str) -> None:
+    _check_frame_size(clip, path, MIN_METRIC_SIDE, "the quality metrics")
 
 
 def _fmt(value: float) -> str:
@@ -204,7 +213,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    clip = read_y4m_file(args.input)
+    clip = _read_clip(args.input)
+    _check_frame_size(clip, args.input, MIN_DETECT_SIDE, "the noise estimates")
     if args.histogram:
         os.makedirs(args.histogram, exist_ok=True)
     for t, frame in enumerate(clip):

@@ -20,6 +20,8 @@ from scipy.ndimage import median_filter
 from .frame import PIXEL_MAX, Frame
 
 DEFAULT_FORK_THRESHOLD = 20.0
+# smallest frame side the sigma estimate accepts (its 3x3 kernel)
+MIN_DETECT_SIDE = 3
 
 _IMPULSE_FRACTION_LIMIT = 0.005
 _BLOCKINESS_LIMIT = 1.5
@@ -69,7 +71,7 @@ def estimate_sigma(frame: Frame) -> float:
     sigma = sqrt(pi/2) / (6 (W-2)(H-2)) * sum |L*y| with the Laplacian-
     difference kernel [[1,-2,1],[-2,4,-2],[1,-2,1]] over interior pixels.
     """
-    if frame.width < 3 or frame.height < 3:
+    if min(frame.width, frame.height) < MIN_DETECT_SIDE:
         raise ValueError("estimate_sigma needs a frame of at least 3x3")
     # the kernel is the outer product of [1,-2,1] with itself, so two integer
     # second-difference passes give the exact response; every partial sum is

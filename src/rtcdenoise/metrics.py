@@ -9,13 +9,20 @@ windows of size 17/9/5/3, Gaussian scale-mixture stabilization rules, and a
 1e-10 floor in divisions and logarithms.
 
 A full-reference report scores the received and the denoised frame against
-one reference. full_reference_scores builds each metric's reference side once
-for both: the float64 plane, and at every MS-SSIM level and VIFp scale its
-windowed mean and variance (for VIFp also the weak-reference mask and the
-denominator term). SSIM is the mean of luminance * cs at MS-SSIM level 0, so
-it needs no filtering of its own. The standalone functions run through the
-same code and give the same bits. Moments are filtered in row bands and the
-elementwise map arithmetic runs band by band, so no frame-sized temporaries
+one reference, in two independent families: PSNR with MS-SSIM (SSIM is the
+mean of luminance * cs at MS-SSIM level 0, so it needs no filtering of its
+own), and VIFp. full_reference_scores runs the families at the same time:
+the calling thread scores the first while one process-wide helper thread
+scores VIFp, and the filters release the interpreter lock. Each family builds
+its reference side once for both test frames: at every MS-SSIM level and
+VIFp scale the windowed mean and variance (for VIFp also the weak-reference
+mask and the denominator term). The standalone functions run through the
+same code and give the same bits.
+
+MS-SSIM level 0 and VIFp scale 1 filter straight from the frames' uint8
+rows: moments are filtered in row bands, each band converted to float64 as
+it goes, and the elementwise map arithmetic runs band by band. Every value
+equals that of whole-plane float64 filtering, and no frame-sized temporaries
 are allocated beyond the maps whose means are taken.
 
 All SSIM-family metrics are exactly symmetric in their two arguments: every
@@ -26,6 +33,7 @@ bit-identical floats.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -61,7 +69,7 @@ def _require_side(plane: np.ndarray, side: int) -> None:
 
 def _luma_pair(ref: Frame, test: Frame) -> tuple[np.ndarray, np.ndarray]:
     _check_dimensions(ref, test)
-    return ref.luma_f64(), test.luma_f64()
+    return ref.y, test.y
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -116,11 +124,12 @@ def _moment_bands(plane: np.ndarray, taps: np.ndarray, ref: Optional[np.ndarray]
     Yields (rows, mean, filtered plane², filtered ref * plane); the last is
     None without a ref plane. A band filters its own rows plus the window's
     reach above and below, and each filtered value depends on those rows
-    alone, so every value equals that of filtering the whole plane.
+    alone, so every value equals that of filtering the whole plane. A uint8
+    plane is converted to float64 one band at a time.
     """
     reach = len(taps) - 1
     for r0, r1 in chunk_bounds(plane.shape[0] - reach, max(1, _BAND_PIXELS // plane.shape[1])):
-        band = plane[r0 : r1 + reach]
+        band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
         cross = None if ref is None else _filter_valid(ref[r0 : r1 + reach] * band, taps)
         yield slice(r0, r1), _filter_valid(band, taps), _filter_valid(band * band, taps), cross
 
@@ -131,7 +140,8 @@ def _filter_halve(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
     rows = plane.shape[0] - reach
     out = np.empty(((rows + 1) // 2, (plane.shape[1] - reach + 1) // 2), dtype=np.float64)
     for r0, r1 in chunk_bounds(rows, max(2, _BAND_PIXELS // plane.shape[1] // 2 * 2)):
-        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(plane[r0 : r1 + reach], taps)[::2, ::2]
+        band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
+        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(band, taps)[::2, ::2]
     return out
 
 
@@ -155,7 +165,7 @@ def _reference_moments(plane: np.ndarray, taps: np.ndarray) -> _Moments:
 
 
 def _psnr(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> float:
-    error = np.subtract(a, b, out=scratch.plane("map", a.shape))
+    error = np.subtract(a, b, out=scratch.plane("map", a.shape), dtype=np.float64)
     error **= 2
     mse = float(np.mean(error))
     if mse == 0.0:
@@ -320,31 +330,48 @@ class FullReferenceScores(NamedTuple):
     vifp: float
 
 
+def _psnr_and_ms_ssim(reference: np.ndarray, planes: list) -> tuple[list, list]:
+    scratch = _Scratch()
+    psnr_values = [_psnr(reference, plane, scratch) for plane in planes]
+    levels = _ms_ssim_levels(reference)
+    return psnr_values, [_ms_ssim(levels, plane, scratch) for plane in planes]
+
+
+def _vifp_family(reference: np.ndarray, planes: list) -> list:
+    scratch = _Scratch()
+    scales = _vifp_scales(reference)
+    return [_vifp(scales, plane, scratch) for plane in planes]
+
+
+# Scores the VIFp family of full-reference reports. One thread serves the
+# whole process and starts on the first report.
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rtcdenoise-vifp")
+
+
 def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
     """PSNR, SSIM, MS-SSIM and VIFp of each test frame against one reference.
 
-    Each metric's reference side is built once and serves every test frame.
-    The metrics run one after another, so the MS-SSIM levels are released
-    before the VIFp scales are built. Nothing is kept across calls.
+    Each family's reference side is built once and serves every test frame.
+    The helper thread scores VIFp while the calling thread scores PSNR and
+    MS-SSIM. A VIFp task the helper has not started by then (it may be busy
+    with another caller's) is taken back and run by the caller, so no report
+    waits behind another. Nothing is kept across calls, and no helper task
+    of the call is left running when it returns or raises.
     """
     for test in tests:
         _check_dimensions(reference, test)
-    a = reference.luma_f64()
+    a = reference.y
     _require_side(a, _SSIM_WINDOW)
     _require_side(a, MIN_METRIC_SIDE)
-    scratch = _Scratch()
-    plane = scratch.plane("test", a.shape)
-
-    def load(test: Frame) -> np.ndarray:
-        np.copyto(plane, test.y)
-        return plane
-
-    psnr_values = [_psnr(a, load(test), scratch) for test in tests]
-    levels = _ms_ssim_levels(a)
-    ms_ssim_pairs = [_ms_ssim(levels, load(test), scratch) for test in tests]
-    del levels
-    scales = _vifp_scales(a)
-    vifp_values = [_vifp(scales, load(test), scratch) for test in tests]
+    planes = [test.y for test in tests]
+    vifp_task = _HELPER.submit(_vifp_family, a, planes)
+    try:
+        psnr_values, ms_ssim_pairs = _psnr_and_ms_ssim(a, planes)
+    except BaseException:
+        if not vifp_task.cancel():
+            vifp_task.exception()  # waits; the caller's error is the one raised
+        raise
+    vifp_values = _vifp_family(a, planes) if vifp_task.cancel() else vifp_task.result()
     return [
         FullReferenceScores(p, s, m, v)
         for p, (m, s), v in zip(psnr_values, ms_ssim_pairs, vifp_values)

@@ -70,8 +70,18 @@ class NoiseRng:
         of each pair is used, which keeps the draw count a simple function
         of n at the cost of half the entropy.
         """
-        u1 = self.uniforms(n)
-        u2 = self.uniforms(n)
+        normals = self.normal_run(n, 0, n)
+        self.counter += 2 * n
+        return normals
+
+    def normal_run(self, n: int, c0: int, c1: int) -> np.ndarray:
+        """Draws [c0, c1) of the next normals(n), without advancing the stream.
+
+        Draw i pairs uniform i of the u1 block with uniform i of the u2
+        block, so consecutive runs give normals(n) piece by piece, bit for bit.
+        """
+        u1 = NoiseRng(int(self.seed), self.counter + c0).uniforms(c1 - c0)
+        u2 = NoiseRng(int(self.seed), self.counter + n + c0).uniforms(c1 - c0)
         r = np.sqrt(-2.0 * np.log1p(-u1))
         return r * np.cos(2.0 * np.pi * u2)
 

@@ -8,6 +8,8 @@ is evidence rather than tautology.
 
 All metric functions take plain 2-D float64 arrays in [0, 255].
 `denoise_stream` is the window-assembly reference the pipeline must match.
+`add_gaussian_noise` and `add_speckle` are the injectors' whole-plane
+formulas, one `NoiseRng.normals` block per frame.
 
 The `separable_*` metrics are the exception: they are the package's own
 separable-filter formulas as they stood before full-reference reports shared
@@ -28,6 +30,7 @@ from rtcdenoise import (
     AnalyzerReport,
     BlockParams,
     FrameRole,
+    NoiseRng,
     VideoSequence,
     denoise_window,
     performance_score,
@@ -148,6 +151,18 @@ def vifp(x: np.ndarray, y: np.ndarray) -> float:
         num += float(np.sum(np.log10(1.0 + g * g * var_ref / (sv_sq + VIF_SIGMA_NSQ))))
         den += float(np.sum(np.log10(1.0 + var_ref / VIF_SIGMA_NSQ)))
     return num / max(den, VIF_EPS)
+
+
+def _normal_plane(frame, seed: int) -> np.ndarray:
+    return NoiseRng(seed=seed).normals(frame.height * frame.width).reshape(frame.y.shape)
+
+
+def add_gaussian_noise(frame, sigma: float, seed: int = 0):
+    return frame.with_luma(frame.luma_f64() + sigma * _normal_plane(frame, seed))
+
+
+def add_speckle(frame, sigma_mult: float, seed: int = 0):
+    return frame.with_luma(frame.luma_f64() * (1.0 + sigma_mult * _normal_plane(frame, seed)))
 
 
 def schedule_reference(n_frames: int, cadence: int):

@@ -22,6 +22,8 @@ from rtcdenoise import (
 
 from util import frames_equal
 
+import oracles
+
 
 def _const(value, h=32, w=32):
     return Frame(y=np.full((h, w), value, dtype=np.uint8))
@@ -116,6 +118,18 @@ def test_gaussian_noise_deterministic_per_seed():
     c = add_gaussian_noise(frame, 5.0, seed=2)
     assert frames_equal(a, b)
     assert not frames_equal(a, c)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 13), (128, 257), (360, 480)])
+def test_normal_injectors_equal_whole_plane_formula(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    frame = Frame(y=rng.integers(0, 256, shape, dtype=np.uint8))
+    for seed in (0, 5, 2**64 - 1):
+        for sigma in (0.5, 25.0, 300.0):
+            assert frames_equal(add_gaussian_noise(frame, sigma, seed=seed),
+                                oracles.add_gaussian_noise(frame, sigma, seed=seed))
+            assert frames_equal(add_speckle(frame, sigma / 100, seed=seed),
+                                oracles.add_speckle(frame, sigma / 100, seed=seed))
 
 
 def test_salt_pepper_density_and_polarity():

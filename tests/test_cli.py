@@ -1,9 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from rtcdenoise import (
+    Frame,
     PipelineConfig,
     VideoSequence,
     add_gaussian_noise,
@@ -135,6 +137,29 @@ def test_inject_rejects_bad_spec(clean_clip, tmp_path, capsys):
     assert "sparkle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, problem", [
+    ("gaussian:nan", "finite"),
+    ("gaussian:1e309", "finite"),
+    ("speckle:inf", "finite"),
+    ("saltpepper:2", "at most 1"),
+    ("saltpepper:1.5", "at most 1"),
+])
+def test_inject_rejects_out_of_range_values(clean_clip, tmp_path, spec, problem, capsys):
+    out = tmp_path / "x.y4m"
+    assert main(["inject", "--in", str(clean_clip), "--noise", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert problem in err[0] and spec.partition(":")[2] in err[0]
+    assert not out.exists()
+
+
+def test_inject_accepts_full_density(clean_clip, tmp_path, capsys):
+    out = tmp_path / "x.y4m"
+    assert main(["inject", "--in", str(clean_clip), "--noise", "saltpepper:1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert set(np.unique(read_y4m_file(out)[0].y)) <= {0, 255}
+
+
 # --- detect ------------------------------------------------------------------
 
 def test_detect_reports_every_frame(noisy_clip, capsys):
@@ -150,6 +175,25 @@ def test_detect_reports_every_frame(noisy_clip, capsys):
         assert match, line
         assert int(match.group(1)) == t
     assert "category=gaussian" in lines[0]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 40), (40, 1)])
+def test_detect_rejects_frames_below_3x3(tmp_path, shape, capsys):
+    tiny = tmp_path / "tiny.y4m"
+    write_y4m_file(VideoSequence((Frame(y=np.zeros(shape, dtype=np.uint8)),) * 2), tiny)
+    assert main(["detect", "--in", str(tiny)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1
+    assert f"{shape[1]}x{shape[0]}" in err[0] and "at least 3 pixels" in err[0]
+
+
+def test_detect_accepts_3x3_frames(tmp_path, capsys):
+    small = tmp_path / "small.y4m"
+    write_y4m_file(VideoSequence((Frame(y=np.full((3, 3), 9, dtype=np.uint8)),)), small)
+    assert main(["detect", "--in", str(small)]) == 0
+    assert capsys.readouterr().out.startswith("frame=0 sigma=0.0000")
 
 
 def test_detect_writes_histograms(noisy_clip, tmp_path, capsys):
@@ -231,6 +275,7 @@ def test_metrics_frame_size_mismatch_is_data_error(tmp_path, capsys):
     ["simulate", "--in", "{clip}"],
     ["metrics", "--ref", "{clip}", "--test", "{clip}"],
     ["inject", "--in", "{clip}", "--noise", "gaussian:4", "--out", "{out}"],
+    ["detect", "--in", "{clip}"],
 ])
 def test_header_only_input_is_data_error(tmp_path, command, capsys):
     empty = tmp_path / "empty.y4m"

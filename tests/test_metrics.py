@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from rtcdenoise import (
     stage_smooth,
     vifp,
 )
+from rtcdenoise import metrics
+from rtcdenoise.analyzer import build_report
 from rtcdenoise.metrics import gradient_magnitude
 
 import oracles
@@ -243,3 +248,88 @@ def test_detail_retention_matches_oracle(natural_frames):
 def test_metrics_reject_dimension_mismatch(metric):
     with pytest.raises(ValueError):
         metric(_const(0, 64, 64), _const(0, 64, 60))
+
+
+# --- full-reference scores on the caller and the helper thread -------------------
+
+def _report_frames(natural_frames):
+    ref = _crop(natural_frames[1], 120, 160)
+    return ref, [add_gaussian_noise(ref, 25.0, seed=4), stage_smooth(ref, 30.0)]
+
+
+def test_concurrent_full_reference_scores_equal_serial(metric_pairs):
+    jobs = [(ref, [test, ref]) for ref, test in metric_pairs[:4]]
+    serial = [metrics.full_reference_scores(ref, tests) for ref, tests in jobs]
+    results = [None] * len(jobs)
+
+    def score(i):
+        results[i] = metrics.full_reference_scores(*jobs[i])
+
+    threads = [threading.Thread(target=score, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
+    helpers = [t for t in threading.enumerate() if t.name.startswith("rtcdenoise-vifp")]
+    assert len(helpers) <= 1
+
+
+def test_report_completes_while_helper_is_busy(natural_frames):
+    ref, tests = _report_frames(natural_frames)
+    expected = metrics.full_reference_scores(ref, tests)
+    gate = threading.Event()
+    blocker = metrics._HELPER.submit(gate.wait, 30)
+    results = []
+    try:
+        caller = threading.Thread(target=lambda: results.append(
+            metrics.full_reference_scores(ref, tests)))
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        assert results == [expected]
+    finally:
+        gate.set()
+        assert blocker.result(timeout=10) is True
+
+
+def test_helper_error_reaches_build_report_caller(natural_frames, monkeypatch):
+    ref, (noisy, denoised) = _report_frames(natural_frames)
+
+    def failing_vifp(scales, plane, scratch):
+        raise RuntimeError("injected VIFp fault")
+
+    monkeypatch.setattr(metrics, "_vifp", failing_vifp)
+    for _ in range(3):  # the helper or the caller may run VIFp; both must raise
+        with pytest.raises(RuntimeError, match="injected VIFp fault"):
+            build_report(0, ref, noisy, denoised, 25.0, 10.0)
+
+
+def test_caller_error_leaves_no_helper_task_running(natural_frames, monkeypatch):
+    ref, tests = _report_frames(natural_frames)
+    started = threading.Event()
+    finished = []
+    original_vifp = metrics._vifp
+
+    def slow_vifp(scales, plane, scratch):
+        started.set()
+        time.sleep(0.3)
+        value = original_vifp(scales, plane, scratch)
+        finished.append(value)
+        return value
+
+    def failing_ms_ssim(levels, plane, scratch):
+        assert started.wait(timeout=10)  # the helper is now running VIFp
+        raise RuntimeError("injected MS-SSIM fault")
+
+    monkeypatch.setattr(metrics, "_vifp", slow_vifp)
+    monkeypatch.setattr(metrics, "_ms_ssim", failing_ms_ssim)
+    with pytest.raises(RuntimeError, match="injected MS-SSIM fault"):
+        metrics.full_reference_scores(ref, tests)
+    assert len(finished) == len(tests)

@@ -65,6 +65,13 @@ def test_normals_match_box_muller_formula():
     assert np.array_equal(rng.normals(n), expected)
 
 
+def test_normal_runs_piece_together_normals():
+    rng = NoiseRng(11, counter=3)
+    runs = [rng.normal_run(10, c0, c1) for c0, c1 in ((0, 4), (4, 5), (5, 10))]
+    assert rng.counter == 3
+    assert np.array_equal(np.concatenate(runs), NoiseRng(11, counter=3).normals(10))
+
+
 def test_normals_moments():
     z = NoiseRng(5).normals(200_000)
     assert abs(float(z.mean())) < 0.01
