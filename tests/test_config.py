@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,66 @@ slice_height = 8
 seed = 7
 """
 
+
+# the exact bytes of dump_config(parse_config_text(FULL_SAMPLE)): a numeric
+# fusion_tau, a fractional scale, a false boolean and the gilbert-elliott model
+FULL_SAMPLE_DUMP = """\
+[pipeline]
+threshold = 18.5
+seed = 42
+execution = threaded
+
+[image_denoiser]
+bilateral_spatial_sigma = 1.5
+bilateral_range_factor = 2.5
+gaussian_sigma_divisor = 18.0
+gaussian_sigma_min = 0.6
+gaussian_sigma_max = 2.0
+fusion_tau = 12.5
+window_radius = 2
+
+[video_denoiser]
+mode = classical
+k_temporal = 1.2
+spatial_enabled = false
+cadence = 4
+
+[analyzer]
+weight_psnr = 0.5
+weight_ssim = 0.3
+weight_runtime = 0.2
+budget_ms = 30.0
+feedback_window = 10
+
+[sender]
+q = 24
+resolution_scale = 3/4
+framerate_divisor = 2
+q_min = 2
+q_max = 50
+noise_sigma = 7.5
+
+[loss]
+model = gilbert-elliott
+p_loss = 0.1
+p_enter_bad = 0.02
+p_exit_bad = 0.4
+p_loss_bad = 0.9
+slice_height = 8
+seed = 7
+"""
+
+# the [video_denoiser] section dumped for mode = conv with a weights file
+CONV_VIDEO_SECTION = """\
+[video_denoiser]
+mode = conv
+k_temporal = 1.0
+spatial_enabled = true
+cadence = 5
+weights = {path}
+
+[analyzer]
+"""
 
 def test_empty_text_gives_defaults():
     config = parse_config_text("")
@@ -157,6 +218,24 @@ def test_dump_config_roundtrip_defaults_and_custom(tmp_path):
     custom = parse_config_text(FULL_SAMPLE)
     assert parse_config_text(dump_config(custom)) == custom
 
+
+def test_dump_config_bytes_pinned(tmp_path):
+    assert dump_config(parse_config_text(FULL_SAMPLE)) == FULL_SAMPLE_DUMP
+
+    path = tmp_path / "w.cwb"
+    write_weights_file(random_weights(seed=5), path)
+    conv = dump_config(parse_config_text(f"[video_denoiser]\nmode = conv\nweights = {path}\n"))
+    default = dump_config(PipelineConfig())
+    video = default[default.index("[video_denoiser]"):default.index("[analyzer]") + len("[analyzer]\n")]
+    assert conv == default.replace(video, CONV_VIDEO_SECTION.format(path=path))
+
+
+def test_readme_config_block_is_the_default_dump():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Configuration"):]
+    block = section.split("```\n")[1]
+    uncommented = "".join(line for line in block.splitlines(keepends=True) if not line.startswith("#"))
+    assert uncommented == dump_config(PipelineConfig())
 
 def test_parse_config_reads_file_and_names_it(tmp_path):
     path = tmp_path / "run.cfg"
