@@ -27,10 +27,15 @@ from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
 
+# every NoiseRng normal has |n| <= sqrt(-2 ln 2**-53) < 8.6, so below this cap
+# a speckle value x * (1 + m * n) stays finite for any 8-bit x
+MAX_SPECKLE_MULT = 1e300
+
+# kind -> (injector, name of its value, largest accepted value)
 _INJECTORS = {
-    "gaussian": (add_gaussian_noise, "sigma"),
-    "saltpepper": (add_salt_pepper, "density"),
-    "speckle": (add_speckle, "sigma multiplier"),
+    "gaussian": (add_gaussian_noise, "sigma", math.inf),
+    "saltpepper": (add_salt_pepper, "density", 1.0),
+    "speckle": (add_speckle, "sigma multiplier", MAX_SPECKLE_MULT),
 }
 
 
@@ -51,7 +56,7 @@ def _noise_spec(text: str):
         raise argparse.ArgumentTypeError(
             f"expected kind:value with kind one of {', '.join(sorted(_INJECTORS))}, got {text!r}"
         )
-    name = _INJECTORS[kind][1]
+    _, name, limit = _INJECTORS[kind]
     try:
         strength = float(value)
     except ValueError:
@@ -60,8 +65,8 @@ def _noise_spec(text: str):
         raise argparse.ArgumentTypeError(f"{name} must be finite, got {value!r}")
     if strength < 0:
         raise argparse.ArgumentTypeError(f"{name} must be non-negative")
-    if kind == "saltpepper" and strength > 1:
-        raise argparse.ArgumentTypeError(f"{name} must be at most 1, got {value!r}")
+    if strength > limit:
+        raise argparse.ArgumentTypeError(f"{name} must be at most {limit:g}, got {value!r}")
     return kind, strength
 
 
@@ -184,6 +189,7 @@ def _cmd_denoise(args) -> int:
         print(dump_config(config))
         return 0
     noisy = _read_clip(args.input)
+    _check_frame_size(noisy, args.input, MIN_DETECT_SIDE, "the noise estimates")
     output, reports, stats = run_denoise(noisy, config)
     if args.out:
         write_y4m_file(output, args.out)
@@ -201,7 +207,7 @@ def _cmd_inject(args) -> int:
     root = NoiseRng(args.seed)
     frames = list(clean)
     for op_index, (kind, strength) in enumerate(args.noise):
-        injector, _ = _INJECTORS[kind]
+        injector = _INJECTORS[kind][0]
         stream = root.derive(op_index)
         frames = [
             injector(frame, strength, seed=int(stream.derive(t).seed))

@@ -11,21 +11,18 @@ it with [pipeline] seed, so one seed knob reproduces an entire run.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional
 
 from .analyzer import DEFAULT_BUDGET_MS, DEFAULT_FEEDBACK_WINDOW, DEFAULT_WEIGHTS
-from .channel import LossKind, LossModel, SenderConfig
+from .channel import MAX_FRAMERATE_DIVISOR, SCALE_LADDER, LossKind, LossModel, SenderConfig
 from .detector import DEFAULT_FORK_THRESHOLD
 from .image_denoiser import CascadeParams
-from .video_denoiser import (
-    BlockMode,
-    BlockParams,
-    DEFAULT_CADENCE,
-    read_weights_file,
-)
+from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
 EXECUTION_MODES = ("sequential", "threaded")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
@@ -70,128 +67,130 @@ class PipelineConfig:
             raise ValueError("analyzer weights must be three non-negative numbers")
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+def _format_scale(scale: Fraction) -> str:
+    return "1" if scale == 1 else f"{scale.numerator}/{scale.denominator}"
 
 
 def _parse_scale(raw: str) -> Fraction:
-    aliases = {"1": Fraction(1), "1/1": Fraction(1), "3/4": Fraction(3, 4),
-               "0.75": Fraction(3, 4), "1/2": Fraction(1, 2), "0.5": Fraction(1, 2)}
-    if raw in aliases:
-        return aliases[raw]
-    raise ValueError(f"resolution_scale must be 1, 3/4, or 1/2, got {raw!r}")
+    for scale in SCALE_LADDER:  # as a fraction, in short form or as a decimal: 1/1, 1, 0.75, ...
+        if raw in (f"{scale.numerator}/{scale.denominator}", _format_scale(scale), f"{float(scale):g}"):
+            return scale
+    names = [_format_scale(scale) for scale in reversed(SCALE_LADDER)]
+    raise ValueError(f"resolution_scale must be {', '.join(names[:-1])}, or {names[-1]}, got {raw!r}")
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw}")
+    return value
 
 
 def _parse_tau(raw: str) -> Optional[float]:
     if raw.lower() == "auto":
         return None
-    value = float(raw)
+    value = _finite(raw)
     if value < 0:
         raise ValueError("fusion_tau must be non-negative or 'auto'")
     return value
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"must be positive, got {raw}")
-    return value
-
-
-def _nonneg_float(raw: str) -> float:
-    value = float(raw)
-    if value < 0:
-        raise ValueError(f"must be non-negative, got {raw}")
-    return value
-
-
-def _probability(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {raw}")
-    return value
-
-
-def _int_at_least(minimum: int):
-    def cast(raw: str) -> int:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {raw}")
+def _checked(parse, accept, what: str):
+    def cast(raw: str):
+        value = parse(raw)
+        if not accept(value):
+            raise ValueError(f"must be {what}, got {raw}")
         return value
     return cast
 
 
-def _enum_value(enum_cls):
+_nonneg_float = _checked(_finite, lambda v: v >= 0, "non-negative")
+_positive_float = _checked(_finite, lambda v: v > 0, "positive")
+_probability = _checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _int_at_least(minimum: int):
+    return _checked(int, lambda v: v >= minimum, f">= {minimum}")
+
+
+def _one_of(choices: dict, fold=lambda raw: raw):
+    """Cast a spelling (after fold) to its value in choices."""
     def cast(raw: str):
-        for member in enum_cls:
-            if member.value == raw.lower():
-                return member
-        options = ", ".join(m.value for m in enum_cls)
-        raise ValueError(f"expected one of {options}, got {raw!r}")
+        if fold(raw) in choices:
+            return choices[fold(raw)]
+        raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
     return cast
 
 
-def _choice(*options: str):
-    def cast(raw: str) -> str:
-        if raw in options:
-            return raw
-        raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
-    return cast
+class _Key(NamedTuple):
+    """One config key. target names the PipelineConfig field it sets, through a
+    sub-config or a tuple index ("cascade.window_radius", "analyzer_weights[0]");
+    show renders that field for dump_config, and a None result omits the line."""
+
+    section: str
+    key: str
+    target: str
+    cast: Callable[[str], Any]
+    show: Callable[[Any], Any] = lambda value: value
 
 
-# section -> key -> caster; the parse result is a plain {section: {key: value}}
-_SCHEMA = {
-    "pipeline": {
-        "threshold": _nonneg_float,
-        "seed": int,
-        "execution": _choice(*EXECUTION_MODES),
-    },
-    "image_denoiser": {
-        "bilateral_spatial_sigma": _positive_float,
-        "bilateral_range_factor": _positive_float,
-        "gaussian_sigma_divisor": _positive_float,
-        "gaussian_sigma_min": _positive_float,
-        "gaussian_sigma_max": _positive_float,
-        "fusion_tau": _parse_tau,
-        "window_radius": _int_at_least(1),
-    },
-    "video_denoiser": {
-        "mode": _enum_value(BlockMode),
-        "k_temporal": _positive_float,
-        "spatial_enabled": _parse_bool,
-        "cadence": _int_at_least(2),
-        "weights": str,
-    },
-    "analyzer": {
-        "weight_psnr": _nonneg_float,
-        "weight_ssim": _nonneg_float,
-        "weight_runtime": _nonneg_float,
-        "budget_ms": _positive_float,
-        "feedback_window": _int_at_least(0),
-    },
-    "sender": {
-        "q": _int_at_least(1),
-        "resolution_scale": _parse_scale,
-        "framerate_divisor": _int_at_least(1),
-        "q_min": _int_at_least(1),
-        "q_max": _int_at_least(1),
-        "noise_sigma": _nonneg_float,
-    },
-    "loss": {
-        "model": _enum_value(LossKind),
-        "p_loss": _probability,
-        "p_enter_bad": _probability,
-        "p_exit_bad": _probability,
-        "p_loss_bad": _probability,
-        "slice_height": _int_at_least(1),
-        "seed": int,
-    },
-}
+_enum_name = attrgetter("value")
+_parse_bool = _one_of({"true": True, "yes": True, "on": True, "1": True,
+                       "false": False, "no": False, "off": False, "0": False}, str.lower)
+
+
+_KEYS = (
+    _Key("pipeline", "threshold", "threshold", _nonneg_float),
+    _Key("pipeline", "seed", "seed", int),
+    _Key("pipeline", "execution", "execution", _one_of({mode: mode for mode in EXECUTION_MODES})),
+    _Key("image_denoiser", "bilateral_spatial_sigma", "cascade.bilateral_spatial_sigma", _positive_float),
+    _Key("image_denoiser", "bilateral_range_factor", "cascade.bilateral_range_factor", _positive_float),
+    _Key("image_denoiser", "gaussian_sigma_divisor", "cascade.gaussian_sigma_divisor", _positive_float),
+    _Key("image_denoiser", "gaussian_sigma_min", "cascade.gaussian_sigma_min", _positive_float),
+    _Key("image_denoiser", "gaussian_sigma_max", "cascade.gaussian_sigma_max", _positive_float),
+    _Key("image_denoiser", "fusion_tau", "cascade.fusion_tau", _parse_tau,
+         lambda tau: "auto" if tau is None else tau),
+    _Key("image_denoiser", "window_radius", "cascade.window_radius", _int_at_least(1)),
+    _Key("video_denoiser", "mode", "block.mode", _one_of({m.value: m for m in BlockMode}, str.lower),
+         _enum_name),
+    _Key("video_denoiser", "k_temporal", "block.k_temporal", _positive_float),
+    _Key("video_denoiser", "spatial_enabled", "block.spatial_enabled", _parse_bool,
+         lambda on: "true" if on else "false"),
+    _Key("video_denoiser", "cadence", "cadence", _int_at_least(2)),
+    _Key("video_denoiser", "weights", "weights_path", str),
+    _Key("analyzer", "weight_psnr", "analyzer_weights[0]", _nonneg_float),
+    _Key("analyzer", "weight_ssim", "analyzer_weights[1]", _nonneg_float),
+    _Key("analyzer", "weight_runtime", "analyzer_weights[2]", _nonneg_float),
+    _Key("analyzer", "budget_ms", "budget_ms", _positive_float),
+    _Key("analyzer", "feedback_window", "feedback_window", _int_at_least(0)),
+    _Key("sender", "q", "sender.q", _int_at_least(1)),
+    _Key("sender", "resolution_scale", "sender.resolution_scale", _parse_scale, _format_scale),
+    _Key("sender", "framerate_divisor", "sender.framerate_divisor", _checked(
+        int, lambda v: 1 <= v <= MAX_FRAMERATE_DIVISOR, f"in 1..{MAX_FRAMERATE_DIVISOR}")),
+    _Key("sender", "q_min", "sender.q_min", _int_at_least(1)),
+    _Key("sender", "q_max", "sender.q_max", _int_at_least(1)),
+    _Key("sender", "noise_sigma", "sender.noise_sigma", _nonneg_float),
+    _Key("loss", "model", "loss.kind", _one_of({m.value: m for m in LossKind}, str.lower),
+         _enum_name),
+    _Key("loss", "p_loss", "loss.p_loss", _probability),
+    _Key("loss", "p_enter_bad", "loss.p_enter_bad", _probability),
+    _Key("loss", "p_exit_bad", "loss.p_exit_bad", _probability),
+    _Key("loss", "p_loss_bad", "loss.p_loss_bad", _probability),
+    _Key("loss", "slice_height", "loss.slice_height", _int_at_least(1)),
+    _Key("loss", "seed", "loss.seed", int),
+)
+
+# section -> key -> _Key, in table order
+_SCHEMA: dict = {}
+for _row in _KEYS:
+    _SCHEMA.setdefault(_row.section, {})[_row.key] = _row
+
+
+def _split(target: str):
+    """"cascade.q" -> ("cascade", "q", None); "analyzer_weights[0]" -> ("", "analyzer_weights", 0)."""
+    part, _, name = target.rpartition(".")
+    name, bracket, index = name.partition("[")
+    return part, name, int(index[:-1]) if bracket else None
 
 
 def _scan(text: str, source: str) -> dict:
@@ -222,123 +221,43 @@ def _scan(text: str, source: str) -> dict:
     return staged
 
 
-class _Section:
-    def __init__(self, staged: dict, source: str, name: str):
-        self._values = staged[name]
-        self._source = source
-        self._name = name
-
-    def get(self, key: str, default):
-        if key not in self._values:
-            return default
-        raw, lineno = self._values[key]
-        try:
-            return _SCHEMA[self._name][key](raw)
-        except ValueError as exc:
-            raise ConfigError(self._source, lineno, f"{self._name}.{key}: {exc}") from exc
-
-    def line_of(self, key: str, fallback: int = 0) -> int:
-        return self._values[key][1] if key in self._values else fallback
-
-
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     staged = _scan(text, source)
     defaults = PipelineConfig()
+    fields: dict = {}    # PipelineConfig field -> value
+    parts: dict = {}     # sub-config field -> {its field: value}
+    for section, entries in staged.items():
+        for key, (raw, lineno) in entries.items():
+            row = _SCHEMA[section][key]
+            try:
+                value = row.cast(raw)
+            except ValueError as exc:
+                raise ConfigError(source, lineno, f"{section}.{key}: {exc}") from exc
+            part, name, index = _split(row.target)
+            if index is not None:
+                items = fields.get(name, getattr(defaults, name))
+                value = tuple(value if i == index else item for i, item in enumerate(items))
+            (parts.setdefault(part, {}) if part else fields)[name] = value
 
-    pipe = _Section(staged, source, "pipeline")
-    image = _Section(staged, source, "image_denoiser")
-    video = _Section(staged, source, "video_denoiser")
-    analyzer = _Section(staged, source, "analyzer")
-    sender = _Section(staged, source, "sender")
-    loss = _Section(staged, source, "loss")
-
-    dcascade = defaults.cascade
-    try:
-        cascade = CascadeParams(
-            bilateral_spatial_sigma=image.get("bilateral_spatial_sigma", dcascade.bilateral_spatial_sigma),
-            bilateral_range_factor=image.get("bilateral_range_factor", dcascade.bilateral_range_factor),
-            gaussian_sigma_divisor=image.get("gaussian_sigma_divisor", dcascade.gaussian_sigma_divisor),
-            gaussian_sigma_min=image.get("gaussian_sigma_min", dcascade.gaussian_sigma_min),
-            gaussian_sigma_max=image.get("gaussian_sigma_max", dcascade.gaussian_sigma_max),
-            fusion_tau=image.get("fusion_tau", dcascade.fusion_tau),
-            window_radius=image.get("window_radius", dcascade.window_radius),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(source, image.line_of("gaussian_sigma_min"), f"[image_denoiser]: {exc}") from exc
-
-    weights_path = video.get("weights", None)
-    conv_weights = None
-    if weights_path is not None:
+    video = staged["video_denoiser"]
+    block = parts.setdefault("block", {})
+    if "weights_path" in fields:
         try:
-            conv_weights = read_weights_file(weights_path)
+            block["conv_weights"] = read_weights_file(fields["weights_path"])
         except (OSError, ValueError) as exc:
-            raise ConfigError(source, video.line_of("weights"), f"cannot load weights: {exc}") from exc
-    mode = video.get("mode", defaults.block.mode)
-    if mode is BlockMode.CONV and conv_weights is None:
-        raise ConfigError(source, video.line_of("mode"), "mode = conv requires a weights path")
-    block = BlockParams(
-        mode=mode,
-        k_temporal=video.get("k_temporal", defaults.block.k_temporal),
-        spatial_enabled=video.get("spatial_enabled", defaults.block.spatial_enabled),
-        conv_weights=conv_weights,
-    )
+            raise ConfigError(source, video["weights"][1], f"cannot load weights: {exc}") from exc
+    elif block.get("mode") is BlockMode.CONV:
+        raise ConfigError(source, video["mode"][1], "mode = conv requires a weights path")
 
-    dsender = defaults.sender
-    try:
-        sender_cfg = SenderConfig(
-            q=sender.get("q", dsender.q),
-            resolution_scale=sender.get("resolution_scale", dsender.resolution_scale),
-            framerate_divisor=sender.get("framerate_divisor", dsender.framerate_divisor),
-            q_min=sender.get("q_min", dsender.q_min),
-            q_max=sender.get("q_max", dsender.q_max),
-            noise_sigma=sender.get("noise_sigma", dsender.noise_sigma),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(source, sender.line_of("q"), f"[sender]: {exc}") from exc
-
-    dloss = defaults.loss
-    try:
-        loss_model = LossModel(
-            kind=loss.get("model", dloss.kind),
-            p_loss=loss.get("p_loss", dloss.p_loss),
-            p_enter_bad=loss.get("p_enter_bad", dloss.p_enter_bad),
-            p_exit_bad=loss.get("p_exit_bad", dloss.p_exit_bad),
-            p_loss_bad=loss.get("p_loss_bad", dloss.p_loss_bad),
-            slice_height=loss.get("slice_height", dloss.slice_height),
-            seed=loss.get("seed", dloss.seed),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(source, loss.line_of("model"), f"[loss]: {exc}") from exc
-
-    try:
-        return PipelineConfig(
-            threshold=pipe.get("threshold", defaults.threshold),
-            seed=pipe.get("seed", defaults.seed),
-            execution=pipe.get("execution", defaults.execution),
-            cascade=cascade,
-            cadence=video.get("cadence", defaults.cadence),
-            block=block,
-            weights_path=weights_path,
-            analyzer_weights=(
-                analyzer.get("weight_psnr", defaults.analyzer_weights[0]),
-                analyzer.get("weight_ssim", defaults.analyzer_weights[1]),
-                analyzer.get("weight_runtime", defaults.analyzer_weights[2]),
-            ),
-            budget_ms=analyzer.get("budget_ms", defaults.budget_ms),
-            feedback_window=analyzer.get("feedback_window", defaults.feedback_window),
-            sender=sender_cfg,
-            loss=loss_model,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(source, 0, str(exc)) from exc
+    for part, values in parts.items():
+        try:
+            fields[part] = replace(getattr(defaults, part), **values)
+        except ValueError as exc:
+            # a cross-field check: point at the first key this file sets in the section
+            section = next(row.section for row in _KEYS if row.target.startswith(part + "."))
+            first_line = next(iter(staged[section].values()))[1]
+            raise ConfigError(source, first_line, f"[{section}]: {exc}") from exc
+    return replace(defaults, **fields)
 
 
 def parse_config(path) -> PipelineConfig:
@@ -346,66 +265,18 @@ def parse_config(path) -> PipelineConfig:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def _format_scale(scale: Fraction) -> str:
-    return "1" if scale == 1 else f"{scale.numerator}/{scale.denominator}"
-
-
 def dump_config(config: PipelineConfig) -> str:
     """Render the full configuration; parse_config_text() round-trips it."""
-    cascade = config.cascade
-    block = config.block
-    sender = config.sender
-    loss = config.loss
-    lines = [
-        "[pipeline]",
-        f"threshold = {config.threshold}",
-        f"seed = {config.seed}",
-        f"execution = {config.execution}",
-        "",
-        "[image_denoiser]",
-        f"bilateral_spatial_sigma = {cascade.bilateral_spatial_sigma}",
-        f"bilateral_range_factor = {cascade.bilateral_range_factor}",
-        f"gaussian_sigma_divisor = {cascade.gaussian_sigma_divisor}",
-        f"gaussian_sigma_min = {cascade.gaussian_sigma_min}",
-        f"gaussian_sigma_max = {cascade.gaussian_sigma_max}",
-        f"fusion_tau = {'auto' if cascade.fusion_tau is None else cascade.fusion_tau}",
-        f"window_radius = {cascade.window_radius}",
-        "",
-        "[video_denoiser]",
-        f"mode = {block.mode.value}",
-        f"k_temporal = {block.k_temporal}",
-        f"spatial_enabled = {'true' if block.spatial_enabled else 'false'}",
-        f"cadence = {config.cadence}",
-    ]
-    if config.weights_path is not None:
-        lines.append(f"weights = {config.weights_path}")
-    lines += [
-        "",
-        "[analyzer]",
-        f"weight_psnr = {config.analyzer_weights[0]}",
-        f"weight_ssim = {config.analyzer_weights[1]}",
-        f"weight_runtime = {config.analyzer_weights[2]}",
-        f"budget_ms = {config.budget_ms}",
-        f"feedback_window = {config.feedback_window}",
-        "",
-        "[sender]",
-        f"q = {sender.q}",
-        f"resolution_scale = {_format_scale(sender.resolution_scale)}",
-        f"framerate_divisor = {sender.framerate_divisor}",
-        f"q_min = {sender.q_min}",
-        f"q_max = {sender.q_max}",
-        f"noise_sigma = {sender.noise_sigma}",
-        "",
-        "[loss]",
-        f"model = {loss.kind.value}",
-        f"p_loss = {loss.p_loss}",
-        f"p_enter_bad = {loss.p_enter_bad}",
-        f"p_exit_bad = {loss.p_exit_bad}",
-        f"p_loss_bad = {loss.p_loss_bad}",
-        f"slice_height = {loss.slice_height}",
-        f"seed = {loss.seed}",
-        "",
-    ]
+    lines = []
+    for section, rows in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for row in rows.values():
+            part, name, index = _split(row.target)
+            value = getattr(getattr(config, part) if part else config, name)
+            shown = row.show(value if index is None else value[index])
+            if shown is not None:
+                lines.append(f"{row.key} = {shown}")
+        lines.append("")
     return "\n".join(lines)
 
 

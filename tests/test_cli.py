@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,8 @@ def test_inject_rejects_bad_spec(clean_clip, tmp_path, capsys):
     ("speckle:inf", "finite"),
     ("saltpepper:2", "at most 1"),
     ("saltpepper:1.5", "at most 1"),
+    ("speckle:1e308", "at most 1e+300"),
+    ("speckle:1.1e300", "at most 1e+300"),
 ])
 def test_inject_rejects_out_of_range_values(clean_clip, tmp_path, spec, problem, capsys):
     out = tmp_path / "x.y4m"
@@ -151,6 +154,17 @@ def test_inject_rejects_out_of_range_values(clean_clip, tmp_path, spec, problem,
     assert len(err) == 1
     assert problem in err[0] and spec.partition(":")[2] in err[0]
     assert not out.exists()
+
+
+def test_inject_speckle_at_cap_stays_finite(tmp_path, capsys):
+    dark = tmp_path / "dark.y4m"
+    write_y4m_file(VideoSequence((Frame(y=np.array([[0, 1], [128, 255]], dtype=np.uint8)),) * 2), dark)
+    out = tmp_path / "x.y4m"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["inject", "--in", str(dark), "--noise", "speckle:1e300", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_y4m_file(out)[0].y[0, 0] == 0
 
 
 def test_inject_accepts_full_density(clean_clip, tmp_path, capsys):
@@ -187,6 +201,19 @@ def test_detect_rejects_frames_below_3x3(tmp_path, shape, capsys):
     assert captured.out == ""
     assert len(err) == 1
     assert f"{shape[1]}x{shape[0]}" in err[0] and "at least 3 pixels" in err[0]
+
+
+def test_denoise_rejects_frames_below_3x3(tmp_path, capsys):
+    tiny = tmp_path / "tiny.y4m"
+    write_y4m_file(VideoSequence((Frame(y=np.zeros((2, 2), dtype=np.uint8)),) * 6), tiny)
+    out = tmp_path / "out.y4m"
+    assert main(["denoise", "--in", str(tiny), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1
+    assert "2x2" in err[0] and "at least 3 pixels" in err[0]
+    assert not out.exists()
 
 
 def test_detect_accepts_3x3_frames(tmp_path, capsys):
@@ -328,3 +355,13 @@ def test_data_errors_exit_2(tmp_path, clean_clip, capsys):
     assert main(["denoise", "--in", str(clean_clip), "--config", str(bad_cfg)]) == 2
     err = capsys.readouterr().err
     assert "threshold" in err
+
+
+def test_non_finite_config_value_is_data_error(tmp_path, noisy_clip, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("[video_denoiser]\nk_temporal = nan\n")
+    out = tmp_path / "out.y4m"
+    assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:2: video_denoiser.k_temporal: must be finite, got nan"]
+    assert not out.exists()

@@ -192,6 +192,12 @@ def test_comments_blanks_and_whitespace_tolerated():
         ("[video_denoiser]\ncadence = 1\n", "video_denoiser.cadence: must be >= 2", 2),
         ("[video_denoiser]\nmode = conv\n", "mode = conv requires a weights path", 2),
         ("[image_denoiser]\nfusion_tau = -1\n", "fusion_tau must be non-negative", 2),
+        ("[pipeline]\nthreshold = nan\n", "pipeline.threshold: must be finite, got nan", 2),
+        ("[video_denoiser]\nk_temporal = nan\n", "video_denoiser.k_temporal: must be finite", 2),
+        ("[image_denoiser]\nfusion_tau = nan\n", "image_denoiser.fusion_tau: must be finite", 2),
+        ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be finite, got inf", 2),
+        ("[loss]\n\np_loss = -inf\n", "loss.p_loss: must be finite", 3),
+        ("[analyzer]\nbudget_ms = 1e999\n", "analyzer.budget_ms: must be finite", 2),
     ],
 )
 def test_errors_carry_source_and_line(text, fragment, line):
@@ -209,6 +215,22 @@ def test_cross_field_range_errors_located():
     bad_cascade = "[image_denoiser]\ngaussian_sigma_min = 3.0\n"
     with pytest.raises(ConfigError, match="gaussian_sigma_min"):
         parse_config_text(bad_cascade)
+
+
+@pytest.mark.parametrize(
+    "text,fragment,line",
+    [
+        ("# divisor\n[sender]\n\nframerate_divisor = 9\n", "sender.framerate_divisor: must be in 1..4", 4),
+        ("[pipeline]\nseed = 1\n[image_denoiser]\ngaussian_sigma_max = 0.1\n",
+         "[image_denoiser]: require 0 < gaussian_sigma_min <= gaussian_sigma_max", 4),
+        ("[sender]\n# range\nq_min = 40\nq_max = 30\n", "[sender]: require 1 <= q_min <= q_max", 3),
+    ],
+)
+def test_cross_field_errors_name_first_key_of_section(text, fragment, line):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(text, source="t.cfg")
+    assert str(excinfo.value).startswith(f"t.cfg:{line}: ")
+    assert fragment in str(excinfo.value)
 
 
 def test_dump_config_roundtrip_defaults_and_custom(tmp_path):
