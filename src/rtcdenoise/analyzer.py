@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .detector import DEFAULT_FORK_THRESHOLD
-from .frame import Frame
+from .frame import Frame, require_finite
 from .metrics import detail_retention, full_reference_scores
 # bench/tracing.py looks these up on this module; build_report scores
 # through full_reference_scores instead of calling them
@@ -89,6 +89,7 @@ class FeedbackPolicy:
             raise ValueError("budget_ms must be positive")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        require_finite(**vars(self))  # every field is a number
 
 
 def performance_score(

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .frame import Frame, chunk_bounds, quantize_plane
+from .frame import Frame, chunk_bounds, quantize_plane, require_finite
 from .rng import NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
@@ -52,6 +52,7 @@ class SenderConfig:
             raise ValueError(f"framerate_divisor must be in 1..{MAX_FRAMERATE_DIVISOR}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        require_finite(noise_sigma=self.noise_sigma)
         object.__setattr__(self, "resolution_scale", Fraction(self.resolution_scale))
 
 

@@ -21,6 +21,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .analyzer import DEFAULT_BUDGET_MS, DEFAULT_FEEDBACK_WINDOW, DEFAULT_WEIGHTS
 from .channel import MAX_FRAMERATE_DIVISOR, SCALE_LADDER, LossKind, LossModel, SenderConfig
 from .detector import DEFAULT_FORK_THRESHOLD
+from .frame import require_finite
 from .image_denoiser import CascadeParams
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
@@ -65,6 +66,8 @@ class PipelineConfig:
             raise ValueError("feedback_window must be >= 0 (0 disables feedback)")
         if len(self.analyzer_weights) != 3 or any(w < 0 for w in self.analyzer_weights):
             raise ValueError("analyzer weights must be three non-negative numbers")
+        require_finite(threshold=self.threshold, budget_ms=self.budget_ms,
+                       **{f"analyzer_weights[{i}]": w for i, w in enumerate(self.analyzer_weights)})
 
 
 def _format_scale(scale: Fraction) -> str:
@@ -267,6 +270,8 @@ def parse_config(path) -> PipelineConfig:
 
 def dump_config(config: PipelineConfig) -> str:
     """Render the full configuration; parse_config_text() round-trips it."""
+    if config.block.mode is BlockMode.CONV and config.weights_path is None:
+        raise ValueError("mode = conv needs the weights path its weights were read from")
     lines = []
     for section, rows in _SCHEMA.items():
         lines.append(f"[{section}]")

@@ -9,6 +9,7 @@ point copies internally and re-quantize on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -28,6 +29,13 @@ class FormatError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def require_finite(**values: Optional[float]) -> None:
+    """Reject NaN and infinities, naming the first offender; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_plane(name: str, plane: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

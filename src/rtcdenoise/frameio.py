@@ -56,6 +56,8 @@ def read_y4m(source: ByteSource) -> VideoSequence:
             elif tag == "F":
                 num, _, den = value.partition(":")
                 rate = Fraction(int(num), int(den or "1"))
+                if rate <= 0:
+                    raise ValueError("frame rate must be positive")
             elif tag == "C":
                 colorspace = value
             # I (interlacing), A (aspect), X (comment) are accepted and ignored

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .frame import CHUNK_PIXELS, Frame, chunk_bounds, quantize_plane
+from .frame import CHUNK_PIXELS, Frame, chunk_bounds, quantize_plane, require_finite
 from .metrics import gradient_magnitude
 
 PASSTHROUGH_SIGMA = 0.5
@@ -47,6 +47,7 @@ class CascadeParams:
             raise ValueError("fusion_tau must be non-negative")
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
+        require_finite(**vars(self))  # every field is a number (fusion_tau may be None)
 
     def gaussian_sigma(self, sigma_est: float) -> float:
         return min(max(sigma_est / self.gaussian_sigma_divisor, self.gaussian_sigma_min),

@@ -412,6 +412,8 @@ def gradient_magnitude(plane: np.ndarray) -> np.ndarray:
 
 def detail_retention(ref: Frame, test: Frame) -> float:
     """Gradient-energy agreement in [0, 1]; 1.0 means detail fully kept."""
+    if test is ref:
+        return 1.0  # exact: every pixel is (2 g g + C) / (g g + g g + C)
     _check_dimensions(ref, test)
     index_ref = _gradient_index(ref.y).ravel()
     index_test = _gradient_index(test.y).ravel()

@@ -2,16 +2,15 @@
 
 The receiver works in keyframe cohorts (a keyframe plus the cadence-1 frames
 after it). The detector runs once per keyframe; the whole cohort follows its
-BYPASS/DENOISE routing. A cohort's temporal windows may reach two frames past
-the cohort end, so a cohort completes only once received index
-min(cohort_end + 2, n - 1) has arrived; window positions landing on keyframe
-indices use the keyframe's finished output (denoised or passed through,
-whatever its own cohort decided).
+BYPASS/DENOISE routing. WindowPlan owns the schedule: a cohort's temporal
+windows read the frames in WindowPlan.reach (up to two past the cohort end),
+and window positions landing on keyframe indices use the keyframe's finished
+output (denoised or passed through, whatever its own cohort decided).
 
 The work splits into pure units: a keyframe unit (detect, fork, keyframe
-cascade) per keyframe, and a cohort unit (the cohort's temporal windows, then
-one report per frame) per cohort. One driver loop produces frames, submits
-each unit as soon as its inputs have arrived, and collects the results in
+cascade) per keyframe, and a cohort unit per cohort (for each frame, its
+temporal window, then its report). One driver loop produces frames, submits
+each unit once every frame it reads has arrived, and collects the results in
 order. The execution mode only decides how a unit runs: `sequential` runs it
 inline, `threaded` on a thread pool sized to the CPUs the process may use.
 Either way the units do the exact same arithmetic, so both modes produce
@@ -27,9 +26,9 @@ wall-clock latencies are reported separately in PipelineStats, which carries
 no cross-run determinism promise.
 
 Feedback timing is likewise plan-derived: the message aggregating the window
-that ends at frame w becomes visible to the sender right after the received
-index that completes w's cohort, so the sender applies it at the same frame
-position in both execution modes.
+that ends at frame w becomes visible to the sender right after the last frame
+w's cohort reads, so the sender applies it at the same frame position in both
+execution modes.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .detector import (
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, denoise_keyframe
 from .rng import NoiseRng
-from .video_denoiser import BlockMode, FrameRole, WindowPlan, denoise_window, schedule_windows
+from .video_denoiser import BlockMode, FrameRole, WindowPlan, denoise_window
 
 _CAPTURE_STREAM = 1  # rng substream tags under the pipeline seed
 _LOSS_STREAM = 2
@@ -162,31 +161,11 @@ class _KeyframeRecord:
 
 @dataclass(frozen=True)
 class _Emitted:
-    index: int
-    received: Frame
     output: Frame
-    virtual_ms: float
+    report: AnalyzerReport
     video_ms: Optional[float]  # measured, temporal DENOISE frames only
     span_ms: float             # measured window span (keyframe span on keyframes)
-
-
-def _cohort_end(start: int, cadence: int, n: int) -> int:
-    return min(start + cadence, n) - 1
-
-
-def _cohort_ready_at(start: int, cadence: int, n: int) -> int:
-    return min(_cohort_end(start, cadence, n) + 2, n - 1)
-
-
-def _feedback_apply_points(n: int, cadence: int, window: int) -> List[int]:
-    """Sender frame index at which each feedback window's message applies."""
-    if window <= 0:
-        return []
-    points = []
-    for w_end in range(window - 1, n, window):
-        cohort_start = (w_end // cadence) * cadence
-        points.append(_cohort_ready_at(cohort_start, cadence, n) + 1)
-    return points
+    report_ms: float           # measured report span
 
 
 def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
@@ -225,67 +204,55 @@ def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
     )
 
 
-def _report(item: _Emitted, record: _KeyframeRecord, reference: Optional[Frame],
+def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
+            record: _KeyframeRecord, reference: Optional[VideoSequence],
             config: PipelineConfig) -> AnalyzerReport:
     """Report unit: full-reference when a reference frame exists, else no-reference."""
+    sigma = record.decision.estimate.sigma
     if reference is not None:
         return build_report(
-            frame_index=item.index,
-            reference=reference,
-            noisy=item.received,
-            denoised=item.output,
-            sigma=record.decision.estimate.sigma,
-            runtime_ms=item.virtual_ms,
+            frame_index=t,
+            reference=reference[t],
+            noisy=received,
+            denoised=output,
+            sigma=sigma,
+            runtime_ms=virtual_ms,
             budget_ms=config.budget_ms,
             weights=config.analyzer_weights,
         )
     if record.decision.route is Route.DENOISE:
-        return build_report_noref(
-            frame_index=item.index,
-            noisy=item.received,
-            denoised=item.output,
-            sigma_before=record.decision.estimate.sigma,
-            sigma_after=estimate_sigma(item.output),
-            runtime_ms=item.virtual_ms,
-            budget_ms=config.budget_ms,
-            weights=config.analyzer_weights,
-        )
-    # bypass: no work performed, so no improvement is claimed; the values
-    # below are what build_report_noref would compute for an untouched
-    # frame, skipping the redundant metric evaluation
-    return AnalyzerReport(
-        frame_index=item.index,
-        reference_mode="noref",
-        psnr_noisy=None, psnr_denoised=None,
-        ssim_noisy=None, ssim_denoised=None,
-        ms_ssim_noisy=None, ms_ssim_denoised=None,
-        vifp_noisy=None, vifp_denoised=None,
-        detail_retention=1.0,
-        delta_psnr=None, delta_ssim=None, delta_sigma=0.0,
-        sigma=record.decision.estimate.sigma,
-        runtime_ms=0.0,
-        score=0.0,
+        sigma_after, runtime_ms = estimate_sigma(output), virtual_ms
+    else:
+        # bypass: no work performed, so neither a sigma drop nor a runtime is claimed
+        sigma_after, runtime_ms = sigma, 0.0
+    return build_report_noref(
+        frame_index=t,
+        noisy=received,
+        denoised=output,
+        sigma_before=sigma,
+        sigma_after=sigma_after,
+        runtime_ms=runtime_ms,
+        budget_ms=config.budget_ms,
+        weights=config.analyzer_weights,
     )
 
 
 def _cohort(
     start: int,
     frames: Sequence[Frame],
-    first: int,
     keyframes: Dict[int, Future],
     plan: WindowPlan,
     config: PipelineConfig,
     reference: Optional[VideoSequence],
-) -> Tuple[_KeyframeRecord, List[Tuple[_Emitted, AnalyzerReport, float]]]:
-    """Cohort unit: the cohort's temporal windows, then one report per frame.
+) -> Tuple[_KeyframeRecord, List[_Emitted]]:
+    """Cohort unit: per frame of the cohort, its temporal window, then its report.
 
-    frames holds the received frames from index first on, through the frame
-    that completes the cohort. keyframes maps every keyframe index the
-    windows reach to its keyframe unit's future. Each frame comes back with
-    its report and the measured report span.
+    frames holds the received frames over plan.reach(start). keyframes maps
+    every keyframe index the windows reach to its keyframe unit's future.
     """
     record = keyframes[start].result()
     denoise = record.decision.route is Route.DENOISE
+    first = plan.reach(start).start
 
     def window_source(idx: int) -> Frame:
         future = keyframes.get(idx)
@@ -293,7 +260,7 @@ def _cohort(
 
     blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
     emitted: List[_Emitted] = []
-    for t in range(start, _cohort_end(start, plan.cadence, plan.n_frames) + 1):
+    for t in plan.cohort(start):
         t0 = time.perf_counter()
         received = frames[t - first]
         video_ms = None
@@ -308,18 +275,14 @@ def _cohort(
                                          record.sigma_work, config)
         else:
             output, virtual = received, 0.0
-        span_ms = (time.perf_counter() - t0) * 1e3
+        t1 = time.perf_counter()
+        report = _report(t, received, output, virtual, record, reference, config)
+        span_ms = (t1 - t0) * 1e3
         if t == start:
             span_ms += record.span_ms
-        emitted.append(_Emitted(t, received, output, virtual, video_ms, span_ms))
-
-    results = []
-    for item in emitted:
-        t0 = time.perf_counter()
-        report = _report(item, record, None if reference is None else reference[item.index],
-                         config)
-        results.append((item, report, (time.perf_counter() - t0) * 1e3))
-    return record, results
+        emitted.append(_Emitted(output, report, video_ms, span_ms,
+                                (time.perf_counter() - t1) * 1e3))
+    return record, emitted
 
 
 def _run_inline(unit: Callable, *args) -> Future:
@@ -395,20 +358,25 @@ def _execute(
     produce: Callable[[int], Frame],
     reference: Optional[VideoSequence],
     on_feedback: Optional[Callable[[FeedbackMessage, int], None]],
-) -> Tuple[List[Frame], List[AnalyzerReport], List[FeedbackMessage], PipelineStats]:
+) -> Tuple[List[Frame], List[Frame], List[AnalyzerReport], List[FeedbackMessage], PipelineStats]:
     """Drive the keyframe and cohort units over n frames; collect in order.
+
+    Returns the received frames, the output frames, the reports, the feedback
+    log, and the run's stats.
 
     With a reference, every feedback window's reports make a message;
     on_feedback, when given, is invoked with (message, apply_index) at the
     plan-derived apply point, before frame apply_index is produced.
     """
-    cadence = config.cadence
-    plan = schedule_windows(n, cadence)
+    plan = WindowPlan(n, config.cadence)
     window = config.feedback_window
     policy = FeedbackPolicy(
         sigma_threshold=config.threshold, budget_ms=config.budget_ms, window=max(window, 1)
     )
-    apply_points = _feedback_apply_points(n, cadence, window) if on_feedback else []
+    # each feedback message applies right after the last frame read by the
+    # cohort that holds its window's final frame
+    apply_points = [plan.reach(plan.last_keyframe_at_or_before(w)).stop
+                    for w in range(window - 1, n, window)] if on_feedback and window > 0 else []
 
     received: List[Frame] = []
     keyframes: Dict[int, Future] = {}
@@ -425,19 +393,19 @@ def _execute(
 
     def collect() -> None:
         nonlocal denoised
-        record, results = cohorts.popleft().result()
+        record, emitted = cohorts.popleft().result()
         detect_ms.append(record.detect_ms)
         if record.image_ms is not None:
             image_ms.append(record.image_ms)
         if record.decision.route is Route.DENOISE:
-            denoised += len(results)
-        for item, report, report_ms in results:
+            denoised += len(emitted)
+        for item in emitted:
             outputs.append(item.output)
-            reports.append(report)
+            reports.append(item.report)
             if item.video_ms is not None:
                 video_ms.append(item.video_ms)
-            analyze_ms.append(report_ms)
-            latency_ms.append(item.span_ms + report_ms)  # keyframe + window + report
+            analyze_ms.append(item.report_ms)
+            latency_ms.append(item.span_ms + item.report_ms)  # keyframe + window + report
             if window > 0 and reference is not None and len(reports) % window == 0:
                 feedback_log.append(make_feedback(reports[-window:], policy))
 
@@ -454,12 +422,12 @@ def _execute(
             received.append(frame)
             if plan.role(t) is FrameRole.KEYFRAME:
                 keyframes[t] = submit(_keyframe, frame, config)
-            while next_cohort < n and t >= _cohort_ready_at(next_cohort, cadence, n):
-                first = max(next_cohort - 1, 0)  # the first window reaches one frame back
-                reach = {k: keyframes[k] for k in range(next_cohort, t + 1, cadence)}
-                cohorts.append(submit(_cohort, next_cohort, received[first:t + 1], first,
-                                      reach, plan, config, reference))
-                next_cohort += cadence
+            while next_cohort < n and t + 1 >= plan.reach(next_cohort).stop:
+                reach = plan.reach(next_cohort)
+                cohorts.append(submit(_cohort, next_cohort, received[reach.start:reach.stop],
+                                      {k: keyframes[k] for k in reach if k in keyframes},
+                                      plan, config, reference))
+                next_cohort = plan.cohort(next_cohort).stop
         while cohorts:
             collect()
     wall_ms = (time.perf_counter() - wall_start) * 1e3
@@ -478,7 +446,7 @@ def _execute(
         achieved_fps=n / (wall_ms / 1e3) if wall_ms > 0 else 0.0,
         wall_ms=wall_ms,
     )
-    return outputs, reports, feedback_log, stats
+    return received, outputs, reports, feedback_log, stats
 
 
 def run_denoise(
@@ -488,7 +456,7 @@ def run_denoise(
     """Receiver-only pipeline: detect, fork, denoise. Reports are no-reference."""
     if len(video) == 0:
         raise ValueError("input sequence is empty")
-    outputs, reports, _, stats = _execute(
+    _, outputs, reports, _, stats = _execute(
         config=config,
         n=len(video),
         produce=lambda t: video[t],
@@ -506,17 +474,10 @@ def run_simulate(
     if len(clean) == 0:
         raise ValueError("input sequence is empty")
     sender = _Sender(clean, config)
-    received: List[Frame] = []
-
-    def produce(t: int) -> Frame:
-        frame = sender.produce(t)
-        received.append(frame)
-        return frame
-
-    outputs, reports, feedback_log, stats = _execute(
+    received, outputs, reports, feedback_log, stats = _execute(
         config=config,
         n=len(clean),
-        produce=produce,
+        produce=sender.produce,
         reference=clean,
         on_feedback=sender.apply,
     )

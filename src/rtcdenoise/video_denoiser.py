@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frame import Frame
+from .frame import Frame, clamp_index, require_finite
 from .image_denoiser import CascadeParams, stage_detail
 from .rng import NoiseRng
 
@@ -43,48 +43,62 @@ class BlockMode(Enum):
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Role and (for temporal frames) 5-frame window per index."""
+    """Keyframes at multiples of cadence; every other index gets a clamped window.
+
+    Everything is arithmetic in the frame index, so a plan costs O(1) memory
+    whatever its length. A keyframe k leads the cohort k..k+cadence-1; the
+    cohort's windows read one frame before it and two past its end.
+    """
 
     n_frames: int
-    cadence: int
-    roles: tuple
-    windows: tuple  # entry is None for keyframes, else a 5-tuple of indices
+    cadence: int = DEFAULT_CADENCE
+
+    def __post_init__(self):
+        if self.n_frames < 1:
+            raise ValueError("n_frames must be at least 1")
+        if self.cadence < 2:
+            raise ValueError("cadence must be at least 2")
+
+    @property
+    def roles(self) -> tuple:
+        return tuple(self.role(t) for t in range(self.n_frames))
+
+    @property
+    def windows(self) -> tuple:  # entry is None for keyframes, else a 5-tuple of indices
+        return tuple(None if t % self.cadence == 0 else self.window(t) for t in range(self.n_frames))
 
     @property
     def keyframe_indices(self) -> tuple:
-        return tuple(t for t in range(self.n_frames) if self.roles[t] is FrameRole.KEYFRAME)
+        return tuple(range(0, self.n_frames, self.cadence))
 
     def role(self, t: int) -> FrameRole:
-        return self.roles[t]
-
-    def window(self, t: int) -> tuple:
-        if self.roles[t] is not FrameRole.TEMPORAL:
-            raise ValueError(f"frame {t} is a keyframe; keyframes have no window")
-        return self.windows[t]
-
-    def last_keyframe_at_or_before(self, t: int) -> int:
         if not 0 <= t < self.n_frames:
             raise IndexError(f"frame index {t} outside plan of {self.n_frames}")
-        return (t // self.cadence) * self.cadence
+        return FrameRole.KEYFRAME if t % self.cadence == 0 else FrameRole.TEMPORAL
+
+    def window(self, t: int) -> tuple:
+        if self.role(t) is not FrameRole.TEMPORAL:
+            raise ValueError(f"frame {t} is a keyframe; keyframes have no window")
+        return tuple(clamp_index(i, self.n_frames) for i in range(t - 2, t + 3))
+
+    def last_keyframe_at_or_before(self, t: int) -> int:
+        self.role(t)  # raises IndexError outside the plan
+        return t - t % self.cadence
+
+    def cohort(self, k: int) -> range:
+        """The indices keyframe k leads: itself and the temporal frames up to the next keyframe."""
+        if self.role(k) is not FrameRole.KEYFRAME:
+            raise ValueError(f"frame {k} is not a keyframe")
+        return range(k, min(k + self.cadence, self.n_frames))
+
+    def reach(self, k: int) -> range:
+        """The indices keyframe k's cohort reads: one back, through two past its end."""
+        return range(max(k - 1, 0), min(self.cohort(k).stop + 2, self.n_frames))
 
 
 def schedule_windows(n_frames: int, cadence: int = DEFAULT_CADENCE) -> WindowPlan:
-    """Keyframes at multiples of cadence; everything else gets a clamped window."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
-    if cadence < 2:
-        raise ValueError("cadence must be at least 2")
-    roles = []
-    windows = []
-    last = n_frames - 1
-    for t in range(n_frames):
-        if t % cadence == 0:
-            roles.append(FrameRole.KEYFRAME)
-            windows.append(None)
-        else:
-            roles.append(FrameRole.TEMPORAL)
-            windows.append(tuple(min(max(i, 0), last) for i in range(t - 2, t + 3)))
-    return WindowPlan(n_frames=n_frames, cadence=cadence, roles=tuple(roles), windows=tuple(windows))
+    """The window plan for n_frames at the given keyframe cadence."""
+    return WindowPlan(n_frames=n_frames, cadence=cadence)
 
 
 @dataclass(frozen=True)
@@ -195,6 +209,7 @@ class BlockParams:
     def __post_init__(self):
         if self.k_temporal <= 0:
             raise ValueError("k_temporal must be positive")
+        require_finite(k_temporal=self.k_temporal)
 
 
 def _conv3x3(stack: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -216,6 +216,18 @@ def test_denoise_rejects_frames_below_3x3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["F0:1", "F-25:1"])
+def test_detect_rejects_non_positive_frame_rate(tmp_path, rate, capsys):
+    clip = tmp_path / "rate.y4m"
+    clip.write_bytes(f"YUV4MPEG2 W8 H8 {rate} Cmono\nFRAME\n".encode() + bytes(64))
+    assert main(["detect", "--in", str(clip)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1
+    assert "frame rate must be positive" in err[0]
+
+
 def test_detect_accepts_3x3_frames(tmp_path, capsys):
     small = tmp_path / "small.y4m"
     write_y4m_file(VideoSequence((Frame(y=np.full((3, 3), 9, dtype=np.uint8)),)), small)

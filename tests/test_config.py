@@ -7,16 +7,21 @@ import pytest
 
 from rtcdenoise import (
     BlockMode,
+    BlockParams,
+    CascadeParams,
     ConfigError,
+    FeedbackPolicy,
     LossKind,
     NoiseRng,
     PipelineConfig,
+    SenderConfig,
     dump_config,
     fresh_loss_model,
     parse_config,
     parse_config_text,
     random_weights,
     write_weights_file,
+    zero_weights,
 )
 
 FULL_SAMPLE = """
@@ -312,6 +317,38 @@ def test_fresh_loss_model_zeroes_state_and_mixes_seed():
     # distinct pipeline seeds give distinct channel streams for the same template
     other = fresh_loss_model(parse_config_text("[pipeline]\nseed = 12\n[loss]\nseed = 4\n"))
     assert other.seed != dirty.seed
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PipelineConfig(threshold=_NAN),
+        lambda: PipelineConfig(threshold=float("inf")),
+        lambda: PipelineConfig(budget_ms=_NAN),
+        lambda: PipelineConfig(analyzer_weights=(0.4, _NAN, 0.2)),
+        lambda: SenderConfig(noise_sigma=_NAN),
+        lambda: CascadeParams(bilateral_spatial_sigma=_NAN),
+        lambda: CascadeParams(gaussian_sigma_divisor=_NAN),
+        lambda: CascadeParams(fusion_tau=_NAN),
+        lambda: BlockParams(k_temporal=_NAN),
+        lambda: FeedbackPolicy(budget_ms=_NAN),
+    ],
+    ids=["threshold-nan", "threshold-inf", "budget-nan", "weight-nan", "noise-sigma-nan",
+         "bilateral-sigma-nan", "gaussian-divisor-nan", "fusion-tau-nan", "k-temporal-nan",
+         "policy-budget-nan"],
+)
+def test_direct_api_rejects_non_finite_values(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
+def test_dump_config_refuses_conv_weights_without_a_path():
+    config = PipelineConfig(block=BlockParams(mode=BlockMode.CONV, conv_weights=zero_weights()))
+    with pytest.raises(ValueError, match="weights path"):
+        dump_config(config)
 
 
 def test_pipeline_config_direct_validation():

@@ -60,6 +60,13 @@ def test_y4m_defaults_when_rate_missing():
     assert seq[0].y.tolist() == [[1, 2], [3, 4]]
 
 
+@pytest.mark.parametrize("rate", [b"F0:1", b"F-25:1", b"F0"])
+def test_y4m_rejects_non_positive_rate(rate):
+    with pytest.raises(FormatError, match="frame rate must be positive") as err:
+        read_y4m(b"YUV4MPEG2 W2 H2 " + rate + b" Cmono\nFRAME\n\x01\x02\x03\x04")
+    assert err.value.offset == 0
+
+
 def test_y4m_bad_magic_offset_zero():
     with pytest.raises(FormatError) as err:
         read_y4m(b"JUNKJUNKJUNK\n")

@@ -45,11 +45,19 @@ def test_clean_input_bypasses_bit_identically():
     assert stats.frames_bypassed == 12 and stats.frames_denoised == 0
     for i, frame in enumerate(out):
         assert frame is video[i]  # passthrough, not a copy
-    for report in reports:
+    for t, report in enumerate(reports):
+        assert report.frame_index == t
         assert report.reference_mode == "noref"
         assert report.runtime_ms == 0.0
         assert report.delta_sigma == 0.0
         assert report.score == 0.0
+        assert report.detail_retention == 1.0
+        assert report.sigma == analyze_frame(video[t - t % 5]).sigma
+        assert report.psnr_noisy is report.psnr_denoised is None
+        assert report.ssim_noisy is report.ssim_denoised is None
+        assert report.ms_ssim_noisy is report.ms_ssim_denoised is None
+        assert report.vifp_noisy is report.vifp_denoised is None
+        assert report.delta_psnr is report.delta_ssim is None
 
 
 def test_noisy_input_denoises_every_frame():

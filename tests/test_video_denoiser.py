@@ -56,13 +56,35 @@ def test_schedule_matches_reference_exhaustively():
             assert list(plan.windows) == windows
 
 
+def test_cohort_and_reach_match_reference_exhaustively():
+    for n in range(1, 26):
+        for cadence in range(2, 7):
+            plan = schedule_windows(n, cadence)
+            roles, windows = oracles.schedule_reference(n, cadence)
+            keyframes = [t for t in range(n) if roles[t] == "keyframe"]
+            covered = []
+            for k, end in zip(keyframes, keyframes[1:] + [n]):
+                cohort, reach = plan.cohort(k), plan.reach(k)
+                assert list(cohort) == list(range(k, end))
+                assert all(roles[t] == "temporal" for t in cohort[1:])
+                read = {i for t in cohort[1:] for i in windows[t]}
+                assert read <= set(reach) and k in reach
+                assert reach.stop - 1 == min(cohort[-1] + 2, n - 1)
+                covered.extend(cohort)
+            assert covered == list(range(n))
+
+
 def test_schedule_accessor_errors():
     plan = schedule_windows(6, cadence=3)
     with pytest.raises(ValueError):
         plan.window(0)  # keyframes have no window
     with pytest.raises(IndexError):
+        plan.role(6)
+    with pytest.raises(IndexError):
         plan.last_keyframe_at_or_before(6)
     assert plan.last_keyframe_at_or_before(5) == 3
+    with pytest.raises(ValueError):
+        plan.cohort(4)  # cohorts start at keyframes
 
 
 def test_schedule_validation():
