@@ -82,13 +82,10 @@ class FeedbackPolicy:
     min_delta_psnr: float = 0.5
     sigma_threshold: float = DEFAULT_FORK_THRESHOLD
     budget_ms: float = DEFAULT_BUDGET_MS
-    window: int = DEFAULT_FEEDBACK_WINDOW
 
     def __post_init__(self):
         if self.budget_ms <= 0:
             raise ValueError("budget_ms must be positive")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         require_finite(**vars(self))  # every field is a number
 
 
@@ -166,10 +163,8 @@ def build_report_noref(
     budget_ms: float = DEFAULT_BUDGET_MS,
     weights: tuple = DEFAULT_WEIGHTS,
 ) -> AnalyzerReport:
-    """No-reference report: improvement proxied by the drop in estimated sigma."""
+    """No-reference report: the drop in estimated sigma stands in for dPSNR, with no dSSIM."""
     delta_sigma = sigma_before - sigma_after
-    w_p, _, w_t = weights
-    score = w_p * min(max(delta_sigma / 10.0, 0.0), 1.0) - w_t * (runtime_ms / budget_ms)
     return AnalyzerReport(
         frame_index=frame_index,
         reference_mode="noref",
@@ -187,7 +182,7 @@ def build_report_noref(
         delta_sigma=delta_sigma,
         sigma=sigma_before,
         runtime_ms=runtime_ms,
-        score=score,
+        score=performance_score(delta_sigma, 0.0, runtime_ms, budget_ms, weights),
     )
 
 

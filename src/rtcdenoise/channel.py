@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dctn, idctn
 
+from .analyzer import Recommendation
 from .frame import Frame, chunk_bounds, quantize_plane, require_finite
 from .rng import NoiseRng
 
@@ -264,22 +265,17 @@ def _scale_step(scale: Fraction, direction: int) -> Fraction:
     return SCALE_LADDER[min(max(idx + direction, 0), len(SCALE_LADDER) - 1)]
 
 
-def sender_step(config: SenderConfig, feedback) -> SenderConfig:
-    """Pure sender adaptation: apply one feedback recommendation.
-
-    Accepts a FeedbackMessage or a bare Recommendation value.
-    """
-    rec = getattr(feedback, "recommendation", feedback)
-    name = getattr(rec, "name", str(rec))
-    if name == "RAISE_BITRATE":
+def sender_step(config: SenderConfig, feedback: Recommendation) -> SenderConfig:
+    """Pure sender adaptation: apply one feedback message's recommendation."""
+    if feedback is Recommendation.RAISE_BITRATE:
         if config.q > config.q_min:
             return replace(config, q=max(config.q - 4, config.q_min))
         return replace(config, resolution_scale=_scale_step(config.resolution_scale, +1))
-    if name == "LOWER_RESOLUTION":
+    if feedback is Recommendation.LOWER_RESOLUTION:
         return replace(config, resolution_scale=_scale_step(config.resolution_scale, -1))
-    if name == "LOWER_FRAMERATE":
+    if feedback is Recommendation.LOWER_FRAMERATE:
         divisor = min(config.framerate_divisor + 1, MAX_FRAMERATE_DIVISOR)
         return replace(config, framerate_divisor=divisor)
-    if name == "NONE":
+    if feedback is Recommendation.NONE:
         return config
-    raise ValueError(f"unknown recommendation {rec!r}")
+    raise ValueError(f"unknown recommendation {feedback!r}")

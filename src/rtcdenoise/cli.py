@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .analyzer import feedback_to_json, report_to_json
+from .analyzer import _jsonable, feedback_to_json, report_to_json
 from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
@@ -267,11 +267,9 @@ def _cmd_metrics(args) -> int:
         f"{_fmt(means['ms_ssim']):>7}  {_fmt(means['vifp']):>7}"
     )
     if args.json_path:
-        def jsonable(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
         _write_lines(
             args.json_path,
-            (json.dumps({k: jsonable(v) for k, v in row.items()}) for row in rows),
+            (json.dumps({k: _jsonable(v) for k, v in row.items()}) for row in rows),
         )
     return 0
 

@@ -23,9 +23,12 @@ from .channel import MAX_FRAMERATE_DIVISOR, SCALE_LADDER, LossKind, LossModel, S
 from .detector import DEFAULT_FORK_THRESHOLD
 from .frame import require_finite
 from .image_denoiser import CascadeParams
+from .rng import NoiseRng
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
 EXECUTION_MODES = ("sequential", "threaded")
+_CAPTURE_STREAM = 1  # rng substream tags under [pipeline] seed
+_LOSS_STREAM = 2
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 
 
@@ -269,9 +272,16 @@ def parse_config(path) -> PipelineConfig:
 
 
 def dump_config(config: PipelineConfig) -> str:
-    """Render the full configuration; parse_config_text() round-trips it."""
+    """Render the full configuration; parse_config_text() round-trips it.
+
+    A config no file can express raises ValueError: conv mode without a
+    weights path, or a weights path without the weights read from it.
+    """
     if config.block.mode is BlockMode.CONV and config.weights_path is None:
         raise ValueError("mode = conv needs the weights path its weights were read from")
+    if (config.weights_path is None) != (config.block.conv_weights is None):
+        raise ValueError("weights_path and block.conv_weights must be set together "
+                         "(parsing a weights line loads that file)")
     lines = []
     for section, rows in _SCHEMA.items():
         lines.append(f"[{section}]")
@@ -292,9 +302,5 @@ def fresh_loss_model(config: PipelineConfig) -> LossModel:
     top-level seed reproduces a whole run while distinct loss sub-streams
     stay decorrelated.
     """
-    from .rng import NoiseRng
-
-    # stream 2 under the pipeline seed is reserved for the channel; stream 1
-    # feeds capture noise (see pipeline.py)
-    mixed = NoiseRng(seed=config.seed).derive(2).derive(config.loss.seed).seed
+    mixed = NoiseRng(seed=config.seed).derive(_LOSS_STREAM).derive(config.loss.seed).seed
     return replace(config.loss, seed=int(mixed), in_bad=False, draws=0)

@@ -1,13 +1,12 @@
-"""Raw video file I/O: YUV4MPEG2 (Y4M) sequences and binary PGM stills.
+"""Raw video file I/O: YUV4MPEG2 (Y4M) sequences, Cmono or the C420 family.
 
-Both formats round-trip bit-exactly, which the tests rely on for fixtures.
-Readers accept an open binary stream or a bytes object; parse errors carry
+Sequences round-trip bit-exactly, which the tests rely on for fixtures. The
+reader accepts an open binary stream or a bytes object; parse errors carry
 the byte offset of the offending data.
 """
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 from typing import BinaryIO, Union
 
@@ -131,67 +130,3 @@ def read_y4m_file(path) -> VideoSequence:
 def write_y4m_file(sequence: VideoSequence, path) -> int:
     with open(path, "wb") as fh:
         return write_y4m(sequence, fh)
-
-
-def _next_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines between header tokens
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("unexpected end of PGM header", offset=start)
-    return data[start:pos], pos
-
-
-def read_pgm(source: ByteSource) -> Frame:
-    """Parse a binary (P5) PGM with maxval 255 into a luma-only Frame."""
-    data = _as_buffer(source)
-    magic, pos = _next_pgm_token(data, 0)
-    if magic != b"P5":
-        raise FormatError(f"not a binary PGM (magic {magic!r})", offset=0)
-    fields = []
-    for _ in range(3):
-        token, pos = _next_pgm_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise FormatError(f"bad PGM header token {token!r}", offset=pos) from exc
-    width, height, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (only 255)", offset=pos)
-    if width < 1 or height < 1:
-        raise FormatError("PGM dimensions must be positive", offset=pos)
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height]
-    if len(payload) < width * height:
-        raise FormatError(
-            f"truncated PGM payload: got {len(payload)} of {width * height} bytes",
-            offset=pos,
-        )
-    y = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
-    return Frame(y=y)
-
-
-def write_pgm(frame: Frame, sink: BinaryIO) -> int:
-    """Write the luma plane as binary PGM; chroma, if any, is dropped."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    return sink.write(header) + sink.write(frame.y.tobytes())
-
-
-def read_pgm_file(path) -> Frame:
-    with open(path, "rb") as fh:
-        return read_pgm(fh)
-
-
-def write_pgm_file(frame: Frame, path) -> int:
-    with open(path, "wb") as fh:
-        return write_pgm(frame, fh)

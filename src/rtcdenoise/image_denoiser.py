@@ -21,9 +21,16 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .frame import CHUNK_PIXELS, Frame, chunk_bounds, quantize_plane, require_finite
-from .metrics import gradient_magnitude
+from .metrics import _gaussian_taps, gradient_magnitude
 
 PASSTHROUGH_SIGMA = 0.5
+
+# Bounds on the two bilateral parameters and the Gaussian sigma range, with
+# wide margins: a bilateral weight exponent scales with 1/(2 s^2), which
+# overflows float32 for s below about 1e-17 (and s^2 overflows a float near
+# 1e154), and a Gaussian kernel spans 6 s taps, wider than a 4K frame above MAX.
+MIN_CASCADE_SIGMA = 1e-6
+MAX_CASCADE_SIGMA = 1e3
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,12 @@ class CascadeParams:
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
         require_finite(**vars(self))  # every field is a number (fusion_tau may be None)
+        for name in ("bilateral_spatial_sigma", "bilateral_range_factor",
+                     "gaussian_sigma_min", "gaussian_sigma_max"):
+            value = getattr(self, name)
+            if not MIN_CASCADE_SIGMA <= value <= MAX_CASCADE_SIGMA:
+                raise ValueError(
+                    f"{name} must be in [{MIN_CASCADE_SIGMA:g}, {MAX_CASCADE_SIGMA:g}], got {value!r}")
 
     def gaussian_sigma(self, sigma_est: float) -> float:
         return min(max(sigma_est / self.gaussian_sigma_divisor, self.gaussian_sigma_min),
@@ -58,10 +71,7 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
     """1-D Gaussian taps truncated at 3 sigma, normalized to sum exactly 1."""
     if sigma_g <= 0:
         raise ValueError("sigma_g must be positive")
-    radius = max(1, math.ceil(3.0 * sigma_g))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(xs * xs) / (2.0 * sigma_g * sigma_g))
-    return kernel / kernel.sum()
+    return _gaussian_taps(2 * max(1, math.ceil(3.0 * sigma_g)) + 1, sigma_g)
 
 
 def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = CascadeParams()) -> Frame:
@@ -71,7 +81,7 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     if sigma_est < PASSTHROUGH_SIGMA:
         return frame
     r = params.window_radius
-    sigma_r = params.bilateral_range_factor * max(sigma_est, 0.5)
+    sigma_r = params.bilateral_range_factor * sigma_est
     inv_2ss = np.float32(1.0 / (2.0 * params.bilateral_spatial_sigma ** 2))
     inv_2sr = np.float32(1.0 / (2.0 * sigma_r ** 2))
 
@@ -162,26 +172,24 @@ def stage_fuse(
 
 def denoise_keyframe(
     frame: Frame,
-    estimate,
+    estimate: float,
     params: CascadeParams = CascadeParams(),
     timings: Optional[dict] = None,
 ) -> Frame:
-    """Full cascade; sigma below 0.5 returns the input frame untouched.
+    """Full cascade at the estimated noise sigma; below PASSTHROUGH_SIGMA it returns frame.
 
-    estimate: a NoiseEstimate, or anything with a .sigma attribute.
     timings, when given, receives per-stage milliseconds in place.
     """
-    sigma_est = float(getattr(estimate, "sigma", estimate))
-    if sigma_est < PASSTHROUGH_SIGMA:
+    if estimate < PASSTHROUGH_SIGMA:
         if timings is not None:
             timings.update(detail_ms=0.0, smooth_ms=0.0, fuse_ms=0.0)
         return frame
     t0 = time.perf_counter()
-    detail = stage_detail(frame, sigma_est, params)
+    detail = stage_detail(frame, estimate, params)
     t1 = time.perf_counter()
-    smooth = stage_smooth(frame, sigma_est, params)
+    smooth = stage_smooth(frame, estimate, params)
     t2 = time.perf_counter()
-    fused = stage_fuse(detail, smooth, sigma_est, params)
+    fused = stage_fuse(detail, smooth, estimate, params)
     t3 = time.perf_counter()
     if timings is not None:
         timings.update(

@@ -51,7 +51,7 @@ from .analyzer import (
     make_feedback,
 )
 from .channel import SenderConfig, add_gaussian_noise, encode_decode, sender_step, transmit
-from .config import PipelineConfig, fresh_loss_model
+from .config import _CAPTURE_STREAM, PipelineConfig, fresh_loss_model
 from .detector import (
     ForkDecision,
     NoiseCategory,
@@ -62,12 +62,16 @@ from .detector import (
     median_filter_3x3,
 )
 from .frame import Frame, VideoSequence
-from .image_denoiser import PASSTHROUGH_SIGMA, denoise_keyframe
+from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
 from .rng import NoiseRng
-from .video_denoiser import BlockMode, FrameRole, WindowPlan, denoise_window
-
-_CAPTURE_STREAM = 1  # rng substream tags under the pipeline seed
-_LOSS_STREAM = 2
+from .video_denoiser import (
+    _LAYER_SHAPES,
+    _SPATIAL_PARAMS,
+    BlockMode,
+    FrameRole,
+    WindowPlan,
+    denoise_window,
+)
 
 # Modeled per-pixel work costs (nanoseconds) for the deterministic runtime
 # carried by reports; see the module docstring.
@@ -78,15 +82,18 @@ _NS_GAUSSIAN_TAP = 1.0
 _NS_FUSE = 10.0
 _NS_TEMPORAL_BLOCK = 8.0
 _NS_CONV_MAC = 1.0
-_CONV_MACS_PER_PX = 4 * 16 * 9 + 16 * 16 * 9 + 16 * 1 * 9
+_CONV_MACS_PER_PX = sum(in_ch * out_ch * 9 for in_ch, out_ch in _LAYER_SHAPES)  # 3x3 kernels
+
+
+def _bilateral_taps(params: CascadeParams) -> int:
+    return (2 * params.window_radius + 1) ** 2
 
 
 def _virtual_image_ms(pixels: int, sigma_work: float, config: PipelineConfig) -> float:
     cascade = config.cascade
-    taps = 2 * max(1, int(3.0 * cascade.gaussian_sigma(sigma_work) + 0.999)) + 1
     per_px = (
-        (2 * cascade.window_radius + 1) ** 2 * _NS_BILATERAL_TAP
-        + 2 * taps * _NS_GAUSSIAN_TAP
+        _bilateral_taps(cascade) * _NS_BILATERAL_TAP
+        + 2 * len(gaussian_kernel(cascade.gaussian_sigma(sigma_work))) * _NS_GAUSSIAN_TAP
         + _NS_FUSE
     )
     return pixels * per_px * 1e-6
@@ -99,7 +106,7 @@ def _virtual_window_ms(pixels: int, sigma: float, config: PipelineConfig) -> flo
     else:
         per_px = _NS_TEMPORAL_BLOCK
         if block.spatial_enabled and sigma >= PASSTHROUGH_SIGMA:
-            per_px += 9 * _NS_BILATERAL_TAP
+            per_px += _bilateral_taps(_SPATIAL_PARAMS) * _NS_BILATERAL_TAP
     return 4 * pixels * per_px * 1e-6
 
 
@@ -332,7 +339,7 @@ class _Sender:
         )
 
     def apply(self, message: FeedbackMessage, at_index: int) -> None:
-        updated = sender_step(self.config, message)
+        updated = sender_step(self.config, message.recommendation)
         if updated != self.config:
             self.config = updated
             self.trace.append(self._entry(at_index))
@@ -370,9 +377,7 @@ def _execute(
     """
     plan = WindowPlan(n, config.cadence)
     window = config.feedback_window
-    policy = FeedbackPolicy(
-        sigma_threshold=config.threshold, budget_ms=config.budget_ms, window=max(window, 1)
-    )
+    policy = FeedbackPolicy(sigma_threshold=config.threshold, budget_ms=config.budget_ms)
     # each feedback message applies right after the last frame read by the
     # cohort that holds its window's final frame
     apply_points = [plan.reach(plan.last_keyframe_at_or_before(w)).stop

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .frame import Frame, clamp_index, require_finite
-from .image_denoiser import CascadeParams, stage_detail
+from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, stage_detail
 from .rng import NoiseRng
 
 DEFAULT_CADENCE = 5
@@ -270,7 +270,7 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     blend += w_c
     blend /= w_a
     fused = f_b.with_luma(blend)
-    if params.spatial_enabled and sigma >= 0.5:
+    if params.spatial_enabled and sigma >= PASSTHROUGH_SIGMA:
         fused = stage_detail(fused, sigma, _SPATIAL_PARAMS)
     return fused
 

@@ -292,7 +292,8 @@ def test_sender_step_none_and_duck_typing():
         recommendation = Recommendation.RAISE_BITRATE
 
     assert sender_step(cfg, Recommendation.NONE) is cfg
-    assert sender_step(cfg, Msg()).q == 16
+    with pytest.raises(ValueError):
+        sender_step(cfg, Msg())  # the caller passes message.recommendation
 
 
 def test_sender_step_rejects_unknown():

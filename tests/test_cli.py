@@ -377,3 +377,19 @@ def test_non_finite_config_value_is_data_error(tmp_path, noisy_clip, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {cfg}:2: video_denoiser.k_temporal: must be finite, got nan"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bilateral_range_factor", "1e-300"),
+    ("bilateral_range_factor", "1e-20"),
+    ("bilateral_spatial_sigma", "1e-300"),
+    ("gaussian_sigma_max", "1e300"),
+])
+def test_out_of_range_cascade_sigma_is_data_error(tmp_path, noisy_clip, key, value, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[image_denoiser]\n{key} = {value}\n")
+    out = tmp_path / "out.y4m"
+    assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: [image_denoiser]: {key} must be in ")
+    assert not out.exists()

@@ -351,6 +351,17 @@ def test_dump_config_refuses_conv_weights_without_a_path():
         dump_config(config)
 
 
+@pytest.mark.parametrize("with_file", [False, True])
+def test_dump_config_refuses_a_weights_path_without_its_weights(tmp_path, with_file):
+    path = tmp_path / "w.cwb"
+    if with_file:
+        write_weights_file(random_weights(seed=5), path)
+    with pytest.raises(ValueError, match="set together"):
+        dump_config(PipelineConfig(weights_path=str(path)))
+    with pytest.raises(ValueError, match="set together"):
+        dump_config(PipelineConfig(block=BlockParams(conv_weights=zero_weights())))
+
+
 def test_pipeline_config_direct_validation():
     with pytest.raises(ValueError):
         PipelineConfig(threshold=-1.0)

@@ -1,20 +1,14 @@
 import io
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from rtcdenoise import (
     FormatError,
-    Frame,
     VideoSequence,
     make_sequence,
-    read_pgm,
-    read_pgm_file,
     read_y4m,
     read_y4m_file,
-    write_pgm,
-    write_pgm_file,
     write_y4m,
     write_y4m_file,
 )
@@ -108,43 +102,3 @@ def test_y4m_file_helpers(tmp_path):
     n = write_y4m_file(seq, path)
     assert path.stat().st_size == n
     assert sequences_equal(read_y4m_file(path), seq)
-
-
-def test_pgm_roundtrip(tmp_path):
-    frame = Frame(y=np.arange(48, dtype=np.uint8).reshape(6, 8))
-    path = tmp_path / "still.pgm"
-    write_pgm_file(frame, path)
-    back = read_pgm_file(path)
-    assert np.array_equal(back.y, frame.y)
-    assert not back.has_chroma
-
-
-def test_pgm_comments_and_whitespace():
-    payload = bytes(range(4))
-    data = b"P5\n# a comment\n 2\n# another\n2\t255\n" + payload
-    frame = read_pgm(data)
-    assert frame.y.tolist() == [[0, 1], [2, 3]]
-
-
-def test_pgm_rejects_wrong_magic_and_maxval():
-    with pytest.raises(FormatError):
-        read_pgm(b"P6\n2 2\n255\n" + b"\x00" * 12)
-    with pytest.raises(FormatError):
-        read_pgm(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-
-
-def test_pgm_truncated_payload():
-    with pytest.raises(FormatError) as err:
-        read_pgm(b"P5\n4 4\n255\n\x00\x00")
-    assert "truncated" in str(err.value)
-
-
-def test_pgm_drops_chroma_on_write():
-    frame = Frame(
-        y=np.zeros((4, 4), dtype=np.uint8),
-        u=np.zeros((2, 2), dtype=np.uint8),
-        v=np.zeros((2, 2), dtype=np.uint8),
-    )
-    sink = io.BytesIO()
-    write_pgm(frame, sink)
-    assert np.array_equal(read_pgm(sink.getvalue()).y, frame.y)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rtcdenoise import (
     stage_fuse,
     stage_smooth,
 )
+from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MIN_CASCADE_SIGMA
 
 import oracles
 from oracles import gauss_mask
@@ -39,6 +41,29 @@ def test_cascade_params_validation():
         CascadeParams(fusion_tau=-0.1)
     with pytest.raises(ValueError):
         CascadeParams(window_radius=0)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(bilateral_spatial_sigma=1e-300),
+    dict(bilateral_range_factor=1e-20),
+    dict(bilateral_range_factor=1e200),
+    dict(gaussian_sigma_min=1e-300),
+    dict(gaussian_sigma_min=1e300, gaussian_sigma_max=1e300),
+])
+def test_cascade_params_reject_sigmas_outside_bounds(fields):
+    with pytest.raises(ValueError, match=r"must be in \[1e-06, 1000\]"):
+        CascadeParams(**fields)
+
+
+def test_cascade_runs_cleanly_at_the_sigma_bounds():
+    noisy = add_gaussian_noise(make_frame(24, 24, seed=3), 25.0, seed=3)
+    for bound in (MIN_CASCADE_SIGMA, MAX_CASCADE_SIGMA):
+        params = CascadeParams(bilateral_spatial_sigma=bound, bilateral_range_factor=bound,
+                               gaussian_sigma_min=bound, gaussian_sigma_max=bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = denoise_keyframe(noisy, 25.0, params)
+        assert out.y.shape == noisy.y.shape
 
 
 def test_gaussian_sigma_mapping_clamps():
@@ -200,16 +225,6 @@ def test_denoise_keyframe_improves_psnr(natural_frames):
         denoised = denoise_keyframe(noisy, 25.0)
         gain = psnr(clean, denoised) - psnr(clean, noisy)
         assert gain >= 2.0
-
-
-def test_denoise_keyframe_accepts_estimate_object():
-    class Est:
-        sigma = 25.0
-
-    noisy = add_gaussian_noise(make_frame(48, 48, seed=6), 25.0, seed=6)
-    assert np.array_equal(
-        denoise_keyframe(noisy, Est()).y, denoise_keyframe(noisy, 25.0).y
-    )
 
 
 def test_denoise_keyframe_reports_timings():

@@ -18,6 +18,7 @@ from rtcdenoise import (
     denoise_window,
     estimate_sigma,
     fork_decision,
+    gaussian_kernel,
     make_sequence,
     median_filter_3x3,
     run_denoise,
@@ -287,6 +288,19 @@ def test_run_denoise_modes_agree_on_outputs_and_reports():
     out_thr, rep_thr, _ = run_denoise(noisy, PipelineConfig(execution="threaded"))
     assert sequences_equal(out_seq, out_thr)
     assert rep_seq == rep_thr
+
+
+# --- modeled runtime ----------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma_work, taps", [(13.3335, 7), (20.003, 9), (25.0, 9)])
+def test_modeled_keyframe_cost_counts_the_gaussian_taps_the_kernel_runs(sigma_work, taps):
+    # just above 3 * sigma_g = 2 and 3 the kernel's radius rounds up
+    config = PipelineConfig()
+    assert len(gaussian_kernel(config.cascade.gaussian_sigma(sigma_work))) == taps
+    p = rtcdenoise.pipeline
+    per_px = 7 * 7 * p._NS_BILATERAL_TAP + 2 * taps * p._NS_GAUSSIAN_TAP + p._NS_FUSE
+    pixels = 480 * 360
+    assert p._virtual_image_ms(pixels, sigma_work, config) == pytest.approx(pixels * per_px * 1e-6)
 
 
 # --- stats ------------------------------------------------------------------------
