@@ -20,6 +20,9 @@ from rtcdenoise import (
     transmit,
 )
 
+from rtcdenoise.channel import _scale_round_trip
+from rtcdenoise.frame import quantize_plane
+
 from util import frames_equal
 
 import oracles
@@ -74,6 +77,17 @@ def test_encode_decode_preserves_dimensions_and_chroma():
         assert (decoded.width, decoded.height) == (frame.width, frame.height)
         assert decoded.has_chroma
         assert decoded.u.shape == frame.u.shape
+
+
+def test_encode_decode_chroma_takes_only_the_resolution_round_trip():
+    frame = make_frame(37, 23, seed=3, with_chroma=True)
+    for scale in SCALE_LADDER:
+        decoded = encode_decode(frame, SenderConfig(q=8, resolution_scale=scale))
+        for got, plane in ((decoded.u, frame.u), (decoded.v, frame.v)):
+            expected = quantize_plane(_scale_round_trip(plane.astype(np.float64), scale))
+            assert np.array_equal(got, expected)
+            if scale == 1:
+                assert np.array_equal(got, plane)
 
 
 def test_encode_decode_downscale_loses_detail():
@@ -200,6 +214,35 @@ def test_transmit_chroma_cosliced():
     out, lost = transmit(frame, None, LossModel(p_loss=1.0, slice_height=16))
     assert lost == [0, 1]
     assert np.all(out.u == 128) and np.all(out.v == 128)
+
+
+def test_transmit_partial_loss_conceals_chroma_from_previous_frame():
+    # 23 rows in slices of 7: rows 0-6, 7-13, 14-20, 21-22. Slices 0 and 2 are
+    # lost; a lost slice's chroma rows r0//2..(r1+1)//2 win over a kept neighbour's.
+    frame = make_frame(37, 23, seed=4, with_chroma=True)
+    prev = make_frame(37, 23, seed=5, with_chroma=True)
+    out, lost = transmit(frame, prev, LossModel(p_loss=0.5, slice_height=7, seed=10))
+    assert lost == [0, 2]
+    luma_from_prev = [*range(0, 7), *range(14, 21)]
+    chroma_from_prev = [0, 1, 2, 3, 7, 8, 9, 10]
+    for got, cur, old, from_prev in ((out.y, frame.y, prev.y, luma_from_prev),
+                                     (out.u, frame.u, prev.u, chroma_from_prev),
+                                     (out.v, frame.v, prev.v, chroma_from_prev)):
+        for row in range(got.shape[0]):
+            assert np.array_equal(got[row], (old if row in from_prev else cur)[row]), row
+
+
+def test_transmit_conceals_chroma_mid_gray_when_previous_frame_has_none():
+    frame = make_frame(37, 23, seed=4, with_chroma=True)
+    prev = make_frame(37, 23, seed=5)  # luma only
+    out, lost = transmit(frame, prev, LossModel(p_loss=1.0, slice_height=7))
+    assert lost == [0, 1, 2, 3]
+    assert np.array_equal(out.y, prev.y)
+    assert np.all(out.u == 128) and np.all(out.v == 128)
+    out, lost = transmit(frame, prev, LossModel(p_loss=0.5, slice_height=7, seed=10))
+    assert lost == [0, 2]
+    assert np.all(out.u[:4] == 128) and np.array_equal(out.u[4:7], frame.u[4:7])
+    assert np.all(out.v[7:11] == 128) and np.array_equal(out.v[11:], frame.v[11:])
 
 
 def test_transmit_draw_accounting_is_state_independent():
