@@ -118,7 +118,7 @@ def _add_normals(frame: Frame, seed: int, combine) -> Frame:
     for c0, c1 in chunk_bounds(luma.size):
         noise = rng.normal_run(luma.size, c0, c1)
         out[c0:c1] = quantize_plane(combine(luma[c0:c1].astype(np.float64), noise))
-    return Frame(y=out.reshape(frame.y.shape), u=frame.u, v=frame.v)
+    return frame.with_luma(out.reshape(frame.y.shape))
 
 
 def add_gaussian_noise(frame: Frame, sigma: float, seed: int = 0) -> Frame:
@@ -178,6 +178,7 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
+    """Float64 down/up bilinear round trip; at scale 1 just the float64 copy."""
     h, w = plane.shape
     small_h = max(1, round(h * scale))
     small_w = max(1, round(w * scale))
@@ -205,26 +206,9 @@ def encode_decode(frame: Frame, config: SenderConfig) -> Frame:
     Quantization applies to luma; chroma only takes the resolution round trip.
     Output dimensions always match the input.
     """
-    scale = config.resolution_scale
-    luma = frame.luma_f64()
-    if scale < 1:
-        luma = _scale_round_trip(luma, scale)
-    luma = _block_dct_quantize(luma, config.q)
-    planes = {"y": quantize_plane(luma)}
-    if frame.has_chroma:
-        for name, plane in (("u", frame.u), ("v", frame.v)):
-            p = plane.astype(np.float64)
-            if scale < 1:
-                p = _scale_round_trip(p, scale)
-            planes[name] = quantize_plane(p)
-    return Frame(**planes)
-
-
-def _conceal_slice(plane: np.ndarray, prev: Optional[np.ndarray], r0: int, r1: int) -> None:
-    if prev is not None:
-        plane[r0:r1] = prev[r0:r1]
-    else:
-        plane[r0:r1] = 128
+    planes = [_scale_round_trip(p, config.resolution_scale) for p in frame.planes]
+    planes[0] = _block_dct_quantize(planes[0], config.q)
+    return Frame(*(quantize_plane(p) for p in planes))
 
 
 def transmit(
@@ -234,30 +218,25 @@ def transmit(
 ) -> tuple[Frame, list[int]]:
     """Apply slice loss and concealment; advances the loss model state.
 
-    Chroma rows are co-sliced with luma (half vertical resolution), so a lost
-    slice conceals the matching chroma region too.
+    A lost slice is concealed with the co-located rows of prev_decoded, or
+    mid-gray where it has no such plane. Chroma rows are co-sliced with luma
+    (half vertical resolution), so a lost slice conceals the matching chroma
+    region too.
     """
     n_slices = (frame.height + loss.slice_height - 1) // loss.slice_height
     lost = [i for i in range(n_slices) if loss.step_slice()]
     if not lost:
         return frame, []
 
-    y = frame.y.copy()
-    u = frame.u.copy() if frame.has_chroma else None
-    v = frame.v.copy() if frame.has_chroma else None
-    prev_y = prev_decoded.y if prev_decoded is not None else None
-    prev_u = prev_decoded.u if prev_decoded is not None and prev_decoded.has_chroma else None
-    prev_v = prev_decoded.v if prev_decoded is not None and prev_decoded.has_chroma else None
+    planes = [plane.copy() for plane in frame.planes]
+    prev = prev_decoded.planes if prev_decoded is not None else ()
     for i in lost:
         r0 = i * loss.slice_height
         r1 = min(r0 + loss.slice_height, frame.height)
-        _conceal_slice(y, prev_y, r0, r1)
-        if u is not None:
-            _conceal_slice(u, prev_u, r0 // 2, (r1 + 1) // 2)
-            _conceal_slice(v, prev_v, r0 // 2, (r1 + 1) // 2)
-    if u is not None:
-        return Frame(y=y, u=u, v=v), lost
-    return Frame(y=y), lost
+        for k, plane in enumerate(planes):
+            rows = slice(r0, r1) if k == 0 else slice(r0 // 2, (r1 + 1) // 2)
+            plane[rows] = prev[k][rows] if k < len(prev) else 128
+    return Frame(*planes), lost
 
 
 def _scale_step(scale: Fraction, direction: int) -> Fraction:

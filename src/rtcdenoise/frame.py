@@ -1,10 +1,12 @@
 """Frame and sequence data model shared by every pipeline stage.
 
 A :class:`Frame` is a single 8-bit planar picture: one luma plane, plus an
-optional pair of half-resolution (4:2:0) chroma planes.  Planes are numpy
-uint8 arrays that are frozen at construction time, so frames can be shared
-across concurrent stages without copies or locks.  Filters work on floating
-point copies internally and re-quantize on the way out.
+optional pair of half-resolution (4:2:0) chroma planes.  This module alone
+states that layout (:func:`chroma_shape`, :attr:`Frame.planes`); I/O, codec
+and channel code loop over the planes instead of naming them.  Planes are
+numpy uint8 arrays that are frozen at construction time, so frames can be
+shared across concurrent stages without copies or locks.  Filters work on
+floating point copies internally and re-quantize on the way out.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ def require_finite(**values: Optional[float]) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def chroma_shape(height: int, width: int) -> tuple[int, int]:
+    """Shape of each 4:2:0 chroma plane of a height x width frame (ceil of half)."""
+    return ((height + 1) // 2, (width + 1) // 2)
+
+
 def _check_plane(name: str, plane: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     plane = np.asarray(plane)
     if plane.dtype != np.uint8:
@@ -50,7 +57,11 @@ def _check_plane(name: str, plane: np.ndarray, shape: tuple[int, int]) -> np.nda
 
 @dataclass(frozen=True)
 class Frame:
-    """One 8-bit video frame (luma plane ``y``, optional 4:2:0 chroma ``u``/``v``)."""
+    """One 8-bit video frame (luma plane ``y``, optional 4:2:0 chroma ``u``/``v``).
+
+    Planes are read-only; frames read from Y4M hold read-only views of the
+    bytes read rather than copies. ``planes`` lists them in Y4M order.
+    """
 
     y: np.ndarray
     u: Optional[np.ndarray] = None
@@ -63,13 +74,11 @@ class Frame:
         h, w = y.shape
         if h < 1 or w < 1:
             raise ValueError("frame dimensions must be positive")
-        object.__setattr__(self, "y", _check_plane("luma", y, (h, w)))
         if (self.u is None) != (self.v is None):
             raise ValueError("chroma planes must be both present or both absent")
-        if self.u is not None:
-            cshape = ((h + 1) // 2, (w + 1) // 2)
-            object.__setattr__(self, "u", _check_plane("u", self.u, cshape))
-            object.__setattr__(self, "v", _check_plane("v", self.v, cshape))
+        shapes = ((h, w), chroma_shape(h, w), chroma_shape(h, w))
+        for name, plane, shape in zip(("y", "u", "v"), self.planes, shapes):
+            object.__setattr__(self, name, _check_plane(name, plane, shape))
 
     @property
     def width(self) -> int:
@@ -83,25 +92,19 @@ class Frame:
     def has_chroma(self) -> bool:
         return self.u is not None
 
-    @classmethod
-    def from_luma(cls, values: np.ndarray, chroma_from: Optional["Frame"] = None) -> "Frame":
-        """Quantize a real-valued luma plane into a frame.
-
-        Values are rounded half-away-from-zero and clamped to [0, 255].
-        If ``chroma_from`` is given, its chroma planes are attached unchanged
-        (the denoisers touch luma only).
-        """
-        q = quantize_plane(values)
-        if chroma_from is not None and chroma_from.has_chroma:
-            return cls(y=q, u=chroma_from.u, v=chroma_from.v)
-        return cls(y=q)
+    @property
+    def planes(self) -> tuple[np.ndarray, ...]:
+        """``(y,)`` or ``(y, u, v)``: every plane, in Y4M order."""
+        return (self.y,) if self.u is None else (self.y, self.u, self.v)
 
     def with_luma(self, values: np.ndarray) -> "Frame":
-        """Same as from_luma with this frame as the chroma source."""
-        return Frame.from_luma(values, chroma_from=self)
+        """This frame's chroma (unchanged: the denoisers touch luma only) with new luma.
 
-    def luma_f32(self) -> np.ndarray:
-        return self.y.astype(np.float32)
+        Real values are rounded half-away-from-zero and clamped to [0, 255];
+        a uint8 plane, already quantized, is taken as it is.
+        """
+        y = np.asarray(values)
+        return Frame(y if y.dtype == np.uint8 else quantize_plane(y), self.u, self.v)
 
     def luma_f64(self) -> np.ndarray:
         return self.y.astype(np.float64)
@@ -149,13 +152,9 @@ class VideoSequence:
         frames = tuple(self.frames)
         object.__setattr__(self, "frames", frames)
         if frames:
-            first = frames[0]
+            shapes = [p.shape for p in frames[0].planes]
             for i, f in enumerate(frames[1:], start=1):
-                if (f.width, f.height, f.has_chroma) != (
-                    first.width,
-                    first.height,
-                    first.has_chroma,
-                ):
+                if [p.shape for p in f.planes] != shapes:
                     raise ValueError(f"frame {i} geometry differs from frame 0")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")

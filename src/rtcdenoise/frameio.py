@@ -2,7 +2,9 @@
 
 Sequences round-trip bit-exactly, which the tests rely on for fixtures. The
 reader accepts an open binary stream or a bytes object; parse errors carry
-the byte offset of the offending data.
+the byte offset of the offending data. Every plane it returns is a read-only
+view of the bytes read (a bytearray is copied to bytes once, so no frame
+aliases a mutable buffer), so a clip is held in memory once.
 """
 
 from __future__ import annotations
@@ -12,28 +14,19 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
-from .frame import Frame, FormatError, VideoSequence
+from .frame import Frame, FormatError, VideoSequence, chroma_shape
 
 _Y4M_MAGIC = b"YUV4MPEG2"
-_MONO_TAGS = {"mono"}
-_C420_TAGS = {"420", "420jpeg", "420mpeg2", "420paldv"}
+# colorspace tag -> planes per frame: luma, then the 4:2:0 u and v planes
+_PLANE_COUNTS = {"mono": 1, "420": 3, "420jpeg": 3, "420mpeg2": 3, "420paldv": 3}
+_WRITE_TAGS = {1: "Cmono", 3: "C420"}
 
 ByteSource = Union[bytes, bytearray, BinaryIO]
 
 
-def _as_buffer(source: ByteSource) -> bytes:
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    return source.read()
-
-
-def _chroma_shape(width: int, height: int) -> tuple[int, int]:
-    return ((height + 1) // 2, (width + 1) // 2)
-
-
 def read_y4m(source: ByteSource) -> VideoSequence:
     """Parse a YUV4MPEG2 stream (Cmono or C420 family) into a VideoSequence."""
-    data = _as_buffer(source)
+    data = bytes(source) if isinstance(source, (bytes, bytearray)) else source.read()
     if not data.startswith(_Y4M_MAGIC):
         raise FormatError("not a YUV4MPEG2 stream (bad magic)", offset=0)
     header_end = data.find(b"\n")
@@ -64,40 +57,30 @@ def read_y4m(source: ByteSource) -> VideoSequence:
             raise FormatError(f"bad header parameter {tag}{value!r}: {exc}", offset=0) from exc
     if width is None or height is None or width < 1 or height < 1:
         raise FormatError("header missing valid W/H parameters", offset=0)
-    if colorspace in _MONO_TAGS:
-        mono = True
-    elif colorspace in _C420_TAGS:
-        mono = False
-    else:
+    if colorspace not in _PLANE_COUNTS:
         raise FormatError(f"unsupported colorspace C{colorspace}", offset=0)
-
-    luma_size = width * height
-    ch, cw = _chroma_shape(width, height)
-    chroma_size = ch * cw
-    frame_size = luma_size if mono else luma_size + 2 * chroma_size
+    cshape = chroma_shape(height, width)
+    shapes = ((height, width), cshape, cshape)[: _PLANE_COUNTS[colorspace]]
+    frame_size = sum(h * w for h, w in shapes)
 
     frames = []
     pos = header_end + 1
     while pos < len(data):
         nl = data.find(b"\n", pos)
-        if nl < 0 or not data[pos:nl].startswith(b"FRAME"):
+        if nl < 0 or not data.startswith(b"FRAME", pos, nl):
             raise FormatError("expected FRAME marker", offset=pos)
-        payload_start = nl + 1
-        payload = data[payload_start : payload_start + frame_size]
-        if len(payload) < frame_size:
+        offset = nl + 1
+        if len(data) - offset < frame_size:
             raise FormatError(
-                f"truncated frame {len(frames)}: got {len(payload)} of {frame_size} bytes",
-                offset=payload_start,
+                f"truncated frame {len(frames)}: got {len(data) - offset} of {frame_size} bytes",
+                offset=offset,
             )
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        y = raw[:luma_size].reshape(height, width).copy()
-        if mono:
-            frames.append(Frame(y=y))
-        else:
-            u = raw[luma_size : luma_size + chroma_size].reshape(ch, cw).copy()
-            v = raw[luma_size + chroma_size :].reshape(ch, cw).copy()
-            frames.append(Frame(y=y, u=u, v=v))
-        pos = payload_start + frame_size
+        planes = []
+        for h, w in shapes:
+            planes.append(np.frombuffer(data, np.uint8, h * w, offset).reshape(h, w))
+            offset += h * w
+        frames.append(Frame(*planes))
+        pos = offset
     return VideoSequence(frames=tuple(frames), frame_rate=rate)
 
 
@@ -106,7 +89,7 @@ def write_y4m(sequence: VideoSequence, sink: BinaryIO) -> int:
     if len(sequence) == 0:
         raise ValueError("cannot write an empty sequence")
     first = sequence[0]
-    tag = "C420" if first.has_chroma else "Cmono"
+    tag = _WRITE_TAGS[len(first.planes)]
     rate = sequence.frame_rate
     header = (
         f"YUV4MPEG2 W{first.width} H{first.height} "
@@ -115,10 +98,8 @@ def write_y4m(sequence: VideoSequence, sink: BinaryIO) -> int:
     written = sink.write(header)
     for frame in sequence:
         written += sink.write(b"FRAME\n")
-        written += sink.write(frame.y.tobytes())
-        if frame.has_chroma:
-            written += sink.write(frame.u.tobytes())
-            written += sink.write(frame.v.tobytes())
+        for plane in frame.planes:
+            written += sink.write(plane.tobytes())
     return written
 
 

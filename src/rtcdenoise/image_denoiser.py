@@ -31,6 +31,9 @@ PASSTHROUGH_SIGMA = 0.5
 # 1e154), and a Gaussian kernel spans 6 s taps, wider than a 4K frame above MAX.
 MIN_CASCADE_SIGMA = 1e-6
 MAX_CASCADE_SIGMA = 1e3
+# The bilateral window is (2r+1)^2 taps per pixel: 31x31 at this bound, about
+# 20 times the default 7x7; far larger radii take minutes or exhaust memory.
+MAX_WINDOW_RADIUS = 15
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,10 @@ class CascadeParams:
             raise ValueError("gaussian_sigma_divisor must be positive")
         if self.fusion_tau is not None and self.fusion_tau < 0:
             raise ValueError("fusion_tau must be non-negative")
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be >= 1")
         require_finite(**vars(self))  # every field is a number (fusion_tau may be None)
+        if not 1 <= self.window_radius <= MAX_WINDOW_RADIUS:
+            raise ValueError(
+                f"window_radius must be in [1, {MAX_WINDOW_RADIUS}], got {self.window_radius!r}")
         for name in ("bilateral_spatial_sigma", "bilateral_range_factor",
                      "gaussian_sigma_min", "gaussian_sigma_max"):
             value = getattr(self, name)
@@ -126,7 +130,7 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
         value_sum /= weight_sum
         out[c0:c1] = quantize_plane(value_sum)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
-    return Frame(y=plane, u=frame.u, v=frame.v)
+    return frame.with_luma(plane)
 
 
 def stage_smooth(frame: Frame, sigma_est: float, params: CascadeParams = CascadeParams()) -> Frame:
@@ -167,7 +171,7 @@ def stage_fuse(
         weight *= smooth[c0:c1]
         blend += weight
         out[c0:c1] = quantize_plane(blend)
-    return Frame(y=out.reshape(detail_out.y.shape), u=detail_out.u, v=detail_out.v)
+    return detail_out.with_luma(out.reshape(detail_out.y.shape))
 
 
 def denoise_keyframe(

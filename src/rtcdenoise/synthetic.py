@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frame import Frame, VideoSequence, quantize_plane
+from .frame import Frame, VideoSequence, chroma_shape, quantize_plane
 from .rng import NoiseRng
 
 _LUMA_LO = 70.0
@@ -63,7 +63,7 @@ def _to_luma(field: np.ndarray) -> np.ndarray:
 
 
 def _chroma_planes(rng: NoiseRng, width: int, height: int):
-    cw, ch = (width + 1) // 2, (height + 1) // 2
+    ch, cw = chroma_shape(height, width)
     planes = []
     for _ in range(2):
         waves = _wave_params(rng, ((3, 0.4, 2.0, 1.0),))
@@ -108,7 +108,7 @@ def make_sequence(
         grain = grain_sigma * noise
         if motion != (0.0, 0.0) and any(m != int(m) for m in motion):
             raise ValueError("grain content only supports integer motion")
-    chroma = _chroma_planes(rng.derive(3), width, height) if with_chroma else None
+    chroma = _chroma_planes(rng.derive(3), width, height) if with_chroma else []
 
     dx, dy = motion
     frames = []
@@ -118,8 +118,5 @@ def make_sequence(
         if grain is not None:
             rolled = np.roll(grain, shift=(-int(t * dy), -int(t * dx)), axis=(0, 1))
             luma = quantize_plane(luma.astype(np.float64) + rolled)
-        if chroma is not None:
-            frames.append(Frame(y=luma, u=chroma[0], v=chroma[1]))
-        else:
-            frames.append(Frame(y=luma))
+        frames.append(Frame(luma, *chroma))
     return VideoSequence(frames=tuple(frames), frame_rate=frame_rate)

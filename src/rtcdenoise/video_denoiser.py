@@ -29,6 +29,11 @@ DEFAULT_CADENCE = 5
 _WEIGHT_MAGIC = b"CWB1"
 _LAYER_SHAPES = ((4, 16), (16, 16), (16, 1))
 _SPATIAL_PARAMS = CascadeParams(window_radius=1)
+# Bounds on k_temporal: a block's weight exponent scales with 1/(2 (k s)^2) for
+# an effective sigma s in [0.5, about 852], which stays finite and non-zero in
+# float32 for k in this range; 1e-30 overflows the cast and 1e200 the square.
+MIN_K_TEMPORAL = 1e-6
+MAX_K_TEMPORAL = 1e3
 
 
 class FrameRole(Enum):
@@ -207,9 +212,10 @@ class BlockParams:
     conv_weights: Optional[ConvWeightSet] = None
 
     def __post_init__(self):
-        if self.k_temporal <= 0:
-            raise ValueError("k_temporal must be positive")
         require_finite(k_temporal=self.k_temporal)
+        if not MIN_K_TEMPORAL <= self.k_temporal <= MAX_K_TEMPORAL:
+            raise ValueError(f"k_temporal must be in [{MIN_K_TEMPORAL:g}, {MAX_K_TEMPORAL:g}], "
+                             f"got {self.k_temporal!r}")
 
 
 def _conv3x3(stack: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:

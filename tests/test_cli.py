@@ -393,3 +393,20 @@ def test_out_of_range_cascade_sigma_is_data_error(tmp_path, noisy_clip, key, val
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: [image_denoiser]: {key} must be in ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("image_denoiser", "window_radius", "16"),
+    ("image_denoiser", "window_radius", "1000000000"),
+    ("video_denoiser", "k_temporal", "1e200"),
+    ("video_denoiser", "k_temporal", "1e-30"),
+])
+def test_out_of_range_window_radius_or_k_temporal_is_data_error(
+        tmp_path, noisy_clip, section, key, value, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out.y4m"
+    assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: [{section}]: {key} must be in ")
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtcdenoise import Frame, VideoSequence, clamp_index, quantize_plane
+from rtcdenoise.frame import chroma_shape
 
 from util import frames_equal
 
@@ -35,6 +36,23 @@ def test_chroma_shape_is_ceil_half():
         Frame(y=_luma(5, 7), u=np.zeros((2, 3), dtype=np.uint8), v=np.zeros((2, 3), dtype=np.uint8))
 
 
+def test_chroma_shape_and_plane_order():
+    assert [chroma_shape(h, w) for h, w in ((5, 7), (4, 4), (1, 1))] == [(3, 4), (2, 2), (1, 1)]
+    u = np.zeros((3, 4), dtype=np.uint8)
+    v = np.ones((3, 4), dtype=np.uint8)
+    f = Frame(y=_luma(5, 7), u=u, v=v)
+    assert [id(p) for p in f.planes] == [id(f.y), id(f.u), id(f.v)]
+    mono = Frame(y=_luma(5, 7))
+    assert [id(p) for p in mono.planes] == [id(mono.y)]
+
+
+def test_with_luma_takes_a_uint8_plane_as_is():
+    base = Frame(y=_luma(4, 4))
+    plane = np.arange(16, dtype=np.uint8).reshape(4, 4)
+    assert base.with_luma(plane).y is plane
+    assert np.array_equal(base.with_luma(plane + 0.4).y, plane)
+
+
 def test_chroma_must_come_in_pairs():
     with pytest.raises(ValueError):
         Frame(y=_luma(4, 4), u=np.zeros((2, 2), dtype=np.uint8))
@@ -60,13 +78,12 @@ def test_from_luma_and_with_luma_carry_chroma():
     out = base.with_luma(base.luma_f64() + 0.2)
     assert frames_equal(out, base)
     assert out.u is base.u and out.v is base.v
-    bare = Frame.from_luma(np.zeros((4, 4)))
+    bare = Frame(y=_luma(4, 4)).with_luma(np.zeros((4, 4)))
     assert not bare.has_chroma
 
 
 def test_luma_float_views():
     f = Frame(y=_luma(value=17))
-    assert f.luma_f32().dtype == np.float32
     assert f.luma_f64().dtype == np.float64
     assert float(f.luma_f64()[0, 0]) == 17.0
 

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,30 @@ def test_y4m_file_helpers(tmp_path):
     n = write_y4m_file(seq, path)
     assert path.stat().st_size == n
     assert sequences_equal(read_y4m_file(path), seq)
+
+
+def test_y4m_bytearray_source_is_not_aliased():
+    sink = io.BytesIO()
+    write_y4m(make_sequence(2, 8, 6, seed=3, with_chroma=True), sink)
+    data = bytearray(sink.getvalue())
+    seq = read_y4m(data)
+    before = [f.y.copy() for f in seq]
+    data[:] = bytes(len(data))
+    assert all((f.y == b).all() for f, b in zip(seq, before))
+
+
+def test_read_y4m_file_holds_the_clip_once(tmp_path):
+    seq = make_sequence(20, 64, 48, seed=6, with_chroma=True)
+    path = tmp_path / "clip.y4m"
+    size = write_y4m_file(seq, path)
+    tracemalloc.start()
+    try:
+        back = read_y4m_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sequences_equal(back, seq)
+    assert peak < 1.5 * size, f"traced peak {peak} for a {size}-byte file"
+    for frame in back:
+        for plane in (frame.y, frame.u, frame.v):
+            assert not plane.flags.writeable

@@ -16,7 +16,7 @@ from rtcdenoise import (
     stage_fuse,
     stage_smooth,
 )
-from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MIN_CASCADE_SIGMA
+from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MAX_WINDOW_RADIUS, MIN_CASCADE_SIGMA
 
 import oracles
 from oracles import gauss_mask
@@ -53,6 +53,20 @@ def test_cascade_params_validation():
 def test_cascade_params_reject_sigmas_outside_bounds(fields):
     with pytest.raises(ValueError, match=r"must be in \[1e-06, 1000\]"):
         CascadeParams(**fields)
+
+
+@pytest.mark.parametrize("radius", [0, 16, 1_000_000_000])
+def test_cascade_params_reject_window_radius_outside_bounds(radius):
+    with pytest.raises(ValueError, match=r"window_radius must be in \[1, 15\]"):
+        CascadeParams(window_radius=radius)
+
+
+def test_stage_detail_matches_oracle_at_the_window_radius_bound():
+    rng = np.random.default_rng(15)
+    plane = rng.integers(0, 256, size=(4, 24), dtype=np.uint8)  # r reaches past every edge
+    params = CascadeParams(window_radius=MAX_WINDOW_RADIUS)
+    expected = oracles.bilateral(plane, 25.0, 2.0, 2.0, MAX_WINDOW_RADIUS)
+    assert np.array_equal(stage_detail(Frame(y=plane), 25.0, params).y, expected)
 
 
 def test_cascade_runs_cleanly_at_the_sigma_bounds():

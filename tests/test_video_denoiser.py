@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from rtcdenoise import (
     write_weights_file,
     zero_weights,
 )
+
+from rtcdenoise.video_denoiser import MAX_K_TEMPORAL, MIN_K_TEMPORAL
 
 import oracles
 from oracles import denoise_stream
@@ -138,6 +141,25 @@ def test_block_validates_inputs():
         denoise_block(_const(0), _const(0), _const(0), -1.0)
     with pytest.raises(ValueError):
         BlockParams(k_temporal=0.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-30, 9e-7, 1001.0, 1e200])
+def test_block_params_reject_k_temporal_outside_bounds(k):
+    with pytest.raises(ValueError, match=r"k_temporal must be in \[1e-06, 1000\]"):
+        BlockParams(k_temporal=k)
+
+
+def test_block_runs_cleanly_at_the_k_temporal_bounds():
+    # sigma 0 gives the effective floor 0.5; 852.4 is past the estimator's
+    # ceiling (a 0/255 checkerboard reads about 852.3)
+    noisy = add_gaussian_noise(_const(128, 12, 12), 60.0, seed=1)
+    triplet = (_const(0, 12, 12), noisy, _const(255, 12, 12))
+    for k in (MIN_K_TEMPORAL, MAX_K_TEMPORAL):
+        for sigma in (0.0, 852.4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = denoise_block(*triplet, sigma, BlockParams(k_temporal=k))
+            assert out.y.shape == noisy.y.shape
 
 
 # --- conv block ----------------------------------------------------------------
