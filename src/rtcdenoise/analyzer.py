@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .detector import DEFAULT_FORK_THRESHOLD
-from .frame import Frame, require_finite
+from .frame import Frame, Range, check_ranges, ranged
 from .metrics import detail_retention, full_reference_scores
 # bench/tracing.py looks these up on this module; build_report scores
 # through full_reference_scores instead of calling them
@@ -32,6 +32,7 @@ from .metrics import ms_ssim, psnr, ssim, vifp  # noqa: F401
 DEFAULT_BUDGET_MS = 40.0
 DEFAULT_FEEDBACK_WINDOW = 25
 DEFAULT_WEIGHTS = (0.4, 0.4, 0.2)
+BUDGET_MS_RANGE = Range(0, open_lo=True)
 
 
 class Recommendation(Enum):
@@ -79,14 +80,12 @@ class FeedbackMessage:
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
-    min_delta_psnr: float = 0.5
-    sigma_threshold: float = DEFAULT_FORK_THRESHOLD
-    budget_ms: float = DEFAULT_BUDGET_MS
+    min_delta_psnr: float = ranged(0.5, Range())
+    sigma_threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range())
+    budget_ms: float = ranged(DEFAULT_BUDGET_MS, BUDGET_MS_RANGE)
 
     def __post_init__(self):
-        if self.budget_ms <= 0:
-            raise ValueError("budget_ms must be positive")
-        require_finite(**vars(self))  # every field is a number
+        check_ranges(self)
 
 
 def performance_score(

@@ -23,11 +23,13 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .analyzer import Recommendation
-from .frame import Frame, chunk_bounds, quantize_plane, require_finite
+from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
 from .rng import NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
 MAX_FRAMERATE_DIVISOR = 4
+_Q_STEP = Range(1, 64)  # the quantizer steps q, q_min and q_max may take
+_PROBABILITY = Range(0, 1)
 _BLOCK = 8
 
 
@@ -35,25 +37,22 @@ _BLOCK = 8
 class SenderConfig:
     """Encoder-side knobs the feedback loop adjusts."""
 
-    q: int = 16
+    q: int = ranged(16, _Q_STEP)
     resolution_scale: Fraction = Fraction(1, 1)
-    framerate_divisor: int = 1
-    q_min: int = 4
-    q_max: int = 48
-    noise_sigma: float = 0.0  # capture noise added before encoding
+    framerate_divisor: int = ranged(1, Range(1, MAX_FRAMERATE_DIVISOR))
+    q_min: int = ranged(4, _Q_STEP)
+    q_max: int = ranged(48, _Q_STEP)
+    noise_sigma: float = ranged(0.0, Range(0))  # capture noise added before encoding
 
     def __post_init__(self):
-        if not 1 <= self.q_min <= self.q_max <= 64:
-            raise ValueError(f"require 1 <= q_min <= q_max <= 64, got {self.q_min}..{self.q_max}")
+        check_ranges(self)
+        if not self.q_min <= self.q_max:
+            raise ValueError(f"require {_Q_STEP.lo} <= q_min <= q_max <= {_Q_STEP.hi}, "
+                             f"got {self.q_min}..{self.q_max}")
         if not self.q_min <= self.q <= self.q_max:
             raise ValueError(f"q={self.q} outside [{self.q_min}, {self.q_max}]")
         if Fraction(self.resolution_scale) not in SCALE_LADDER:
             raise ValueError(f"resolution_scale must be one of 1, 3/4, 1/2, got {self.resolution_scale}")
-        if not 1 <= self.framerate_divisor <= MAX_FRAMERATE_DIVISOR:
-            raise ValueError(f"framerate_divisor must be in 1..{MAX_FRAMERATE_DIVISOR}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        require_finite(noise_sigma=self.noise_sigma)
         object.__setattr__(self, "resolution_scale", Fraction(self.resolution_scale))
 
 
@@ -67,22 +66,17 @@ class LossModel:
     """Slice-loss process. Mutable: transmit() advances draw counter and state."""
 
     kind: LossKind = LossKind.BERNOULLI
-    p_loss: float = 0.0          # bernoulli loss probability
-    p_enter_bad: float = 0.05    # gilbert-elliott: good -> bad
-    p_exit_bad: float = 0.5      # gilbert-elliott: bad -> good
-    p_loss_bad: float = 0.8      # loss probability while in the bad state
-    slice_height: int = 16
+    p_loss: float = ranged(0.0, _PROBABILITY)       # bernoulli loss probability
+    p_enter_bad: float = ranged(0.05, _PROBABILITY)  # gilbert-elliott: good -> bad
+    p_exit_bad: float = ranged(0.5, _PROBABILITY)    # gilbert-elliott: bad -> good
+    p_loss_bad: float = ranged(0.8, _PROBABILITY)    # loss probability while in the bad state
+    slice_height: int = ranged(16, Range(1, finite=False))
     seed: int = 0
     in_bad: bool = False
     draws: int = 0
 
     def __post_init__(self):
-        for name in ("p_loss", "p_enter_bad", "p_exit_bad", "p_loss_bad"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name}={p} outside [0, 1]")
-        if self.slice_height < 1:
-            raise ValueError("slice_height must be >= 1")
+        check_ranges(self)
 
     def _next_uniform(self) -> float:
         rng = NoiseRng(seed=self.seed, counter=self.draws)

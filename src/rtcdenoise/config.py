@@ -2,7 +2,9 @@
 
 The grammar is deliberately tiny: section headers in brackets, one key per
 line, `#`-prefixed comment lines, blank lines ignored. Unknown sections or
-keys are rejected, and every parse or range error carries file:line. A config
+keys are rejected, and every parse or range error carries file:line. A value
+is checked against the Range its target field declares (frame.ranged) at its
+own line; a rule between fields names the first line of its section. A config
 produced by dump_config() parses back to an identical configuration.
 
 The [loss] seed is a sub-stream id, not an absolute seed: the pipeline mixes
@@ -11,17 +13,16 @@ it with [pipeline] seed, so one seed knob reproduces an entire run.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from .analyzer import DEFAULT_BUDGET_MS, DEFAULT_FEEDBACK_WINDOW, DEFAULT_WEIGHTS
-from .channel import MAX_FRAMERATE_DIVISOR, SCALE_LADDER, LossKind, LossModel, SenderConfig
+from .analyzer import BUDGET_MS_RANGE, DEFAULT_BUDGET_MS, DEFAULT_FEEDBACK_WINDOW, DEFAULT_WEIGHTS
+from .channel import SCALE_LADDER, LossKind, LossModel, SenderConfig
 from .detector import DEFAULT_FORK_THRESHOLD
-from .frame import require_finite
+from .frame import Range, check_range, check_ranges, range_of, ranged
 from .image_denoiser import CascadeParams
 from .rng import NoiseRng
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
@@ -43,34 +44,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    threshold: float = DEFAULT_FORK_THRESHOLD
+    threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range(0))
     seed: int = 0
     execution: str = "sequential"
     cascade: CascadeParams = field(default_factory=CascadeParams)
-    cadence: int = DEFAULT_CADENCE
+    cadence: int = ranged(DEFAULT_CADENCE, Range(2, finite=False))
     block: BlockParams = field(default_factory=BlockParams)
     weights_path: Optional[str] = None
-    analyzer_weights: tuple = DEFAULT_WEIGHTS
-    budget_ms: float = DEFAULT_BUDGET_MS
-    feedback_window: int = DEFAULT_FEEDBACK_WINDOW  # 0 disables feedback
+    analyzer_weights: tuple = ranged(DEFAULT_WEIGHTS, Range(0))
+    budget_ms: float = ranged(DEFAULT_BUDGET_MS, BUDGET_MS_RANGE)
+    feedback_window: int = ranged(DEFAULT_FEEDBACK_WINDOW, Range(0, finite=False))  # 0 disables feedback
     sender: SenderConfig = field(default_factory=SenderConfig)
     loss: LossModel = field(default_factory=LossModel)
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        check_ranges(self)
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if self.cadence < 2:
-            raise ValueError("cadence must be at least 2")
-        if self.budget_ms <= 0:
-            raise ValueError("budget_ms must be positive")
-        if self.feedback_window < 0:
-            raise ValueError("feedback_window must be >= 0 (0 disables feedback)")
-        if len(self.analyzer_weights) != 3 or any(w < 0 for w in self.analyzer_weights):
+        if len(self.analyzer_weights) != 3:
             raise ValueError("analyzer weights must be three non-negative numbers")
-        require_finite(threshold=self.threshold, budget_ms=self.budget_ms,
-                       **{f"analyzer_weights[{i}]": w for i, w in enumerate(self.analyzer_weights)})
 
 
 def _format_scale(scale: Fraction) -> str:
@@ -85,38 +77,8 @@ def _parse_scale(raw: str) -> Fraction:
     raise ValueError(f"resolution_scale must be {', '.join(names[:-1])}, or {names[-1]}, got {raw!r}")
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {raw}")
-    return value
-
-
 def _parse_tau(raw: str) -> Optional[float]:
-    if raw.lower() == "auto":
-        return None
-    value = _finite(raw)
-    if value < 0:
-        raise ValueError("fusion_tau must be non-negative or 'auto'")
-    return value
-
-
-def _checked(parse, accept, what: str):
-    def cast(raw: str):
-        value = parse(raw)
-        if not accept(value):
-            raise ValueError(f"must be {what}, got {raw}")
-        return value
-    return cast
-
-
-_nonneg_float = _checked(_finite, lambda v: v >= 0, "non-negative")
-_positive_float = _checked(_finite, lambda v: v > 0, "positive")
-_probability = _checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-
-
-def _int_at_least(minimum: int):
-    return _checked(int, lambda v: v >= minimum, f">= {minimum}")
+    return None if raw.lower() == "auto" else float(raw)
 
 
 def _one_of(choices: dict, fold=lambda raw: raw):
@@ -131,7 +93,9 @@ def _one_of(choices: dict, fold=lambda raw: raw):
 class _Key(NamedTuple):
     """One config key. target names the PipelineConfig field it sets, through a
     sub-config or a tuple index ("cascade.window_radius", "analyzer_weights[0]");
-    show renders that field for dump_config, and a None result omits the line."""
+    cast parses the text to that field's type, whose Range parse_config_text
+    checks next; show renders the field for dump_config, and a None result
+    omits the line."""
 
     section: str
     key: str
@@ -146,43 +110,42 @@ _parse_bool = _one_of({"true": True, "yes": True, "on": True, "1": True,
 
 
 _KEYS = (
-    _Key("pipeline", "threshold", "threshold", _nonneg_float),
+    _Key("pipeline", "threshold", "threshold", float),
     _Key("pipeline", "seed", "seed", int),
     _Key("pipeline", "execution", "execution", _one_of({mode: mode for mode in EXECUTION_MODES})),
-    _Key("image_denoiser", "bilateral_spatial_sigma", "cascade.bilateral_spatial_sigma", _positive_float),
-    _Key("image_denoiser", "bilateral_range_factor", "cascade.bilateral_range_factor", _positive_float),
-    _Key("image_denoiser", "gaussian_sigma_divisor", "cascade.gaussian_sigma_divisor", _positive_float),
-    _Key("image_denoiser", "gaussian_sigma_min", "cascade.gaussian_sigma_min", _positive_float),
-    _Key("image_denoiser", "gaussian_sigma_max", "cascade.gaussian_sigma_max", _positive_float),
+    _Key("image_denoiser", "bilateral_spatial_sigma", "cascade.bilateral_spatial_sigma", float),
+    _Key("image_denoiser", "bilateral_range_factor", "cascade.bilateral_range_factor", float),
+    _Key("image_denoiser", "gaussian_sigma_divisor", "cascade.gaussian_sigma_divisor", float),
+    _Key("image_denoiser", "gaussian_sigma_min", "cascade.gaussian_sigma_min", float),
+    _Key("image_denoiser", "gaussian_sigma_max", "cascade.gaussian_sigma_max", float),
     _Key("image_denoiser", "fusion_tau", "cascade.fusion_tau", _parse_tau,
          lambda tau: "auto" if tau is None else tau),
-    _Key("image_denoiser", "window_radius", "cascade.window_radius", _int_at_least(1)),
+    _Key("image_denoiser", "window_radius", "cascade.window_radius", int),
     _Key("video_denoiser", "mode", "block.mode", _one_of({m.value: m for m in BlockMode}, str.lower),
          _enum_name),
-    _Key("video_denoiser", "k_temporal", "block.k_temporal", _positive_float),
+    _Key("video_denoiser", "k_temporal", "block.k_temporal", float),
     _Key("video_denoiser", "spatial_enabled", "block.spatial_enabled", _parse_bool,
          lambda on: "true" if on else "false"),
-    _Key("video_denoiser", "cadence", "cadence", _int_at_least(2)),
+    _Key("video_denoiser", "cadence", "cadence", int),
     _Key("video_denoiser", "weights", "weights_path", str),
-    _Key("analyzer", "weight_psnr", "analyzer_weights[0]", _nonneg_float),
-    _Key("analyzer", "weight_ssim", "analyzer_weights[1]", _nonneg_float),
-    _Key("analyzer", "weight_runtime", "analyzer_weights[2]", _nonneg_float),
-    _Key("analyzer", "budget_ms", "budget_ms", _positive_float),
-    _Key("analyzer", "feedback_window", "feedback_window", _int_at_least(0)),
-    _Key("sender", "q", "sender.q", _int_at_least(1)),
+    _Key("analyzer", "weight_psnr", "analyzer_weights[0]", float),
+    _Key("analyzer", "weight_ssim", "analyzer_weights[1]", float),
+    _Key("analyzer", "weight_runtime", "analyzer_weights[2]", float),
+    _Key("analyzer", "budget_ms", "budget_ms", float),
+    _Key("analyzer", "feedback_window", "feedback_window", int),
+    _Key("sender", "q", "sender.q", int),
     _Key("sender", "resolution_scale", "sender.resolution_scale", _parse_scale, _format_scale),
-    _Key("sender", "framerate_divisor", "sender.framerate_divisor", _checked(
-        int, lambda v: 1 <= v <= MAX_FRAMERATE_DIVISOR, f"in 1..{MAX_FRAMERATE_DIVISOR}")),
-    _Key("sender", "q_min", "sender.q_min", _int_at_least(1)),
-    _Key("sender", "q_max", "sender.q_max", _int_at_least(1)),
-    _Key("sender", "noise_sigma", "sender.noise_sigma", _nonneg_float),
+    _Key("sender", "framerate_divisor", "sender.framerate_divisor", int),
+    _Key("sender", "q_min", "sender.q_min", int),
+    _Key("sender", "q_max", "sender.q_max", int),
+    _Key("sender", "noise_sigma", "sender.noise_sigma", float),
     _Key("loss", "model", "loss.kind", _one_of({m.value: m for m in LossKind}, str.lower),
          _enum_name),
-    _Key("loss", "p_loss", "loss.p_loss", _probability),
-    _Key("loss", "p_enter_bad", "loss.p_enter_bad", _probability),
-    _Key("loss", "p_exit_bad", "loss.p_exit_bad", _probability),
-    _Key("loss", "p_loss_bad", "loss.p_loss_bad", _probability),
-    _Key("loss", "slice_height", "loss.slice_height", _int_at_least(1)),
+    _Key("loss", "p_loss", "loss.p_loss", float),
+    _Key("loss", "p_enter_bad", "loss.p_enter_bad", float),
+    _Key("loss", "p_exit_bad", "loss.p_exit_bad", float),
+    _Key("loss", "p_loss_bad", "loss.p_loss_bad", float),
+    _Key("loss", "slice_height", "loss.slice_height", int),
     _Key("loss", "seed", "loss.seed", int),
 )
 
@@ -235,11 +198,16 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     for section, entries in staged.items():
         for key, (raw, lineno) in entries.items():
             row = _SCHEMA[section][key]
+            part, name, index = _split(row.target)
+            label = f"{section}.{key}"
             try:
                 value = row.cast(raw)
             except ValueError as exc:
-                raise ConfigError(source, lineno, f"{section}.{key}: {exc}") from exc
-            part, name, index = _split(row.target)
+                raise ConfigError(source, lineno, f"{label}: {exc}") from exc
+            try:
+                check_range(label, value, range_of(getattr(defaults, part) if part else defaults, name))
+            except ValueError as exc:
+                raise ConfigError(source, lineno, str(exc)) from exc
             if index is not None:
                 items = fields.get(name, getattr(defaults, name))
                 value = tuple(value if i == index else item for i, item in enumerate(items))

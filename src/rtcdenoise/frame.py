@@ -7,12 +7,17 @@ and channel code loop over the planes instead of naming them.  Planes are
 numpy uint8 arrays that are frozen at construction time, so frames can be
 shared across concurrent stages without copies or locks.  Filters work on
 floating point copies internally and re-quantize on the way out.
+
+The module also states how a numeric setting declares its valid values: a
+dataclass field made by :func:`ranged` carries a :class:`Range`, which
+:func:`check_ranges` enforces from ``__post_init__`` and the config parser
+enforces at the line that sets the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -33,11 +38,67 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def require_finite(**values: Optional[float]) -> None:
-    """Reject NaN and infinities, naming the first offender; None is skipped."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+_RANGE = "range"  # dataclasses.field metadata key holding the field's Range
+
+
+@dataclass(frozen=True)
+class Range:
+    """The valid values of a number: lo..hi, each end closed unless marked open.
+
+    A None end is unbounded. A finite range also rejects NaN and infinities;
+    otherwise NaN passes, as it compares false with every bound.
+    """
+
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    open_lo: bool = False
+    open_hi: bool = False
+    finite: bool = True
+
+    def __contains__(self, value) -> bool:
+        # the bounds first: math.isfinite overflows on an int past float range
+        return not ((self.lo is not None and (value < self.lo or self.open_lo and value == self.lo))
+                    or (self.hi is not None and (value > self.hi or self.open_hi and value == self.hi))
+                    or (self.finite and not math.isfinite(value)))
+
+    def __str__(self) -> str:
+        """Interval notation: "[1, 15]", "(0, inf)"; an unbounded end is open if finite."""
+        lo = "-inf" if self.lo is None else f"{self.lo:g}"
+        hi = "inf" if self.hi is None else f"{self.hi:g}"
+        left = "(" if self.open_lo or (self.lo is None and self.finite) else "["
+        right = ")" if self.open_hi or (self.hi is None and self.finite) else "]"
+        return f"{left}{lo}, {hi}{right}"
+
+
+def ranged(default, valid: Range):
+    """A dataclass field whose values must lie in valid (see check_range)."""
+    return field(default=default, metadata={_RANGE: valid})
+
+
+def check_range(name: str, value, valid: Optional[Range]) -> None:
+    """Raise ValueError("name: must be in <valid>, got value") for a value outside valid.
+
+    None passes, as does any value when valid is None; a tuple or list is
+    checked item by item, each named name[i].
+    """
+    if valid is None or value is None:
+        return
+    if isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            check_range(f"{name}[{i}]", item, valid)
+    elif value not in valid:
+        raise ValueError(f"{name}: must be in {valid}, got {value}")
+
+
+def range_of(owner, name: str) -> Optional[Range]:
+    """The Range that field name of dataclass owner declares, if any."""
+    return next(spec.metadata.get(_RANGE) for spec in fields(owner) if spec.name == name)
+
+
+def check_ranges(obj) -> None:
+    """From a dataclass's __post_init__: check every ranged field, in field order."""
+    for spec in fields(obj):
+        check_range(spec.name, getattr(obj, spec.name), spec.metadata.get(_RANGE))
 
 
 def chroma_shape(height: int, width: int) -> tuple[int, int]:

@@ -13,14 +13,13 @@ visually clean frames only costs latency.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .frame import CHUNK_PIXELS, Frame, chunk_bounds, quantize_plane, require_finite
+from .frame import CHUNK_PIXELS, Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
 from .metrics import _gaussian_taps, gradient_magnitude
 
 PASSTHROUGH_SIGMA = 0.5
@@ -34,37 +33,23 @@ MAX_CASCADE_SIGMA = 1e3
 # The bilateral window is (2r+1)^2 taps per pixel: 31x31 at this bound, about
 # 20 times the default 7x7; far larger radii take minutes or exhaust memory.
 MAX_WINDOW_RADIUS = 15
+_CASCADE_SIGMA = Range(MIN_CASCADE_SIGMA, MAX_CASCADE_SIGMA)
 
 
 @dataclass(frozen=True)
 class CascadeParams:
-    bilateral_spatial_sigma: float = 2.0
-    bilateral_range_factor: float = 2.0
-    gaussian_sigma_divisor: float = 20.0
-    gaussian_sigma_min: float = 0.5
-    gaussian_sigma_max: float = 2.5
-    fusion_tau: Optional[float] = None  # None: use sigma_est at call time
-    window_radius: int = 3
+    bilateral_spatial_sigma: float = ranged(2.0, _CASCADE_SIGMA)
+    bilateral_range_factor: float = ranged(2.0, _CASCADE_SIGMA)
+    gaussian_sigma_divisor: float = ranged(20.0, Range(0, open_lo=True))
+    gaussian_sigma_min: float = ranged(0.5, _CASCADE_SIGMA)
+    gaussian_sigma_max: float = ranged(2.5, _CASCADE_SIGMA)
+    fusion_tau: Optional[float] = ranged(None, Range(0))  # None: use sigma_est at call time
+    window_radius: int = ranged(3, Range(1, MAX_WINDOW_RADIUS))
 
     def __post_init__(self):
-        if self.bilateral_spatial_sigma <= 0 or self.bilateral_range_factor <= 0:
-            raise ValueError("bilateral sigmas must be positive")
-        if not 0 < self.gaussian_sigma_min <= self.gaussian_sigma_max:
+        check_ranges(self)
+        if not self.gaussian_sigma_min <= self.gaussian_sigma_max:
             raise ValueError("require 0 < gaussian_sigma_min <= gaussian_sigma_max")
-        if self.gaussian_sigma_divisor <= 0:
-            raise ValueError("gaussian_sigma_divisor must be positive")
-        if self.fusion_tau is not None and self.fusion_tau < 0:
-            raise ValueError("fusion_tau must be non-negative")
-        require_finite(**vars(self))  # every field is a number (fusion_tau may be None)
-        if not 1 <= self.window_radius <= MAX_WINDOW_RADIUS:
-            raise ValueError(
-                f"window_radius must be in [1, {MAX_WINDOW_RADIUS}], got {self.window_radius!r}")
-        for name in ("bilateral_spatial_sigma", "bilateral_range_factor",
-                     "gaussian_sigma_min", "gaussian_sigma_max"):
-            value = getattr(self, name)
-            if not MIN_CASCADE_SIGMA <= value <= MAX_CASCADE_SIGMA:
-                raise ValueError(
-                    f"{name} must be in [{MIN_CASCADE_SIGMA:g}, {MAX_CASCADE_SIGMA:g}], got {value!r}")
 
     def gaussian_sigma(self, sigma_est: float) -> float:
         return min(max(sigma_est / self.gaussian_sigma_divisor, self.gaussian_sigma_min),
@@ -174,31 +159,10 @@ def stage_fuse(
     return detail_out.with_luma(out.reshape(detail_out.y.shape))
 
 
-def denoise_keyframe(
-    frame: Frame,
-    estimate: float,
-    params: CascadeParams = CascadeParams(),
-    timings: Optional[dict] = None,
-) -> Frame:
-    """Full cascade at the estimated noise sigma; below PASSTHROUGH_SIGMA it returns frame.
-
-    timings, when given, receives per-stage milliseconds in place.
-    """
+def denoise_keyframe(frame: Frame, estimate: float, params: CascadeParams = CascadeParams()) -> Frame:
+    """Full cascade at the estimated noise sigma; below PASSTHROUGH_SIGMA it returns frame."""
     if estimate < PASSTHROUGH_SIGMA:
-        if timings is not None:
-            timings.update(detail_ms=0.0, smooth_ms=0.0, fuse_ms=0.0)
         return frame
-    t0 = time.perf_counter()
     detail = stage_detail(frame, estimate, params)
-    t1 = time.perf_counter()
     smooth = stage_smooth(frame, estimate, params)
-    t2 = time.perf_counter()
-    fused = stage_fuse(detail, smooth, estimate, params)
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings.update(
-            detail_ms=(t1 - t0) * 1e3,
-            smooth_ms=(t2 - t1) * 1e3,
-            fuse_ms=(t3 - t2) * 1e3,
-        )
-    return fused
+    return stage_fuse(detail, smooth, estimate, params)

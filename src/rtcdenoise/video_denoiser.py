@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frame import Frame, clamp_index, require_finite
+from .frame import Frame, Range, check_ranges, clamp_index, ranged
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, stage_detail
 from .rng import NoiseRng
 
@@ -207,15 +207,12 @@ def write_weights_file(weights: ConvWeightSet, path) -> int:
 @dataclass(frozen=True)
 class BlockParams:
     mode: BlockMode = BlockMode.CLASSICAL
-    k_temporal: float = 1.0
+    k_temporal: float = ranged(1.0, Range(MIN_K_TEMPORAL, MAX_K_TEMPORAL))
     spatial_enabled: bool = True
     conv_weights: Optional[ConvWeightSet] = None
 
     def __post_init__(self):
-        require_finite(k_temporal=self.k_temporal)
-        if not MIN_K_TEMPORAL <= self.k_temporal <= MAX_K_TEMPORAL:
-            raise ValueError(f"k_temporal must be in [{MIN_K_TEMPORAL:g}, {MAX_K_TEMPORAL:g}], "
-                             f"got {self.k_temporal!r}")
+        check_ranges(self)
 
 
 def _conv3x3(stack: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:

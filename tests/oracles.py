@@ -9,7 +9,9 @@ is evidence rather than tautology.
 All metric functions take plain 2-D float64 arrays in [0, 255].
 `denoise_stream` is the window-assembly reference the pipeline must match.
 `add_gaussian_noise` and `add_speckle` are the injectors' whole-plane
-formulas, one `NoiseRng.normals` block per frame.
+formulas, one `NoiseRng.normals` block per frame. `bilateral`, `fuse` and
+`classical_block` are per-pixel loops in the kernels' float32/float64
+operation order, so the kernels must equal them bit for bit.
 
 The `separable_*` metrics are the exception: they are the package's own
 separable-filter formulas as they stood before full-reference reports shared
@@ -215,6 +217,53 @@ def bilateral(plane: np.ndarray, sigma_est: float, spatial_sigma: float,
                 value_sum = np.float32(value_sum + weight * value)
             mean = float(np.float32(value_sum / weight_sum))
             out[i, j] = min(max(math.floor(mean + 0.5), 0), 255)
+    return out
+
+
+def fuse(detail: np.ndarray, smooth: np.ndarray, tau: float) -> np.ndarray:
+    """stage_fuse of two uint8 planes, one pixel at a time, in float64.
+
+    g is hypot(gx, gy) of the half central differences of detail, edges
+    replicated; the weight is g / (g + tau), or 0 where g + tau is not
+    positive; the blend weight * detail + (1 - weight) * smooth is rounded
+    half up and clamped to [0, 255].
+    """
+    h, w = detail.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    for i in range(h):
+        for j in range(w):
+            gx = 0.5 * (float(_clamped(detail, i, j + 1)) - float(_clamped(detail, i, j - 1)))
+            gy = 0.5 * (float(_clamped(detail, i + 1, j)) - float(_clamped(detail, i - 1, j)))
+            g = float(np.hypot(gx, gy))
+            denom = g + tau
+            weight = g / denom if denom > 0 else 0.0
+            blend = weight * float(detail[i, j]) + (1.0 - weight) * float(smooth[i, j])
+            out[i, j] = min(max(math.floor(blend + 0.5), 0), 255)
+    return out
+
+
+def classical_block(a: np.ndarray, b: np.ndarray, c: np.ndarray, sigma: float,
+                    k_temporal: float, spatial_enabled: bool) -> np.ndarray:
+    """CLASSICAL denoise_block of three uint8 planes, one pixel at a time.
+
+    In float32: each neighbour n of (a, c) gets w_n = exp(d * d * m) with
+    d = n - b and m = -float32(1 / (2 (k_temporal max(sigma, 0.5))^2)); the
+    centre is (w_a a + b + w_c c) / (w_a + 1 + w_c), each sum taken left to
+    right, then rounded half up and clamped. With spatial_enabled and sigma
+    at least 0.5, the radius-1 bilateral of that plane follows.
+    """
+    neg_inv = -np.float32(1.0 / (2.0 * (k_temporal * max(sigma, 0.5)) ** 2))
+    h, w = b.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    for i in range(h):
+        for j in range(w):
+            va, vb, vc = np.float32(a[i, j]), np.float32(b[i, j]), np.float32(c[i, j])
+            w_a = np.exp((va - vb) * (va - vb) * neg_inv)
+            w_c = np.exp((vc - vb) * (vc - vb) * neg_inv)
+            value = float((w_a * va + vb + w_c * vc) / (w_a + np.float32(1.0) + w_c))
+            out[i, j] = min(max(math.floor(value + 0.5), 0), 255)
+    if spatial_enabled and sigma >= 0.5:
+        out = bilateral(out, sigma, 2.0, 2.0, 1)
     return out
 
 

@@ -375,7 +375,7 @@ def test_non_finite_config_value_is_data_error(tmp_path, noisy_clip, capsys):
     out = tmp_path / "out.y4m"
     assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {cfg}:2: video_denoiser.k_temporal: must be finite, got nan"]
+    assert err == [f"error: {cfg}:2: video_denoiser.k_temporal: must be in [1e-06, 1000], got nan"]
     assert not out.exists()
 
 
@@ -391,13 +391,14 @@ def test_out_of_range_cascade_sigma_is_data_error(tmp_path, noisy_clip, key, val
     out = tmp_path / "out.y4m"
     assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: [image_denoiser]: {key} must be in ")
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: image_denoiser.{key}: must be in ")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("image_denoiser", "window_radius", "16"),
     ("image_denoiser", "window_radius", "1000000000"),
+    ("image_denoiser", "window_radius", "9" * 400),  # past float range: no OverflowError
     ("video_denoiser", "k_temporal", "1e200"),
     ("video_denoiser", "k_temporal", "1e-30"),
 ])
@@ -408,5 +409,5 @@ def test_out_of_range_window_radius_or_k_temporal_is_data_error(
     out = tmp_path / "out.y4m"
     assert main(["denoise", "--in", str(noisy_clip), "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: [{section}]: {key} must be in ")
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: {section}.{key}: must be in ")
     assert not out.exists()

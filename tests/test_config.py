@@ -1,4 +1,7 @@
 import io
+import math
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +26,8 @@ from rtcdenoise import (
     write_weights_file,
     zero_weights,
 )
+from rtcdenoise.config import _KEYS, _SCHEMA, _split
+from rtcdenoise.frame import range_of
 
 FULL_SAMPLE = """
 # full configuration exercising every key
@@ -189,20 +194,20 @@ def test_comments_blanks_and_whitespace_tolerated():
         ("seed = 1\n", "key before any [section]", 1),
         ("[pipeline]\nseed 1\n", "expected 'key = value'", 2),
         ("[pipeline]\nseed = 1\nseed = 2\n", "duplicate key 'seed'", 3),
-        ("[pipeline]\nthreshold = -5\n", "pipeline.threshold: must be non-negative", 2),
+        ("[pipeline]\nthreshold = -5\n", "pipeline.threshold: must be in [0, inf), got -5.0", 2),
         ("[pipeline]\nexecution = turbo\n", "pipeline.execution", 2),
         ("[sender]\nresolution_scale = 2/3\n", "resolution_scale must be 1, 3/4, or 1/2", 2),
         ("[loss]\np_loss = 1.5\n", "loss.p_loss: must be in [0, 1]", 2),
         ("[loss]\nmodel = lossy\n", "loss.model: expected one of", 2),
-        ("[video_denoiser]\ncadence = 1\n", "video_denoiser.cadence: must be >= 2", 2),
+        ("[video_denoiser]\ncadence = 1\n", "video_denoiser.cadence: must be in [2, inf], got 1", 2),
         ("[video_denoiser]\nmode = conv\n", "mode = conv requires a weights path", 2),
-        ("[image_denoiser]\nfusion_tau = -1\n", "fusion_tau must be non-negative", 2),
-        ("[pipeline]\nthreshold = nan\n", "pipeline.threshold: must be finite, got nan", 2),
-        ("[video_denoiser]\nk_temporal = nan\n", "video_denoiser.k_temporal: must be finite", 2),
-        ("[image_denoiser]\nfusion_tau = nan\n", "image_denoiser.fusion_tau: must be finite", 2),
-        ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be finite, got inf", 2),
-        ("[loss]\n\np_loss = -inf\n", "loss.p_loss: must be finite", 3),
-        ("[analyzer]\nbudget_ms = 1e999\n", "analyzer.budget_ms: must be finite", 2),
+        ("[image_denoiser]\nfusion_tau = -1\n", "fusion_tau: must be in [0, inf), got -1.0", 2),
+        ("[pipeline]\nthreshold = nan\n", "pipeline.threshold: must be in [0, inf), got nan", 2),
+        ("[video_denoiser]\nk_temporal = nan\n", "video_denoiser.k_temporal: must be in [1e-06, 1000], got nan", 2),
+        ("[image_denoiser]\nfusion_tau = nan\n", "image_denoiser.fusion_tau: must be in [0, inf), got nan", 2),
+        ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be in [0, inf), got inf", 2),
+        ("[loss]\n\np_loss = -inf\n", "loss.p_loss: must be in [0, 1], got -inf", 3),
+        ("[analyzer]\nbudget_ms = 1e999\n", "analyzer.budget_ms: must be in (0, inf), got inf", 2),
     ],
 )
 def test_errors_carry_source_and_line(text, fragment, line):
@@ -225,7 +230,7 @@ def test_cross_field_range_errors_located():
 @pytest.mark.parametrize(
     "text,fragment,line",
     [
-        ("# divisor\n[sender]\n\nframerate_divisor = 9\n", "sender.framerate_divisor: must be in 1..4", 4),
+        ("# divisor\n[sender]\n\nframerate_divisor = 9\n", "sender.framerate_divisor: must be in [1, 4], got 9", 4),
         ("[pipeline]\nseed = 1\n[image_denoiser]\ngaussian_sigma_max = 0.1\n",
          "[image_denoiser]: require 0 < gaussian_sigma_min <= gaussian_sigma_max", 4),
         ("[sender]\n# range\nq_min = 40\nq_max = 30\n", "[sender]: require 1 <= q_min <= q_max", 3),
@@ -263,6 +268,134 @@ def test_readme_config_block_is_the_default_dump():
     block = section.split("```\n")[1]
     uncommented = "".join(line for line in block.splitlines(keepends=True) if not line.startswith("#"))
     assert uncommented == dump_config(PipelineConfig())
+
+
+def _ranged_keys():
+    """(row, Range) for every config key whose target field declares a Range."""
+    defaults = PipelineConfig()
+    for row in _KEYS:
+        part, name, _ = _split(row.target)
+        valid = range_of(getattr(defaults, part) if part else defaults, name)
+        if valid is not None:
+            yield row, valid
+
+
+def _just_outside(valid, integer: bool) -> list:
+    """The nearest rejected value past each finite end of valid, as config text."""
+    def step(end, is_open, outward):
+        if is_open:
+            return end
+        return end + outward if integer else math.nextafter(end, outward * math.inf)
+    ends = [step(valid.lo, valid.open_lo, -1) if valid.lo is not None else None,
+            step(valid.hi, valid.open_hi, +1) if valid.hi is not None else None]
+    return [repr(float(v)) if not integer else str(int(v)) for v in ends if v is not None]
+
+
+def _default_lines(section: str) -> list:
+    """The `key = value` lines dump_config writes for section at the defaults."""
+    dump = dump_config(PipelineConfig())
+    return dump[dump.index(f"[{section}]\n"):].split("\n\n")[0].splitlines()[1:]
+
+
+def _out_of_range_cases():
+    for row, valid in _ranged_keys():
+        for value in _just_outside(valid, row.cast is int) + ["nan"]:
+            yield pytest.param(row, value, id=f"{row.section}.{row.key}={value}")
+
+
+@pytest.mark.parametrize("row, value", _out_of_range_cases())
+def test_out_of_range_value_is_reported_at_its_own_line(row, value):
+    other = next(line for line in _default_lines(row.section) if not line.startswith(f"{row.key} = "))
+    text = f"# a config\n[{row.section}]\n{other}\n\n{row.key} = {value}\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(text, source="r.cfg")
+    assert excinfo.value.line == 5
+    assert str(excinfo.value).startswith(f"r.cfg:5: {row.section}.{row.key}: ")
+
+
+def test_every_ranged_key_is_table_tested():
+    # each declared range has a finite end, so each key gets a case besides nan
+    assert all(_just_outside(valid, row.cast is int) for row, valid in _ranged_keys())
+    assert {row.key for row, _ in _ranged_keys()} >= {
+        "threshold", "window_radius", "k_temporal", "cadence", "budget_ms", "q", "q_max",
+        "framerate_divisor", "p_loss", "slice_height"}
+
+
+def test_readme_states_every_declared_bound():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme[readme.index("## Configuration"):].split("```\n")[1]
+    comments: dict = {}
+    section = None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line.startswith("#"):
+            comments[section] = f"{comments.get(section, '')} {line[1:].strip()}"
+    for row, valid in _ranged_keys():
+        assert row.key in comments[row.section], row.key
+        assert str(valid) in comments[row.section], (row.key, str(valid))
+
+
+def _fuzz_values(row, valid, rng) -> tuple:
+    """Candidate texts for one key: (mostly valid, mostly invalid).
+
+    The first list holds in-range, boundary and alternative spellings; the
+    second out-of-range, non-finite and malformed ones.
+    """
+    if valid is None:
+        spellings = {
+            "seed": (["0", "7", "-3", str(2 ** 70)], ["1.5", "x"]),
+            "execution": (["sequential", "threaded"], ["Threaded", "turbo"]),
+            "mode": (["classical", "CLASSICAL"], ["conv", "neural"]),
+            "spatial_enabled": (["true", "Yes", "on", "1", "false", "NO", "off", "0"], ["maybe"]),
+            "resolution_scale": (["1", "1/1", "3/4", "0.75", "1/2", "0.5"], ["2/3", "1.0"]),
+            "model": (["bernoulli", "Gilbert-Elliott"], ["markov"]),
+            "weights": ([], ["/nonexistent/weights.cwb"]),
+        }
+        return spellings[row.key]
+    integer = row.cast is int
+    good, bad = [], _just_outside(valid, integer) + ["nan", "inf", "-inf", "1e400", "abc", "", "-0.0"]
+    for end in (valid.lo, valid.hi):
+        if end is not None:
+            good += [str(int(end))] if integer else [repr(float(end)), repr(math.nextafter(end, 1.0))]
+    lo = valid.lo if valid.lo is not None else -1e3
+    hi = valid.hi if valid.hi is not None else lo + 1e3
+    if integer:
+        good += [str(rng.randint(int(lo), int(hi)))]
+        bad += ["2.5", "1e3", "9" * 40]
+    else:
+        good += [repr(rng.uniform(lo, hi)), f"{rng.uniform(lo, hi):.3g}", f"{rng.uniform(lo, hi):.2e}"]
+        bad += ["1_0"]
+    return good, bad
+
+
+def test_generated_configs_parse_or_raise_config_error_and_round_trip():
+    rng = random.Random(2024)
+    ranges = dict(_ranged_keys())
+    pools = {(row.section, row.key): _fuzz_values(row, ranges.get(row), rng) for row in _KEYS}
+    start = time.perf_counter()
+    accepted = 0
+    for _ in range(400):
+        lines = []
+        for section in rng.sample(list(_SCHEMA), rng.randint(1, len(_SCHEMA))):
+            lines.append(f"[{section}]")
+            for key in rng.sample(list(_SCHEMA[section]), rng.randint(0, len(_SCHEMA[section]))):
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["# comment", "", "   # indented comment"]))
+                good, bad = pools[section, key]
+                value = rng.choice(good if good and rng.random() < 0.95 else bad)
+                lines.append(rng.choice([f"{key} = {value}", f"{key}={value}", f"  {key}  =  {value}  "]))
+            if rng.random() < 0.02:
+                lines.append(rng.choice(["bogus = 1", "[nosuch]", "no equals sign"]))
+        try:
+            config = parse_config_text("\n".join(lines))
+        except ConfigError:
+            continue
+        accepted += 1
+        assert parse_config_text(dump_config(config)) == config
+    assert 40 <= accepted <= 360, accepted  # both outcomes are well exercised
+    assert time.perf_counter() - start < 2.0
+
 
 def test_parse_config_reads_file_and_names_it(tmp_path):
     path = tmp_path / "run.cfg"
@@ -341,7 +474,7 @@ _NAN = float("nan")
          "policy-budget-nan"],
 )
 def test_direct_api_rejects_non_finite_values(build):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be in .*, got (nan|inf)"):
         build()
 
 

@@ -16,6 +16,7 @@ from rtcdenoise import (
     stage_fuse,
     stage_smooth,
 )
+from rtcdenoise.metrics import gradient_magnitude
 from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MAX_WINDOW_RADIUS, MIN_CASCADE_SIGMA
 
 import oracles
@@ -57,7 +58,7 @@ def test_cascade_params_reject_sigmas_outside_bounds(fields):
 
 @pytest.mark.parametrize("radius", [0, 16, 1_000_000_000])
 def test_cascade_params_reject_window_radius_outside_bounds(radius):
-    with pytest.raises(ValueError, match=r"window_radius must be in \[1, 15\]"):
+    with pytest.raises(ValueError, match=r"window_radius: must be in \[1, 15\]"):
         CascadeParams(window_radius=radius)
 
 
@@ -205,6 +206,32 @@ def test_stage_fuse_weight_formula_midpoint():
     assert fused.luma_f64()[3, 4] == pytest.approx(expected_mid, abs=1.0)
 
 
+@pytest.mark.parametrize("tau", [None, 0.0, 7.5])
+def test_stage_fuse_matches_oracle(tau):
+    noisy = add_gaussian_noise(make_frame(37, 23, seed=21, with_chroma=True), 25.0, seed=21)
+    params = CascadeParams(fusion_tau=tau)
+    detail = stage_detail(noisy, 25.0, params)
+    smooth = stage_smooth(noisy, 25.0, params)
+    fused = stage_fuse(detail, smooth, 25.0, params)
+    assert np.array_equal(fused.y, oracles.fuse(detail.y, smooth.y, 25.0 if tau is None else tau))
+    assert fused.u is detail.u and fused.v is detail.v
+
+
+def test_stage_fuse_matches_oracle_next_to_rounding_ties():
+    # each smooth pixel puts the blend as near a half integer as it can, where
+    # a change to the kernel's float64 operation order is most likely to flip
+    # the rounding
+    tau = 7.5
+    detail = stage_detail(add_gaussian_noise(make_frame(37, 23, seed=22), 25.0, seed=22), 25.0)
+    g = gradient_magnitude(detail.y)
+    weight = (g / (g + tau))[..., None]
+    blend = weight * detail.y[..., None] + (1.0 - weight) * np.arange(256.0)
+    off = np.abs(blend - np.floor(blend) - 0.5)
+    smooth = Frame(y=np.argmin(np.where(off > 0, off, 1.0), axis=-1).astype(np.uint8))
+    fused = stage_fuse(detail, smooth, 25.0, CascadeParams(fusion_tau=tau))
+    assert np.array_equal(fused.y, oracles.fuse(detail.y, smooth.y, tau))
+
+
 def test_stage_fuse_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         stage_fuse(_const(0, 8, 8), _const(0, 8, 10), 5.0)
@@ -214,10 +241,8 @@ def test_stage_fuse_rejects_mismatched_shapes():
 
 def test_denoise_keyframe_passthrough_identity():
     frame = make_frame(40, 32, seed=3)
-    timings = {}
-    out = denoise_keyframe(frame, 0.3, timings=timings)
+    out = denoise_keyframe(frame, 0.3)
     assert out is frame
-    assert timings == {"detail_ms": 0.0, "smooth_ms": 0.0, "fuse_ms": 0.0}
 
 
 def test_denoise_keyframe_matches_stage_composition(natural_frames):
@@ -239,14 +264,6 @@ def test_denoise_keyframe_improves_psnr(natural_frames):
         denoised = denoise_keyframe(noisy, 25.0)
         gain = psnr(clean, denoised) - psnr(clean, noisy)
         assert gain >= 2.0
-
-
-def test_denoise_keyframe_reports_timings():
-    noisy = add_gaussian_noise(make_frame(32, 32, seed=7), 25.0, seed=7)
-    timings = {}
-    denoise_keyframe(noisy, 25.0, timings=timings)
-    assert set(timings) == {"detail_ms", "smooth_ms", "fuse_ms"}
-    assert all(v >= 0.0 for v in timings.values())
 
 
 def test_denoise_keyframe_preserves_chroma_planes():

@@ -134,6 +134,35 @@ def test_block_small_sigma_floor():
     assert out.y.dtype == np.uint8
 
 
+@pytest.mark.parametrize("spatial_enabled", [False, True])
+@pytest.mark.parametrize("sigma, k", [(0.2, 1.0), (18.0, 1.0), (18.0, 0.35)])
+def test_classical_block_matches_oracle(spatial_enabled, sigma, k):
+    clean = make_sequence(3, 37, 23, seed=9, motion=(1.0, 0.0), with_chroma=True)
+    a, b, c = (add_gaussian_noise(f, 18.0, seed=30 + i) for i, f in enumerate(clean))
+    out = denoise_block(a, b, c, sigma, BlockParams(k_temporal=k, spatial_enabled=spatial_enabled))
+    expected = oracles.classical_block(a.y, b.y, c.y, sigma, k, spatial_enabled)
+    assert np.array_equal(out.y, expected)
+    assert out.u is b.u and out.v is b.v
+
+
+def test_classical_block_matches_oracle_next_to_rounding_ties():
+    # each pixel's triplet puts the blend as near a half integer as integer
+    # inputs allow, where a change to the kernel's float32 operation order
+    # is most likely to flip the rounding
+    sigma, k = 40.0, 1.0
+    levels = np.arange(256.0)
+    a, b, c = (p.ravel() for p in np.meshgrid(levels, levels[1::16], levels, indexing="ij"))
+    w_a, w_c = (np.exp(-((n - b) ** 2) / (2.0 * (k * sigma) ** 2)) for n in (a, c))
+    value = (w_a * a + b + w_c * c) / (w_a + 1.0 + w_c)
+    off = np.abs(value - np.floor(value) - 0.5)
+    # below 1e-9 a blend is a tie up to weights too small to move a float32 sum
+    off[off <= 1e-9] = 1.0
+    chosen = np.sort(np.argpartition(off, 31 * 29)[: 31 * 29])
+    triplet = [Frame(y=p[chosen].reshape(31, 29).astype(np.uint8)) for p in (a, b, c)]
+    out = denoise_block(*triplet, sigma, BlockParams(k_temporal=k, spatial_enabled=False))
+    assert np.array_equal(out.y, oracles.classical_block(*(f.y for f in triplet), sigma, k, False))
+
+
 def test_block_validates_inputs():
     with pytest.raises(ValueError):
         denoise_block(_const(0, 8, 8), _const(0, 8, 9), _const(0, 8, 8), 5.0)
@@ -145,7 +174,7 @@ def test_block_validates_inputs():
 
 @pytest.mark.parametrize("k", [0.0, 1e-30, 9e-7, 1001.0, 1e200])
 def test_block_params_reject_k_temporal_outside_bounds(k):
-    with pytest.raises(ValueError, match=r"k_temporal must be in \[1e-06, 1000\]"):
+    with pytest.raises(ValueError, match=r"k_temporal: must be in \[1e-06, 1000\]"):
         BlockParams(k_temporal=k)
 
 
