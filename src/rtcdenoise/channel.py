@@ -70,7 +70,7 @@ class LossModel:
     p_enter_bad: float = ranged(0.05, _PROBABILITY)  # gilbert-elliott: good -> bad
     p_exit_bad: float = ranged(0.5, _PROBABILITY)    # gilbert-elliott: bad -> good
     p_loss_bad: float = ranged(0.8, _PROBABILITY)    # loss probability while in the bad state
-    slice_height: int = ranged(16, Range(1, finite=False))
+    slice_height: int = ranged(16, Range(1))
     seed: int = 0
     in_bad: bool = False
     draws: int = 0

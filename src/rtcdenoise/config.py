@@ -48,12 +48,12 @@ class PipelineConfig:
     seed: int = 0
     execution: str = "sequential"
     cascade: CascadeParams = field(default_factory=CascadeParams)
-    cadence: int = ranged(DEFAULT_CADENCE, Range(2, finite=False))
+    cadence: int = ranged(DEFAULT_CADENCE, Range(2))
     block: BlockParams = field(default_factory=BlockParams)
     weights_path: Optional[str] = None
     analyzer_weights: tuple = ranged(DEFAULT_WEIGHTS, Range(0))
     budget_ms: float = ranged(DEFAULT_BUDGET_MS, BUDGET_MS_RANGE)
-    feedback_window: int = ranged(DEFAULT_FEEDBACK_WINDOW, Range(0, finite=False))  # 0 disables feedback
+    feedback_window: int = ranged(DEFAULT_FEEDBACK_WINDOW, Range(0))  # 0 disables feedback
     sender: SenderConfig = field(default_factory=SenderConfig)
     loss: LossModel = field(default_factory=LossModel)
 

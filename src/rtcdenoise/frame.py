@@ -25,7 +25,6 @@ import numpy as np
 
 BIT_DEPTH = 8
 PIXEL_MAX = 255
-CHUNK_PIXELS = 1 << 15  # elements per elementwise pass; see chunk_bounds
 
 
 class FormatError(ValueError):
@@ -45,28 +44,26 @@ _RANGE = "range"  # dataclasses.field metadata key holding the field's Range
 class Range:
     """The valid values of a number: lo..hi, each end closed unless marked open.
 
-    A None end is unbounded. A finite range also rejects NaN and infinities;
-    otherwise NaN passes, as it compares false with every bound.
+    A None end is unbounded. NaN and infinities lie in no range.
     """
 
     lo: Optional[float] = None
     hi: Optional[float] = None
     open_lo: bool = False
     open_hi: bool = False
-    finite: bool = True
 
     def __contains__(self, value) -> bool:
-        # the bounds first: math.isfinite overflows on an int past float range
+        # an int is finite, also past float range, where math.isfinite overflows
         return not ((self.lo is not None and (value < self.lo or self.open_lo and value == self.lo))
                     or (self.hi is not None and (value > self.hi or self.open_hi and value == self.hi))
-                    or (self.finite and not math.isfinite(value)))
+                    or not (isinstance(value, int) or math.isfinite(value)))
 
     def __str__(self) -> str:
-        """Interval notation: "[1, 15]", "(0, inf)"; an unbounded end is open if finite."""
+        """Interval notation: "[1, 15]", "(0, inf)"; an unbounded end is open."""
         lo = "-inf" if self.lo is None else f"{self.lo:g}"
         hi = "inf" if self.hi is None else f"{self.hi:g}"
-        left = "(" if self.open_lo or (self.lo is None and self.finite) else "["
-        right = ")" if self.open_hi or (self.hi is None and self.finite) else "]"
+        left = "(" if self.open_lo or self.lo is None else "["
+        right = ")" if self.open_hi or self.hi is None else "]"
         return f"{left}{lo}, {hi}{right}"
 
 
@@ -171,6 +168,13 @@ class Frame:
         return self.y.astype(np.float64)
 
 
+# Elements per run of the elementwise passes (quantize_plane, the fusion
+# blend, detail retention, the noise injectors). A run is a few calls, so
+# longer runs save few lock hand-offs, and at 1 << 17 their float64
+# temporaries took 940-2,450 page faults per 480x360 call and 1.6-2x the time.
+ELEMENTWISE_PIXELS = 1 << 15
+
+
 def quantize_plane(values: np.ndarray) -> np.ndarray:
     """Round and clamp a real-valued plane to uint8.
 
@@ -181,7 +185,7 @@ def quantize_plane(values: np.ndarray) -> np.ndarray:
     out = np.empty(values.shape, dtype=np.uint8)
     src = values.reshape(-1)
     dst = out.reshape(-1)
-    buf = np.empty(min(src.size, CHUNK_PIXELS), dtype=np.float64)
+    buf = np.empty(min(src.size, ELEMENTWISE_PIXELS), dtype=np.float64)
     for c0, c1 in chunk_bounds(src.size):
         v = buf[: c1 - c0]
         np.add(src[c0:c1], 0.5, out=v, dtype=np.float64)
@@ -191,13 +195,21 @@ def quantize_plane(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def chunk_bounds(n: int, size: int = CHUNK_PIXELS) -> Iterator[tuple[int, int]]:
+def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]]:
     """Consecutive [start, stop) runs of at most ``size`` covering range(n).
 
-    Elementwise passes run one run at a time so their temporaries stay small
-    and in cache; a frame-sized temporary per pass would be allocated (and
-    page-faulted in) afresh on every call.
+    ``size`` defaults to ELEMENTWISE_PIXELS. Kernels run one run at a time,
+    so their temporaries stay small and in cache instead of being allocated
+    (and page-faulted in) frame-sized on every call. Each kernel family has
+    one size constant, kept beside it: ELEMENTWISE_PIXELS,
+    image_denoiser._BILATERAL_PIXELS and metrics._BAND_PIXELS. Two costs set
+    it: each numpy call hands the interpreter lock over, so under two threads
+    longer runs (fewer calls) wait less; but longer runs need larger
+    temporaries, which leave the core's cache and, past the allocator's mmap
+    threshold, are page-faulted in afresh on each run. The README's "Chunk
+    sizes" gives the measurements.
     """
+    size = ELEMENTWISE_PIXELS if size is None else size
     for c0 in range(0, n, size):
         yield c0, min(c0 + size, n)
 

@@ -82,11 +82,18 @@ _SSIM_TAPS = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
 _VIF_TAPS = tuple(_gaussian_taps(size, size / 5.0) for size in (17, 9, 5, 3))
 
 
-# Output pixels per row band of the moment filters. A band's temporaries
-# stay in cache and are reused rather than page-faulted in afresh, and the
-# rows a band filters beyond its own (the window's reach) stay few. At
-# 480x360, 1 << 15 and 1 << 16 took about 3.5x and 5x the page faults of 1 << 14.
+# Output pixels per row band of the separable filters: the metric moments
+# here and image_denoiser.stage_smooth. A band's temporaries stay in cache and
+# are reused rather than page-faulted in afresh, and the rows a band filters
+# beyond its own (the window's reach) stay few. At 480x360, 1 << 15 and
+# 1 << 16 took about 1.6x and 2.3x the page faults of 1 << 14 per
+# full-reference report, and its time did not move on one or two threads.
 _BAND_PIXELS = 1 << 14
+
+
+def _row_bands(rows: int, width: int, step: int = 1):
+    """chunk_bounds over rows: bands of about _BAND_PIXELS pixels, a multiple of step rows."""
+    return chunk_bounds(rows, max(step, _BAND_PIXELS // width // step * step))
 
 
 class _Scratch:
@@ -107,41 +114,50 @@ class _Scratch:
         return flat[:size].reshape(shape)
 
 
-def _filter_valid(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
     """Separable correlation, keeping only fully-covered window positions.
 
     The second pass filters only the rows the crop keeps, each row on its own,
-    so the values are those of filtering the whole plane and cropping.
+    so the values are those of filtering the whole plane and cropping. The
+    passes write into scratch's "rows" and name maps; the result is a view of
+    the latter, valid until the next call that writes it.
     """
+    h, w = plane.shape
     r = (len(taps) - 1) // 2
-    rows = correlate1d(plane, taps, axis=0, mode="constant")[r : plane.shape[0] - r]
-    return correlate1d(rows, taps, axis=1, mode="constant")[:, r : plane.shape[1] - r]
+    rows = correlate1d(plane, taps, axis=0, output=scratch.plane("rows", plane.shape),
+                       mode="constant")[r : h - r]
+    out = correlate1d(rows, taps, axis=1, output=scratch.plane(name, rows.shape), mode="constant")
+    return out[:, r : w - r]
 
 
-def _moment_bands(plane: np.ndarray, taps: np.ndarray, ref: Optional[np.ndarray] = None):
+def _moment_bands(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch,
+                  ref: Optional[np.ndarray] = None):
     """Windowed moments of a plane, one row band of fully-covered positions at a time.
 
     Yields (rows, mean, filtered plane², filtered ref * plane); the last is
     None without a ref plane. A band filters its own rows plus the window's
     reach above and below, and each filtered value depends on those rows
     alone, so every value equals that of filtering the whole plane. A uint8
-    plane is converted to float64 one band at a time.
+    plane is converted to float64 one band at a time. The moments are views
+    of scratch, overwritten by the next band.
     """
     reach = len(taps) - 1
-    for r0, r1 in chunk_bounds(plane.shape[0] - reach, max(1, _BAND_PIXELS // plane.shape[1])):
+    for r0, r1 in _row_bands(plane.shape[0] - reach, plane.shape[1]):
         band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
-        cross = None if ref is None else _filter_valid(ref[r0 : r1 + reach] * band, taps)
-        yield slice(r0, r1), _filter_valid(band, taps), _filter_valid(band * band, taps), cross
+        cross = (None if ref is None
+                 else _filter_valid(ref[r0 : r1 + reach] * band, taps, scratch, "cross"))
+        yield (slice(r0, r1), _filter_valid(band, taps, scratch, "mean"),
+               _filter_valid(band * band, taps, scratch, "square"), cross)
 
 
-def _filter_halve(plane: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _filter_halve(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """_filter_valid(plane, taps)[::2, ::2], filtered one even-aligned row band at a time."""
     reach = len(taps) - 1
     rows = plane.shape[0] - reach
     out = np.empty(((rows + 1) // 2, (plane.shape[1] - reach + 1) // 2), dtype=np.float64)
-    for r0, r1 in chunk_bounds(rows, max(2, _BAND_PIXELS // plane.shape[1] // 2 * 2)):
+    for r0, r1 in _row_bands(rows, plane.shape[1], step=2):
         band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
-        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(band, taps)[::2, ::2]
+        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(band, taps, scratch, "mean")[::2, ::2]
     return out
 
 
@@ -153,12 +169,12 @@ class _Moments(NamedTuple):
     var: np.ndarray
 
 
-def _reference_moments(plane: np.ndarray, taps: np.ndarray) -> _Moments:
+def _reference_moments(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> _Moments:
     reach = len(taps) - 1
     shape = (plane.shape[0] - reach, plane.shape[1] - reach)
     mu = np.empty(shape, dtype=np.float64)
     var = np.empty(shape, dtype=np.float64)
-    for rows, mu_a, square, _ in _moment_bands(plane, taps):
+    for rows, mu_a, square, _ in _moment_bands(plane, taps, scratch):
         mu[rows] = mu_a
         np.subtract(square, mu_a * mu_a, out=var[rows])
     return _Moments(plane, mu, var)
@@ -177,7 +193,7 @@ def _ssim_maps(ref: _Moments, plane: np.ndarray, scratch: _Scratch):
     """cs and luminance * cs maps of a test plane against one reference level."""
     cs_map = scratch.plane("map", ref.mu.shape)
     ssim_map = scratch.plane("ssim", ref.mu.shape)
-    for rows, mu_b, square, cross in _moment_bands(plane, _SSIM_TAPS, ref.plane):
+    for rows, mu_b, square, cross in _moment_bands(plane, _SSIM_TAPS, scratch, ref.plane):
         mu_a = ref.mu[rows]
         var_b = square - mu_b * mu_b
         cov = cross - mu_a * mu_b
@@ -192,14 +208,14 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
 
 
-def _ms_ssim_levels(plane: np.ndarray) -> list:
+def _ms_ssim_levels(plane: np.ndarray, scratch: _Scratch) -> list:
     """Reference moments at every MS-SSIM level the frame size allows (5 max)."""
     levels = []
     dim = min(plane.shape)
     while dim >= _SSIM_WINDOW and len(levels) < len(MS_SSIM_WEIGHTS):
         if levels:
             plane = _downsample2(plane)
-        levels.append(_reference_moments(plane, _SSIM_TAPS))
+        levels.append(_reference_moments(plane, _SSIM_TAPS, scratch))
         dim //= 2
     return levels
 
@@ -233,17 +249,17 @@ class _VifScale(NamedTuple):
     den: float  # this scale's denominator term
 
 
-def _vifp_scales(plane: np.ndarray) -> list:
+def _vifp_scales(plane: np.ndarray, scratch: _Scratch) -> list:
     """Reference side of each VIFp scale the frame size allows (none below 17 px)."""
     scales = []
     for scale, taps in enumerate(_VIF_TAPS, start=1):
         if scale > 1:
             if min(plane.shape) < len(taps):
                 break
-            plane = _filter_halve(plane, taps)
+            plane = _filter_halve(plane, taps, scratch)
         if min(plane.shape) < len(taps):
             break
-        _, mu, var = _reference_moments(plane, taps)
+        _, mu, var = _reference_moments(plane, taps, scratch)
         np.maximum(var, 0.0, out=var)
         weak = var < _VIF_EPS
         var[weak] = 0.0
@@ -257,9 +273,9 @@ def _vifp(scales: list, plane: np.ndarray, scratch: _Scratch) -> float:
     den = 0.0
     for index, ref in enumerate(scales):
         if index:
-            plane = _filter_halve(plane, ref.taps)
+            plane = _filter_halve(plane, ref.taps, scratch)
         info = scratch.plane("map", ref.mu.shape)
-        for rows, mu_b, square, cross in _moment_bands(plane, ref.taps, ref.plane):
+        for rows, mu_b, square, cross in _moment_bands(plane, ref.taps, scratch, ref.plane):
             mu_a = ref.mu[rows]
             var_b = square - mu_b * mu_b
             cov = cross - mu_a * mu_b
@@ -301,7 +317,7 @@ def ssim(ref: Frame, test: Frame) -> float:
     a, b = _luma_pair(ref, test)
     _require_side(a, _SSIM_WINDOW)
     scratch = _Scratch()
-    _, ssim_map = _ssim_maps(_reference_moments(a, _SSIM_TAPS), b, scratch)
+    _, ssim_map = _ssim_maps(_reference_moments(a, _SSIM_TAPS, scratch), b, scratch)
     return float(np.mean(ssim_map))
 
 
@@ -310,7 +326,7 @@ def ms_ssim(ref: Frame, test: Frame) -> float:
     a, b = _luma_pair(ref, test)
     _require_side(a, _SSIM_WINDOW)
     scratch = _Scratch()
-    return _ms_ssim(_ms_ssim_levels(a), b, scratch)[0]
+    return _ms_ssim(_ms_ssim_levels(a, scratch), b, scratch)[0]
 
 
 def vifp(ref: Frame, test: Frame) -> float:
@@ -318,7 +334,7 @@ def vifp(ref: Frame, test: Frame) -> float:
     a, b = _luma_pair(ref, test)
     _require_side(a, MIN_METRIC_SIDE)
     scratch = _Scratch()
-    return _vifp(_vifp_scales(a), b, scratch)
+    return _vifp(_vifp_scales(a, scratch), b, scratch)
 
 
 class FullReferenceScores(NamedTuple):
@@ -333,13 +349,13 @@ class FullReferenceScores(NamedTuple):
 def _psnr_and_ms_ssim(reference: np.ndarray, planes: list) -> tuple[list, list]:
     scratch = _Scratch()
     psnr_values = [_psnr(reference, plane, scratch) for plane in planes]
-    levels = _ms_ssim_levels(reference)
+    levels = _ms_ssim_levels(reference, scratch)
     return psnr_values, [_ms_ssim(levels, plane, scratch) for plane in planes]
 
 
 def _vifp_family(reference: np.ndarray, planes: list) -> list:
     scratch = _Scratch()
-    scales = _vifp_scales(reference)
+    scales = _vifp_scales(reference, scratch)
     return [_vifp(scales, plane, scratch) for plane in planes]
 
 

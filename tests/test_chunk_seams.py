@@ -1,0 +1,171 @@
+"""Chunked kernels give the same bits whatever their chunk size.
+
+Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
+image_denoiser._BILATERAL_PIXELS and metrics._BAND_PIXELS (row bands of the
+separable filters). At their shipped sizes every test frame elsewhere fits in
+one chunk, so these tests shrink each constant to small odd sizes, putting
+many seams inside small frames, and compare against the oracles.
+"""
+
+import numpy as np
+import pytest
+from scipy.ndimage import correlate1d
+
+from rtcdenoise import (
+    BlockParams,
+    CascadeParams,
+    PipelineConfig,
+    VideoSequence,
+    add_gaussian_noise,
+    denoise_block,
+    detail_retention,
+    gaussian_kernel,
+    make_frame,
+    make_sequence,
+    ms_ssim,
+    psnr,
+    quantize_plane,
+    run_denoise,
+    ssim,
+    stage_detail,
+    stage_fuse,
+    stage_smooth,
+    vifp,
+)
+from rtcdenoise import frame as frame_module
+from rtcdenoise import image_denoiser, metrics
+from rtcdenoise.metrics import full_reference_scores
+
+import oracles
+from util import sequences_equal
+
+SMALL_SIZES = (1, 7, 61)
+
+
+def _noisy(width, height, seed, sigma=25.0, with_chroma=False):
+    clean = make_frame(width, height, seed=seed, with_chroma=with_chroma)
+    return add_gaussian_noise(clean, sigma, seed=seed)
+
+
+# --- the bilateral ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+@pytest.mark.parametrize("radius", [1, 3])
+def test_bilateral_across_chunk_seams_matches_oracle(monkeypatch, size, radius):
+    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)
+    shape = (9, 11) if size == 1 else (21, 17)
+    frame = _noisy(shape[1], shape[0], seed=40 + size)
+    for sigma in (8.0, 25.0):
+        expected = oracles.bilateral(frame.y, sigma, 2.0, 2.0, radius)
+        assert np.array_equal(stage_detail(frame, sigma, CascadeParams(window_radius=radius)).y,
+                              expected), sigma
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_classical_block_across_chunk_seams_matches_oracle(monkeypatch, size):
+    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    shape = (9, 11) if size == 1 else (23, 19)
+    clean = make_sequence(3, shape[1], shape[0], seed=9, motion=(1.0, 0.0))
+    a, b, c = (add_gaussian_noise(f, 18.0, seed=50 + i) for i, f in enumerate(clean))
+    out = denoise_block(a, b, c, 20.0, BlockParams())
+    assert np.array_equal(out.y, oracles.classical_block(a.y, b.y, c.y, 20.0, 1.0, True))
+
+
+# --- the elementwise passes -----------------------------------------------------
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_quantize_plane_across_chunk_seams(monkeypatch, size):
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    values = np.random.default_rng(size).uniform(-20.0, 280.0, size=(13, 29))
+    values[0, :4] = (0.5, 1.5, 254.5, 255.5)
+    expected = np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
+    assert np.array_equal(quantize_plane(values), expected)
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_stage_fuse_across_chunk_seams_matches_oracle(monkeypatch, size):
+    noisy = _noisy(37, 23, seed=21, with_chroma=True)
+    detail = stage_detail(noisy, 25.0)
+    smooth = stage_smooth(noisy, 25.0)
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    for tau in (None, 0.0, 7.5):
+        fused = stage_fuse(detail, smooth, 25.0, CascadeParams(fusion_tau=tau))
+        assert np.array_equal(fused.y, oracles.fuse(detail.y, smooth.y, 25.0 if tau is None else tau))
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_detail_retention_across_chunk_seams_matches_oracle(monkeypatch, size):
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    ref = make_frame(37, 23, seed=23)
+    test = _noisy(37, 23, seed=23)
+    assert detail_retention(ref, test) == oracles.detail_retention(ref.y, test.y)
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_noise_injector_across_chunk_seams_matches_oracle(monkeypatch, size):
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    frame = make_frame(37, 23, seed=24)
+    assert np.array_equal(add_gaussian_noise(frame, 25.0, seed=7).y,
+                          oracles.add_gaussian_noise(frame, 25.0, seed=7).y)
+
+
+# --- the row bands of the separable filters ------------------------------------
+
+# 1 is one row per band; at 53 pixels per row, 61 is one row and 331 six
+BAND_SIZES = (1, 61, 331)
+
+
+def _whole_plane_smooth(plane: np.ndarray, sigma_est: float) -> np.ndarray:
+    kernel = gaussian_kernel(CascadeParams().gaussian_sigma(sigma_est))
+    rows = correlate1d(plane.astype(np.float64), kernel, axis=0, mode="nearest")
+    return quantize_plane(correlate1d(rows, kernel, axis=1, mode="nearest"))
+
+
+@pytest.mark.parametrize("size", BAND_SIZES)
+def test_stage_smooth_across_band_seams_equals_whole_plane_filter(monkeypatch, size):
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+    # sigma 60 reaches 8 rows, more than a band; 7 rows is less than one reach
+    for shape in ((47, 53), (7, 53)):
+        frame = _noisy(shape[1], shape[0], seed=25)
+        for sigma in (5.0, 25.0, 60.0):
+            assert np.array_equal(stage_smooth(frame, sigma).y, _whole_plane_smooth(frame.y, sigma))
+
+
+@pytest.mark.parametrize("size", BAND_SIZES)
+def test_metrics_across_band_seams_equal_separable_reference(monkeypatch, size):
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+    ref = make_frame(53, 47, seed=26)
+    tests = [_noisy(53, 47, seed=26), stage_smooth(ref, 40.0)]
+    a = ref.luma_f64()
+    expected = []
+    for test in tests:
+        b = test.luma_f64()
+        expected.append((oracles.separable_psnr(a, b), oracles.separable_ssim(a, b),
+                         oracles.separable_ms_ssim(a, b), oracles.separable_vifp(a, b)))
+        assert (psnr(ref, test), ssim(ref, test), ms_ssim(ref, test), vifp(ref, test)) == expected[-1]
+    assert [tuple(s) for s in full_reference_scores(ref, tests)] == expected
+
+
+# --- both execution modes, every family cut small -------------------------------
+
+
+def test_modes_agree_with_every_family_across_seams(monkeypatch):
+    clean = make_sequence(16, 48, 32, seed=27, motion=(1.0, 0.0), with_chroma=True)
+    # sigma switches inside cohorts, so both routes run
+    noisy = VideoSequence(tuple(add_gaussian_noise(f, 30.0 if (t // 7) % 2 else 4.0, seed=t)
+                                for t, f in enumerate(clean)))
+    reference = run_denoise(noisy, PipelineConfig())
+    # a 48x32 plane is 1,536 pixels; the bilateral runs over (32 - 1) * 54 + 48
+    # flat positions at radius 3; at 48 pixels per row a 97-pixel band is 2 rows
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", 61)
+    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", 127)
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", 97)
+    runs = [run_denoise(noisy, PipelineConfig(execution=mode)) for mode in ("sequential", "threaded")]
+    stats = reference[2]
+    assert 0 < stats.frames_bypassed < len(noisy)
+    for output, reports, _ in runs:
+        assert sequences_equal(output, reference[0])
+        assert reports == reference[1]

@@ -15,6 +15,7 @@ from rtcdenoise import (
     ConfigError,
     FeedbackPolicy,
     LossKind,
+    LossModel,
     NoiseRng,
     PipelineConfig,
     SenderConfig,
@@ -199,7 +200,7 @@ def test_comments_blanks_and_whitespace_tolerated():
         ("[sender]\nresolution_scale = 2/3\n", "resolution_scale must be 1, 3/4, or 1/2", 2),
         ("[loss]\np_loss = 1.5\n", "loss.p_loss: must be in [0, 1]", 2),
         ("[loss]\nmodel = lossy\n", "loss.model: expected one of", 2),
-        ("[video_denoiser]\ncadence = 1\n", "video_denoiser.cadence: must be in [2, inf], got 1", 2),
+        ("[video_denoiser]\ncadence = 1\n", "video_denoiser.cadence: must be in [2, inf), got 1", 2),
         ("[video_denoiser]\nmode = conv\n", "mode = conv requires a weights path", 2),
         ("[image_denoiser]\nfusion_tau = -1\n", "fusion_tau: must be in [0, inf), got -1.0", 2),
         ("[pipeline]\nthreshold = nan\n", "pipeline.threshold: must be in [0, inf), got nan", 2),
@@ -468,10 +469,17 @@ _NAN = float("nan")
         lambda: CascadeParams(fusion_tau=_NAN),
         lambda: BlockParams(k_temporal=_NAN),
         lambda: FeedbackPolicy(budget_ms=_NAN),
+        lambda: PipelineConfig(cadence=_NAN),
+        lambda: PipelineConfig(cadence=float("inf")),
+        lambda: PipelineConfig(feedback_window=_NAN),
+        lambda: PipelineConfig(feedback_window=float("inf")),
+        lambda: LossModel(slice_height=_NAN),
+        lambda: LossModel(slice_height=float("inf")),
     ],
     ids=["threshold-nan", "threshold-inf", "budget-nan", "weight-nan", "noise-sigma-nan",
          "bilateral-sigma-nan", "gaussian-divisor-nan", "fusion-tau-nan", "k-temporal-nan",
-         "policy-budget-nan"],
+         "policy-budget-nan", "cadence-nan", "cadence-inf", "feedback-window-nan",
+         "feedback-window-inf", "slice-height-nan", "slice-height-inf"],
 )
 def test_direct_api_rejects_non_finite_values(build):
     with pytest.raises(ValueError, match="must be in .*, got (nan|inf)"):
@@ -508,3 +516,11 @@ def test_pipeline_config_direct_validation():
         PipelineConfig(feedback_window=-1)
     with pytest.raises(ValueError):
         PipelineConfig(analyzer_weights=(0.5, 0.5))
+
+
+def test_integer_past_float_range_is_finite():
+    # math.isfinite overflows on such an int; an open upper end accepts it
+    config = parse_config_text("[video_denoiser]\ncadence = " + "9" * 400 + "\n")
+    assert config.cadence == int("9" * 400)
+    with pytest.raises(ConfigError, match="window_radius: must be in"):
+        parse_config_text("[image_denoiser]\nwindow_radius = " + "9" * 400 + "\n")
