@@ -6,6 +6,8 @@ five-frame temporal cascade. An analyzer scores the result and feeds
 bitrate/resolution/framerate recommendations back to a simulated sender.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analyzer import (
     DEFAULT_BUDGET_MS,
     DEFAULT_FEEDBACK_WINDOW,
@@ -113,98 +115,6 @@ from .video_denoiser import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyzerReport",
-    "BIT_DEPTH",
-    "BlockMode",
-    "BlockParams",
-    "CascadeParams",
-    "ConfigError",
-    "ConvWeightSet",
-    "DEFAULT_BUDGET_MS",
-    "DEFAULT_CADENCE",
-    "DEFAULT_FEEDBACK_WINDOW",
-    "DEFAULT_FORK_THRESHOLD",
-    "DEFAULT_WEIGHTS",
-    "EXECUTION_MODES",
-    "FeedbackMessage",
-    "FeedbackPolicy",
-    "ForkDecision",
-    "FormatError",
-    "Frame",
-    "FrameRole",
-    "INFINITE",
-    "LossKind",
-    "LossModel",
-    "MAX_FRAMERATE_DIVISOR",
-    "MS_SSIM_WEIGHTS",
-    "NoiseCategory",
-    "NoiseEstimate",
-    "NoiseRng",
-    "PASSTHROUGH_SIGMA",
-    "PIXEL_MAX",
-    "PipelineConfig",
-    "PipelineStats",
-    "Recommendation",
-    "Route",
-    "SCALE_LADDER",
-    "SenderConfig",
-    "SenderTraceEntry",
-    "SimulationResult",
-    "VideoSequence",
-    "WindowPlan",
-    "add_gaussian_noise",
-    "add_salt_pepper",
-    "add_speckle",
-    "analyze_frame",
-    "blockiness_ratio",
-    "build_report",
-    "build_report_noref",
-    "clamp_index",
-    "classify_noise",
-    "denoise_block",
-    "denoise_keyframe",
-    "denoise_window",
-    "detail_retention",
-    "dump_config",
-    "encode_decode",
-    "estimate_sigma",
-    "feedback_to_json",
-    "fork_decision",
-    "fresh_loss_model",
-    "gaussian_kernel",
-    "impulse_fraction",
-    "luma_histogram",
-    "make_feedback",
-    "make_frame",
-    "make_sequence",
-    "mean_var_correlation",
-    "median_filter_3x3",
-    "ms_ssim",
-    "parse_config",
-    "parse_config_text",
-    "performance_score",
-    "psnr",
-    "quantize_plane",
-    "random_weights",
-    "read_weights",
-    "read_weights_file",
-    "read_y4m",
-    "read_y4m_file",
-    "report_to_json",
-    "run_denoise",
-    "run_simulate",
-    "schedule_windows",
-    "sender_step",
-    "ssim",
-    "stage_detail",
-    "stage_fuse",
-    "stage_smooth",
-    "transmit",
-    "vifp",
-    "write_weights",
-    "write_weights_file",
-    "write_y4m",
-    "write_y4m_file",
-    "zero_weights",
-]
+# every name imported above, and only those
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

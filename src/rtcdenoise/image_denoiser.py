@@ -4,7 +4,9 @@ Two parallel stages process the same input: a bilateral filter that keeps
 edges (detail stage) and a noise-scaled Gaussian blur that buys PSNR
 (smooth stage). A fusion stage blends them per pixel, gated by the local
 gradient magnitude of the detail output, so edges keep the bilateral result
-and flat regions take the blur.
+and flat regions take the blur. denoise_keyframe forks the smooth stage and
+half of the bilateral's runs (lanes.Fork) while the caller filters the other
+half, then fuses.
 
 Below sigma 0.5 the whole cascade is a bit-exact passthrough: denoising
 visually clean frames only costs latency.
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
+from .lanes import Fork
 from .metrics import _GRADIENT_TABLE, _gaussian_taps, _gradient_index, _row_bands
 
 PASSTHROUGH_SIGMA = 0.5
@@ -70,6 +73,37 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 _BILATERAL_PIXELS = 1 << 17
 
 
+def _bilateral_runs(padded, taps, inv_2sr, first, out, lo: int, hi: int) -> None:
+    """stage_detail's output at flat positions lo..hi, one _BILATERAL_PIXELS run at a time."""
+    wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, _BILATERAL_PIXELS)), np.float32)
+    for r0, r1 in chunk_bounds(hi - lo, _BILATERAL_PIXELS):
+        c0, c1 = lo + r0, lo + r1
+        centre = padded[first + c0 : first + c1]
+        wgt = wgt_buf[: c1 - c0]
+        weight_sum = weight_buf[: c1 - c0]
+        value_sum = value_buf[: c1 - c0]
+        weight_sum.fill(0.0)
+        value_sum.fill(0.0)
+        for shift, spatial in taps:
+            if shift == 0:
+                # the centre tap has delta 0, so its weight is exp(0) = 1
+                weight_sum += 1.0
+                value_sum += centre
+                continue
+            shifted = padded[first + shift + c0 : first + shift + c1]
+            # wgt = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order
+            np.subtract(shifted, centre, out=wgt)
+            np.multiply(wgt, wgt, out=wgt)
+            np.multiply(wgt, inv_2sr, out=wgt)
+            np.subtract(spatial, wgt, out=wgt)
+            np.exp(wgt, out=wgt)
+            weight_sum += wgt
+            wgt *= shifted
+            value_sum += wgt
+        value_sum /= weight_sum
+        out[c0:c1] = quantize_plane(value_sum)
+
+
 def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = CascadeParams()) -> Frame:
     """Edge-preserving bilateral filter over a (2r+1)^2 window."""
     if sigma_est < 0:
@@ -95,32 +129,11 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
         for dx in range(-r, r + 1)
     ]
     out = np.empty(h * pw, dtype=np.uint8)
-    wgt_buf, weight_buf, value_buf = np.empty((3, min(n, _BILATERAL_PIXELS)), dtype=np.float32)
-    for c0, c1 in chunk_bounds(n, _BILATERAL_PIXELS):
-        centre = padded[first + c0 : first + c1]
-        wgt = wgt_buf[: c1 - c0]
-        weight_sum = weight_buf[: c1 - c0]
-        value_sum = value_buf[: c1 - c0]
-        weight_sum.fill(0.0)
-        value_sum.fill(0.0)
-        for shift, spatial in taps:
-            if shift == 0:
-                # the centre tap has delta 0, so its weight is exp(0) = 1
-                weight_sum += 1.0
-                value_sum += centre
-                continue
-            shifted = padded[first + shift + c0 : first + shift + c1]
-            # wgt = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order
-            np.subtract(shifted, centre, out=wgt)
-            np.multiply(wgt, wgt, out=wgt)
-            np.multiply(wgt, inv_2sr, out=wgt)
-            np.subtract(spatial, wgt, out=wgt)
-            np.exp(wgt, out=wgt)
-            weight_sum += wgt
-            wgt *= shifted
-            value_sum += wgt
-        value_sum /= weight_sum
-        out[c0:c1] = quantize_plane(value_sum)
+    # the second half of the runs is forked; each position depends on the
+    # padded plane alone, so the split changes no bit
+    with Fork(_bilateral_runs, padded, taps, inv_2sr, first, out, n // 2, n) as half:
+        _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n // 2)
+        half.join()
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 
@@ -188,6 +201,5 @@ def denoise_keyframe(frame: Frame, estimate: float, params: CascadeParams = Casc
     """Full cascade at the estimated noise sigma; below PASSTHROUGH_SIGMA it returns frame."""
     if estimate < PASSTHROUGH_SIGMA:
         return frame
-    detail = stage_detail(frame, estimate, params)
-    smooth = stage_smooth(frame, estimate, params)
-    return stage_fuse(detail, smooth, estimate, params)
+    with Fork(stage_smooth, frame, estimate, params) as smooth:
+        return stage_fuse(stage_detail(frame, estimate, params), smooth.join(), estimate, params)

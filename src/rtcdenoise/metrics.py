@@ -12,8 +12,8 @@ A full-reference report scores the received and the denoised frame against
 one reference, in two independent families: PSNR with MS-SSIM (SSIM is the
 mean of luminance * cs at MS-SSIM level 0, so it needs no filtering of its
 own), and VIFp. full_reference_scores runs the families at the same time:
-the calling thread scores the first while one process-wide helper thread
-scores VIFp, and the filters release the interpreter lock. Each family builds
+the calling thread scores the first while VIFp is forked to the other lane
+(lanes.Fork), and the filters release the interpreter lock. Each family builds
 its reference side once for both test frames: at every MS-SSIM level and
 VIFp scale the windowed mean and variance (for VIFp also the weak-reference
 mask and the denominator term). The standalone functions run through the
@@ -33,13 +33,13 @@ bit-identical floats.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from .frame import PIXEL_MAX, Frame, chunk_bounds
+from .lanes import Fork
 
 INFINITE = math.inf
 
@@ -359,20 +359,14 @@ def _vifp_family(reference: np.ndarray, planes: list) -> list:
     return [_vifp(scales, plane, scratch) for plane in planes]
 
 
-# Scores the VIFp family of full-reference reports. One thread serves the
-# whole process and starts on the first report.
-_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rtcdenoise-vifp")
-
-
 def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
     """PSNR, SSIM, MS-SSIM and VIFp of each test frame against one reference.
 
     Each family's reference side is built once and serves every test frame.
-    The helper thread scores VIFp while the calling thread scores PSNR and
-    MS-SSIM. A VIFp task the helper has not started by then (it may be busy
-    with another caller's) is taken back and run by the caller, so no report
-    waits behind another. Nothing is kept across calls, and no helper task
-    of the call is left running when it returns or raises.
+    VIFp is forked (lanes.Fork) while the calling thread scores PSNR and
+    MS-SSIM; if no helper has started it by then (it may be busy with other
+    work), the caller runs it. Nothing is kept across calls, and no helper
+    task of the call is left running when it returns or raises.
     """
     for test in tests:
         _check_dimensions(reference, test)
@@ -380,14 +374,9 @@ def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
     _require_side(a, _SSIM_WINDOW)
     _require_side(a, MIN_METRIC_SIDE)
     planes = [test.y for test in tests]
-    vifp_task = _HELPER.submit(_vifp_family, a, planes)
-    try:
+    with Fork(_vifp_family, a, planes) as vifp_task:
         psnr_values, ms_ssim_pairs = _psnr_and_ms_ssim(a, planes)
-    except BaseException:
-        if not vifp_task.cancel():
-            vifp_task.exception()  # waits; the caller's error is the one raised
-        raise
-    vifp_values = _vifp_family(a, planes) if vifp_task.cancel() else vifp_task.result()
+        vifp_values = vifp_task.join()
     return [
         FullReferenceScores(p, s, m, v)
         for p, (m, s), v in zip(psnr_values, ms_ssim_pairs, vifp_values)

@@ -12,10 +12,12 @@ cascade) per keyframe, and a cohort unit per cohort (for each frame, its
 temporal window, then its report). One driver loop produces frames, submits
 each unit once every frame it reads has arrived, and collects the results in
 order. The execution mode only decides how a unit runs: `sequential` runs it
-inline, `threaded` on a thread pool sized to the CPUs the process may use.
-Either way the units do the exact same arithmetic, so both modes produce
-bit-identical videos, reports, and feedback logs, and an exception raised in
-a unit reaches the caller.
+inline and forks work to the helper lane (lanes.Fork; see _cohort),
+`threaded` runs it on a thread pool sized to the CPUs the process may use,
+where forks run on the worker that joins them. Either way the units do the
+exact same arithmetic, so both modes produce bit-identical videos, reports,
+and feedback logs, and an exception raised in a unit or a fork reaches the
+caller.
 
 Determinism versus timing: reports and the feedback policy carry a *modeled*
 runtime (a fixed cost in nanoseconds per pixel per unit of work, calibrated
@@ -33,11 +35,10 @@ execution modes.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -63,6 +64,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
+from .lanes import CPUS, Fork, mark_worker
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -71,6 +73,7 @@ from .video_denoiser import (
     FrameRole,
     WindowPlan,
     denoise_window,
+    fork_blocks,
 )
 
 # Modeled per-pixel work costs (nanoseconds) for the deterministic runtime
@@ -112,7 +115,11 @@ def _virtual_window_ms(pixels: int, sigma: float, config: PipelineConfig) -> flo
 
 @dataclass(frozen=True)
 class PipelineStats:
-    """Measured accounting for one run; no cross-run determinism promise."""
+    """Measured accounting for one run; no cross-run determinism promise.
+
+    A frame's latency span is the wall time to get its output (for a keyframe,
+    its unit's too) plus its report's; work a helper did ahead makes it shorter.
+    """
 
     frame_count: int
     frames_bypassed: int
@@ -244,6 +251,11 @@ def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
     )
 
 
+# Windows a no-reference DENOISE cohort forks ahead of the frame it emits
+# (ROADMAP item 6 gives the depths measured)
+_LOOKAHEAD = 2
+
+
 def _cohort(
     start: int,
     frames: Sequence[Frame],
@@ -256,39 +268,54 @@ def _cohort(
 
     frames holds the received frames over plan.reach(start). keyframes maps
     every keyframe index the windows reach to its keyframe unit's future.
+
+    A no-reference DENOISE cohort forks (lanes.Fork) each window's new blocks,
+    then the window, _LOOKAHEAD windows ahead of the frame it emits. A
+    full-reference report keeps both lanes busy, so those windows run in order.
     """
     record = keyframes[start].result()
     denoise = record.decision.route is Route.DENOISE
     first = plan.reach(start).start
+    sigma, params = record.sigma_work, config.block
 
-    def window_source(idx: int) -> Frame:
-        future = keyframes.get(idx)
-        return future.result().output if future is not None else frames[idx - first]
+    def window(t: int) -> List[Frame]:
+        """Window t's frames; a position on a keyframe reads the keyframe's output."""
+        return [keyframes[i].result().output if i in keyframes else frames[i - first]
+                for i in plan.window(t)]
 
     blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
+    ahead = list(plan.cohort(start)[1:]) if denoise and reference is None else []
+    forked: Dict[int, Fork] = {}  # window forks not joined yet
     emitted: List[_Emitted] = []
-    for t in plan.cohort(start):
-        t0 = time.perf_counter()
-        received = frames[t - first]
-        video_ms = None
-        if t == start:
-            output, virtual = record.output, record.virtual_ms
-        elif denoise:
-            window = [window_source(i) for i in plan.window(t)]
-            v0 = time.perf_counter()
-            output = denoise_window(window, record.sigma_work, config.block, blocks)
-            video_ms = (time.perf_counter() - v0) * 1e3
-            virtual = _virtual_window_ms(received.width * received.height,
-                                         record.sigma_work, config)
-        else:
-            output, virtual = received, 0.0
-        t1 = time.perf_counter()
-        report = _report(t, received, output, virtual, record, reference, config)
-        span_ms = (t1 - t0) * 1e3
-        if t == start:
-            span_ms += record.span_ms
-        emitted.append(_Emitted(output, report, video_ms, span_ms,
-                                (time.perf_counter() - t1) * 1e3))
+    with ExitStack() as forks:
+        # leaving cancels the window forks (entered last, so first), then the block forks
+        forks.callback(lambda: [f.cancel() for _, f in blocks.values() if isinstance(f, Fork)])
+        for t in plan.cohort(start):
+            t0 = time.perf_counter()
+            while ahead and ahead[0] <= t + _LOOKAHEAD:
+                inputs = window(ahead[0])
+                fork_blocks(inputs, sigma, params, blocks)
+                forked[ahead.pop(0)] = forks.enter_context(
+                    Fork(denoise_window, inputs, sigma, params, blocks))
+            received = frames[t - first]
+            video_ms = None
+            if t == start:
+                output, virtual = record.output, record.virtual_ms
+            elif denoise:
+                v0 = time.perf_counter()
+                output = (forked.pop(t).join() if t in forked
+                          else denoise_window(window(t), sigma, params, blocks))
+                video_ms = (time.perf_counter() - v0) * 1e3
+                virtual = _virtual_window_ms(received.width * received.height, sigma, config)
+            else:
+                output, virtual = received, 0.0
+            t1 = time.perf_counter()
+            report = _report(t, received, output, virtual, record, reference, config)
+            span_ms = (t1 - t0) * 1e3
+            if t == start:
+                span_ms += record.span_ms
+            emitted.append(_Emitted(output, report, video_ms, span_ms,
+                                    (time.perf_counter() - t1) * 1e3))
     return record, emitted
 
 
@@ -308,9 +335,9 @@ def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
     if execution == "sequential":
         yield _run_inline
         return
-    # one worker per usable CPU: more workers only contend for the same cores
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ThreadPoolExecutor(max_workers=workers or 1)
+    # one worker per usable CPU: more workers only contend for the same cores,
+    # so the units' forks run on the worker that joins them
+    pool = ThreadPoolExecutor(max_workers=CPUS, initializer=mark_worker)
     try:
         yield pool.submit
     finally:

@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frame import Frame, Range, check_ranges, clamp_index, ranged
+from .frame import Frame, Range, check_ranges, chunk_bounds, clamp_index, quantize_plane, ranged
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, stage_detail
+from .lanes import Fork
 from .rng import NoiseRng
 
 DEFAULT_CADENCE = 5
@@ -255,27 +256,45 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
 
     sigma_eff = max(sigma, 0.5)
     neg_inv = -np.float32(1.0 / (2.0 * (params.k_temporal * sigma_eff) ** 2))
-    # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
-    w_a = np.subtract(f_a.y, f_b.y, dtype=np.float32)
-    w_a *= w_a
-    w_a *= neg_inv
-    np.exp(w_a, out=w_a)
-    w_c = np.subtract(f_c.y, f_b.y, dtype=np.float32)
-    w_c *= w_c
-    w_c *= neg_inv
-    np.exp(w_c, out=w_c)
-    # (w_a a + b + w_c c) / (w_a + 1 + w_c), in this order, in float32
-    blend = np.multiply(w_a, f_a.y)
-    blend += f_b.y
-    w_a += 1.0
-    w_a += w_c
-    w_c *= f_c.y
-    blend += w_c
-    blend /= w_a
-    fused = f_b.with_luma(blend)
+    a, b, c = (f.y.ravel() for f in (f_a, f_b, f_c))
+    out = np.empty(b.size, dtype=np.uint8)
+    for c0, c1 in chunk_bounds(b.size):
+        a_c, b_c, c_c = a[c0:c1], b[c0:c1], c[c0:c1]
+        # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
+        w_a = np.subtract(a_c, b_c, dtype=np.float32)
+        w_a *= w_a
+        w_a *= neg_inv
+        np.exp(w_a, out=w_a)
+        w_c = np.subtract(c_c, b_c, dtype=np.float32)
+        w_c *= w_c
+        w_c *= neg_inv
+        np.exp(w_c, out=w_c)
+        # (w_a a + b + w_c c) / (w_a + 1 + w_c), in this order, in float32
+        blend = np.multiply(w_a, a_c)
+        blend += b_c
+        w_a += 1.0
+        w_a += w_c
+        w_c *= c_c
+        blend += w_c
+        blend /= w_a
+        out[c0:c1] = quantize_plane(blend)
+    fused = f_b.with_luma(out.reshape(shape))
     if params.spatial_enabled and sigma >= PASSTHROUGH_SIGMA:
         fused = stage_detail(fused, sigma, _SPATIAL_PARAMS)
     return fused
+
+
+def fork_blocks(window: Sequence[Frame], sigma: float, params: BlockParams, blocks: dict) -> None:
+    """Fork (lanes.Fork) each first-level block of a window that blocks lacks."""
+    for i in range(3):
+        triplet, key = _triplet(*window[i : i + 3])
+        if key not in blocks:
+            blocks[key] = (triplet, Fork(denoise_block, *triplet, sigma, params))
+
+
+def _triplet(*frames: Frame) -> tuple:
+    """(frames, their key in a block cache); see denoise_window."""
+    return frames, tuple(id(f) for f in frames)
 
 
 def denoise_window(window: Sequence[Frame], sigma: float,
@@ -287,7 +306,8 @@ def denoise_window(window: Sequence[Frame], sigma: float,
     sigma and params, such as the windows of one cohort: consecutive windows
     share two of their three triplets, and each distinct triplet is denoised
     once. Entries are keyed by the identity of the triplet's frames and hold
-    those frames, so no key can be reused by another frame while cached.
+    those frames, so no key can be reused by another frame while cached. An
+    entry holds the block's output, or fork_blocks' pending Fork, joined here.
     """
     if len(window) != 5:
         raise ValueError(f"window must hold 5 frames, got {len(window)}")
@@ -295,10 +315,13 @@ def denoise_window(window: Sequence[Frame], sigma: float,
         blocks = {}
 
     def first_level(i: int) -> Frame:
-        triplet = tuple(window[i : i + 3])
-        key = tuple(id(f) for f in triplet)
+        triplet, key = _triplet(*window[i : i + 3])
         if key not in blocks:
             blocks[key] = (triplet, denoise_block(*triplet, sigma, params))
-        return blocks[key][1]
+        block = blocks[key][1]
+        return block.join() if isinstance(block, Fork) else block
 
-    return denoise_block(first_level(0), first_level(1), first_level(2), sigma, params)
+    # a helper starts forks in the order made, so joining the last first
+    # claims the blocks it has not started before waiting on a running one
+    last, middle = first_level(2), first_level(1)
+    return denoise_block(first_level(0), middle, last, sigma, params)

@@ -97,6 +97,18 @@ def test_stage_fuse_across_chunk_seams_matches_oracle(monkeypatch, size):
 
 
 @pytest.mark.parametrize("size", SMALL_SIZES)
+def test_temporal_blend_across_chunk_seams_matches_oracle(monkeypatch, size):
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    shape = (9, 11) if size == 1 else (23, 19)
+    clean = make_sequence(3, shape[1], shape[0], seed=10, motion=(1.0, 0.0), with_chroma=True)
+    a, b, c = (add_gaussian_noise(f, 18.0, seed=60 + i) for i, f in enumerate(clean))
+    for sigma, k_temporal in ((0.2, 1.0), (20.0, 1.0), (20.0, 0.3)):
+        out = denoise_block(a, b, c, sigma, BlockParams(k_temporal=k_temporal, spatial_enabled=False))
+        assert np.array_equal(out.y, oracles.classical_block(a.y, b.y, c.y, sigma, k_temporal, False))
+        assert out.u is b.u and out.v is b.v
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
 def test_detail_retention_across_chunk_seams_matches_oracle(monkeypatch, size):
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
     ref = make_frame(37, 23, seed=23)

@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,9 +28,12 @@ from rtcdenoise import (
     schedule_windows,
 )
 
+import rtcdenoise.image_denoiser
 import rtcdenoise.pipeline
+import rtcdenoise.video_denoiser
+from rtcdenoise import lanes
 from oracles import denoise_stream
-from util import frames_equal, sequences_equal
+from util import frames_equal, helpers_blocked, sequences_equal
 
 
 def _noisy_sequence(n, sigma, seed=0, width=96, height=64, **kwargs):
@@ -152,32 +157,214 @@ def test_run_denoise_matches_stream_oracle(cadence, n):
 
 # --- failures -----------------------------------------------------------------------
 
+# Forked tasks, each looked up through the module that forks it: the keyframe's
+# smooth stage, a first-level temporal block and a window computed ahead.
+FORKED_TASKS = [
+    (rtcdenoise.image_denoiser, "stage_smooth"),
+    (rtcdenoise.video_denoiser, "denoise_block"),
+    (rtcdenoise.pipeline, "denoise_window"),
+]
+
+
+@pytest.mark.parametrize("module, name", FORKED_TASKS, ids=[name for _, name in FORKED_TASKS])
 @pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_stage_failure_raises_instead_of_hanging(execution, monkeypatch):
+def test_stage_failure_raises_instead_of_hanging(execution, module, name, monkeypatch):
     _, noisy = _noisy_sequence(40, 25.0, seed=15)
-    original = rtcdenoise.pipeline.denoise_window
+    original = getattr(module, name)
+    lock = threading.Lock()
     calls = []
+    running = [0]
+    after_raise = []
+    raised_event = threading.Event()
 
     def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > 3:
-            raise RuntimeError("injected window fault")
-        return original(*args, **kwargs)
+        with lock:
+            calls.append(None)
+            running[0] += 1
+            if raised_event.is_set():
+                after_raise.append(None)
+            fail = len(calls) > 3
+        try:
+            if fail:
+                raise RuntimeError("injected fault")
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
 
-    monkeypatch.setattr(rtcdenoise.pipeline, "denoise_window", failing)
+    monkeypatch.setattr(module, name, failing)
     raised = []
 
     def run():
         try:
             run_denoise(noisy, PipelineConfig(execution=execution))
         except Exception as exc:
-            raised.append(exc)
+            with lock:
+                raised.append((exc, running[0]))
+            raised_event.set()
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive(), "run_denoise hung after a stage failure"
-    assert len(raised) == 1 and str(raised[0]) == "injected window fault"
+    assert len(raised) == 1 and str(raised[0][0]) == "injected fault"
+    # no task of the run is still running once it has raised, and none starts later
+    assert raised[0][1] == 0
+    time.sleep(0.2)
+    assert not after_raise
+
+
+@pytest.mark.parametrize("forked, failing", [
+    ((rtcdenoise.image_denoiser, "stage_smooth"), (rtcdenoise.image_denoiser, "stage_detail")),
+    ((rtcdenoise.video_denoiser, "denoise_block"), (rtcdenoise.pipeline, "build_report_noref")),
+    ((rtcdenoise.pipeline, "denoise_window"), (rtcdenoise.pipeline, "build_report_noref")),
+], ids=["stage_smooth", "denoise_block", "denoise_window"])
+def test_caller_error_leaves_no_forked_task_running(forked, failing, monkeypatch):
+    _, noisy = _noisy_sequence(12, 25.0, seed=18)
+    original = getattr(*forked)
+    lock = threading.Lock()
+    running = [0]
+    after_raise = []
+    raised = threading.Event()
+
+    def slow(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            if raised.is_set():
+                after_raise.append(None)
+        try:
+            time.sleep(0.05)  # still running when the caller fails
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected caller fault")
+
+    monkeypatch.setattr(*forked, slow)
+    monkeypatch.setattr(*failing, fail)
+    with pytest.raises(RuntimeError, match="injected caller fault"):
+        try:
+            run_denoise(noisy)
+        finally:
+            with lock:
+                running_at_raise = running[0]
+            raised.set()
+    assert running_at_raise == 0
+    time.sleep(0.3)
+    assert not after_raise
+
+
+def _recording_helper(monkeypatch):
+    """Count the tasks offered to the helper pool, then pass them on."""
+    submitted = []
+    pool = lanes._HELPER
+
+    class Recording:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(lanes, "_HELPER", Recording() if pool is not None else None)
+    return submitted
+
+
+def test_threaded_run_submits_nothing_to_the_helper(monkeypatch):
+    _, noisy = _noisy_sequence(12, 25.0, seed=17)
+    submitted = _recording_helper(monkeypatch)
+    run_denoise(noisy, PipelineConfig(execution="threaded"))
+    assert submitted == []
+    run_denoise(noisy, PipelineConfig())
+    assert len(submitted) > 0 or lanes._HELPER is None  # the sequential run forks
+
+
+# --- schedules ------------------------------------------------------------------------
+
+def _mixed_c420(n, seed):
+    clean = make_sequence(n, 40, 36, seed=seed, motion=(1.0, 0.5), with_chroma=True)
+    # sigma switches between 4 and 30 inside cohorts, so both routes run
+    return VideoSequence(tuple(add_gaussian_noise(f, 30.0 if (t // 4) % 2 else 4.0, seed=t)
+                               for t, f in enumerate(clean)))
+
+
+def _run_counted(run):
+    """run() with denoise_block and denoise_window calls counted, from any thread."""
+    counts = {"denoise_block": 0, "denoise_window": 0}
+    lock = threading.Lock()
+    sites = [(rtcdenoise.video_denoiser, "denoise_block"), (rtcdenoise.pipeline, "denoise_window")]
+    originals = [getattr(module, name) for module, name in sites]
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for (module, name), original in zip(sites, originals):
+        setattr(module, name, counted(name, original))
+    try:
+        return run(), counts
+    finally:
+        for (module, name), original in zip(sites, originals):
+            setattr(module, name, original)
+
+
+def _schedules(config, run):
+    """run(config) under sequential, threaded, helpers blocked and a tiny switch interval."""
+    results = {
+        "sequential": _run_counted(lambda: run(config)),
+        "threaded": _run_counted(lambda: run(replace(config, execution="threaded"))),
+    }
+    with helpers_blocked():
+        results["reclaimed"] = _run_counted(lambda: run(config))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results["switching"] = _run_counted(lambda: run(config))
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+def _expected_blocks(plan, reports):
+    """Each distinct first-level block of a denoised cohort once, plus one per window."""
+    total = 0
+    for k in plan.keyframe_indices:
+        windows = [plan.window(t) for t in plan.cohort(k)[1:]]
+        if reports[k].runtime_ms > 0:  # the cohort denoised
+            total += len({w[i : i + 3] for w in windows for i in range(3)}) + len(windows)
+    return total
+
+
+@pytest.mark.parametrize("cadence, n", [(2, 13), (3, 13), (5, 13)])
+def test_schedules_give_identical_denoise_results(cadence, n):
+    noisy = _mixed_c420(n, seed=31)
+    results = _schedules(PipelineConfig(cadence=cadence), lambda c: run_denoise(noisy, c))
+    (out, reports, stats), counts = results["sequential"]
+    assert 0 < stats.frames_bypassed < n
+    assert counts["denoise_block"] == _expected_blocks(schedule_windows(n, cadence), reports)
+    for schedule, ((other_out, other_reports, _), other_counts) in results.items():
+        assert sequences_equal(other_out, out), schedule
+        assert other_reports == reports, schedule
+        assert other_counts == counts, schedule
+
+
+@pytest.mark.parametrize("cadence, n", [(2, 13), (3, 13), (5, 13)])
+def test_schedules_give_identical_simulate_results(cadence, n):
+    clip = _mixed_c420(n, seed=32)
+    config = PipelineConfig(
+        cadence=cadence,
+        feedback_window=3,
+        loss=replace(PipelineConfig().loss, p_loss=0.05, seed=5),
+    )
+    results = _schedules(config, lambda c: run_simulate(clip, c))
+    sequential, counts = results["sequential"]
+    assert 0 < sequential.stats.frames_bypassed < n
+    for schedule, (result, other_counts) in results.items():
+        _assert_same_result(result, sequential)
+        assert other_counts == counts, schedule
 
 
 # --- simulation loop ---------------------------------------------------------------

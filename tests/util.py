@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
-from rtcdenoise import Frame, VideoSequence
+from rtcdenoise import Frame, VideoSequence, lanes
 
 
 def planes_equal(a, b) -> bool:
@@ -36,3 +39,23 @@ def mean_abs_frame_diff(seq: VideoSequence) -> float:
         for t in range(1, len(seq))
     ]
     return float(np.mean(diffs))
+
+
+@contextmanager
+def helpers_blocked():
+    """Keep every helper worker busy inside the block, so callers claim every fork."""
+    gate = threading.Event()
+    running = threading.Semaphore(0)
+
+    def hold():
+        running.release()
+        return gate.wait(30)
+
+    blockers = [lanes._HELPER.submit(hold) for _ in range(lanes._HELPERS)]
+    try:
+        for _ in blockers:
+            assert running.acquire(timeout=10), "a helper worker never started"
+        yield
+    finally:
+        gate.set()
+        assert all(blocker.result(timeout=10) is True for blocker in blockers)
