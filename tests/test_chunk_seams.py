@@ -1,10 +1,11 @@
 """Chunked kernels give the same bits whatever their chunk size.
 
 Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
-image_denoiser._BILATERAL_PIXELS and metrics._BAND_PIXELS (row bands of the
-separable filters). At their shipped sizes every test frame elsewhere fits in
-one chunk, so these tests shrink each constant to small odd sizes, putting
-many seams inside small frames, and compare against the oracles.
+image_denoiser._BILATERAL_PIXELS (the bilateral and the temporal blend) and
+metrics._BAND_PIXELS (row bands of the separable filters). At their shipped
+sizes every test frame elsewhere fits in one chunk, so these tests shrink each
+constant to small odd sizes, putting many seams inside small frames, and
+compare against the oracles.
 """
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_classical_block_across_chunk_seams_matches_oracle(monkeypatch, size):
     assert np.array_equal(out.y, oracles.classical_block(a.y, b.y, c.y, 20.0, 1.0, True))
 
 
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_temporal_blend_across_chunk_seams_matches_oracle(monkeypatch, size):
+    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)  # the blend's runs
+    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
+    shape = (9, 11) if size == 1 else (23, 19)
+    clean = make_sequence(3, shape[1], shape[0], seed=10, motion=(1.0, 0.0), with_chroma=True)
+    a, b, c = (add_gaussian_noise(f, 18.0, seed=60 + i) for i, f in enumerate(clean))
+    for sigma, k_temporal in ((0.2, 1.0), (20.0, 1.0), (20.0, 0.3)):
+        out = denoise_block(a, b, c, sigma, BlockParams(k_temporal=k_temporal, spatial_enabled=False))
+        assert np.array_equal(out.y, oracles.classical_block(a.y, b.y, c.y, sigma, k_temporal, False))
+        assert out.u is b.u and out.v is b.v
+
+
 # --- the elementwise passes -----------------------------------------------------
 
 
@@ -94,18 +108,6 @@ def test_stage_fuse_across_chunk_seams_matches_oracle(monkeypatch, size):
     for tau in (None, 0.0, 7.5):
         fused = stage_fuse(detail, smooth, 25.0, CascadeParams(fusion_tau=tau))
         assert np.array_equal(fused.y, oracles.fuse(detail.y, smooth.y, 25.0 if tau is None else tau))
-
-
-@pytest.mark.parametrize("size", SMALL_SIZES)
-def test_temporal_blend_across_chunk_seams_matches_oracle(monkeypatch, size):
-    monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
-    shape = (9, 11) if size == 1 else (23, 19)
-    clean = make_sequence(3, shape[1], shape[0], seed=10, motion=(1.0, 0.0), with_chroma=True)
-    a, b, c = (add_gaussian_noise(f, 18.0, seed=60 + i) for i, f in enumerate(clean))
-    for sigma, k_temporal in ((0.2, 1.0), (20.0, 1.0), (20.0, 0.3)):
-        out = denoise_block(a, b, c, sigma, BlockParams(k_temporal=k_temporal, spatial_enabled=False))
-        assert np.array_equal(out.y, oracles.classical_block(a.y, b.y, c.y, sigma, k_temporal, False))
-        assert out.u is b.u and out.v is b.v
 
 
 @pytest.mark.parametrize("size", SMALL_SIZES)
