@@ -28,6 +28,11 @@ _HELPERS = CPUS - 1
 _HELPER = ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker) if _HELPERS else None
 
 
+def offered() -> bool:
+    """Whether a fork made on this thread is offered to the helper, or only runs when joined."""
+    return _HELPER is not None and not getattr(_WORKER, "marked", False)
+
+
 class Fork:
     """fn(*args), computed once by whichever lane claims it first.
 
@@ -39,7 +44,7 @@ class Fork:
         self._claim = threading.Lock()
         self._done = threading.Event()
         self._value = self._error = None
-        if _HELPER is not None and not getattr(_WORKER, "marked", False):
+        if offered():
             _HELPER.submit(self._run)  # _run keeps every error, so its future holds none
 
     def _run(self) -> None:

@@ -64,7 +64,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import CPUS, Fork, mark_worker
+from .lanes import CPUS, Fork, mark_worker, offered
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -269,9 +269,10 @@ def _cohort(
     frames holds the received frames over plan.reach(start). keyframes maps
     every keyframe index the windows reach to its keyframe unit's future.
 
-    A no-reference DENOISE cohort forks (lanes.Fork) each window's new blocks,
-    then the window, _LOOKAHEAD windows ahead of the frame it emits. A
-    full-reference report keeps both lanes busy, so those windows run in order.
+    A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
+    window's new blocks, then the window, _LOOKAHEAD windows ahead of the
+    frame it emits. A full-reference report keeps both lanes busy, so those
+    windows run in order.
     """
     record = keyframes[start].result()
     denoise = record.decision.route is Route.DENOISE
@@ -284,7 +285,9 @@ def _cohort(
                 for i in plan.window(t)]
 
     blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
-    ahead = list(plan.cohort(start)[1:]) if denoise and reference is None else []
+    # forks that would only run when joined gain nothing by being made early,
+    # and assembling a window early can wait on a keyframe still running
+    ahead = list(plan.cohort(start)[1:]) if denoise and reference is None and offered() else []
     forked: Dict[int, Fork] = {}  # window forks not joined yet
     emitted: List[_Emitted] = []
     with ExitStack() as forks:
