@@ -3,9 +3,9 @@
 Fork(fn, *args) offers fn(*args) to the helper; whichever lane claims it first
 computes it, once: join() runs it inline if no helper has started it, and
 otherwise waits for it. A lane only waits on a task another lane is running,
-so waits cannot deadlock. The pool has a worker per usable CPU beyond the caller's. Forks made
-on a worker (the helper's, or the threaded pipeline's, whose units fill the
-cores) are not offered: they run when joined.
+so waits cannot deadlock. The pool has a worker per usable CPU beyond the
+caller's. Forks made on a worker (the helper's, or the threaded pipeline's,
+whose units fill the cores) are not offered: they run when joined.
 """
 
 from __future__ import annotations
