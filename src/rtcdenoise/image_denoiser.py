@@ -4,9 +4,9 @@ Two parallel stages process the same input: a bilateral filter that keeps
 edges (detail stage) and a noise-scaled Gaussian blur that buys PSNR
 (smooth stage). A fusion stage blends them per pixel, gated by the local
 gradient magnitude of the detail output, so edges keep the bilateral result
-and flat regions take the blur. denoise_keyframe forks the smooth stage and
-half of the bilateral's runs (lanes.Fork) while the caller filters the other
-half, then fuses.
+and flat regions take the blur. denoise_keyframe forks the smooth stage, and
+stage_detail half of its runs when a helper lane takes forks (lanes.Fork),
+while the caller filters the other half; then it fuses.
 
 Below sigma 0.5 the whole cascade is a bit-exact passthrough: denoising
 visually clean frames only costs latency.
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
-from .lanes import Fork
+from .lanes import Fork, offered
 from .metrics import _GRADIENT_TABLE, _gaussian_taps, _gradient_index, _row_bands
 
 PASSTHROUGH_SIGMA = 0.5
@@ -136,11 +136,12 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
         for dx in range(-r, r + 1)
     ]
     out = np.empty(h * pw, dtype=np.uint8)
-    # the second half of the runs is forked; each position depends on the
-    # padded plane alone, so the split changes no bit
-    with Fork(_bilateral_runs, padded, taps, inv_2sr, first, out, n // 2, n) as half:
-        _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n // 2)
-        half.join()
+    if offered():  # a helper filters the second half; each position reads padded alone
+        with Fork(_bilateral_runs, padded, taps, inv_2sr, first, out, n // 2, n) as half:
+            _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n // 2)
+            half.join()
+    else:  # two halves in a row cost threaded mode 5% of its fps
+        _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 
