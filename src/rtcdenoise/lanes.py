@@ -16,21 +16,27 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 # the CPUs this process may run on
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_WORKER = threading.local()
+_LANE = threading.local()  # .name: "pool" on threaded pipeline workers, "helper" on helpers
 
 
-def mark_worker() -> None:
+def mark_worker(name: str = "pool") -> None:
     """Pool initializer: forks made on this thread are not offered to the helper."""
-    _WORKER.marked = True
+    _LANE.name = name
 
 
 _HELPERS = CPUS - 1
-_HELPER = ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker) if _HELPERS else None
+_HELPER = (ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker, ("helper",))
+           if _HELPERS else None)
 
 
 def offered() -> bool:
     """Whether a fork made on this thread is offered to the helper, or only runs when joined."""
-    return _HELPER is not None and not getattr(_WORKER, "marked", False)
+    return _HELPER is not None and getattr(_LANE, "name", None) is None
+
+
+def pool_worker() -> bool:
+    """Whether this thread is a worker of the threaded pipeline's pool."""
+    return getattr(_LANE, "name", None) == "pool"
 
 
 class Fork:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .frame import Frame, Range, check_ranges, clamp_index, quantize_plane, ranged
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, _float32_runs, stage_detail
-from .lanes import Fork, offered
+from .lanes import Fork, pool_worker
 from .rng import NoiseRng
 
 DEFAULT_CADENCE = 5
@@ -258,9 +258,9 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     neg_inv = -np.float32(1.0 / (2.0 * (params.k_temporal * sigma_eff) ** 2))
     a, b, c = (f.y.ravel() for f in (f_a, f_b, f_c))
     out = np.empty(b.size, dtype=np.uint8)
-    # in runs where a helper may hold a second block's temporaries at once;
-    # whole on pool workers, where runs cost threaded mode about 5% of its fps
-    for c0, c1 in _float32_runs(b.size) if offered() else [(0, b.size)]:
+    # in runs, so blocks on two lanes hold no frame-sized temporaries; whole on
+    # threaded pool workers, where runs cost about 5% of the fps
+    for c0, c1 in [(0, b.size)] if pool_worker() else _float32_runs(b.size):
         a_c, b_c, c_c = a[c0:c1], b[c0:c1], c[c0:c1]
         # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
         w_a = np.subtract(a_c, b_c, dtype=np.float32)
