@@ -70,8 +70,8 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 # tap, so short runs wait on lock hand-offs under two threads: two r=3 480x360
 # frames on two threads took 40 ms at 1 << 15 and 24 ms here, one frame on one
 # thread 23 and 21.5 ms. The three float32 buffers (1.5 MB) fit in a 2 MB L2.
-# The temporal blend of denoise_block (16 calls per run) shares the size where
-# a helper lane runs: two blends on two threads took 2.9-3.0 ms at 1 << 15,
+# The temporal blend of denoise_block (16 calls per run) shares the size off
+# threaded pool workers: two blends on two threads took 2.9-3.0 ms at 1 << 15,
 # 2.3-2.4 here, 2.1-2.2 whole.
 _BILATERAL_PIXELS = 1 << 17
 
