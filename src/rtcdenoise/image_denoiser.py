@@ -70,21 +70,15 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 # tap, so short runs wait on lock hand-offs under two threads: two r=3 480x360
 # frames on two threads took 40 ms at 1 << 15 and 24 ms here, one frame on one
 # thread 23 and 21.5 ms. The three float32 buffers (1.5 MB) fit in a 2 MB L2.
-# The temporal blend of denoise_block (16 calls per run) shares the size off
-# threaded pool workers: two blends on two threads took 2.9-3.0 ms at 1 << 15,
-# 2.3-2.4 here, 2.1-2.2 whole.
+# The temporal blend of denoise_block (16 calls per run) shares the size: two
+# blends on two threads took 2.9-3.0 ms at 1 << 15, 2.3-2.4 here, 2.1-2.2 whole.
 _BILATERAL_PIXELS = 1 << 17
-
-
-def _float32_runs(n: int):
-    """chunk_bounds(n) in runs of _BILATERAL_PIXELS."""
-    return chunk_bounds(n, _BILATERAL_PIXELS)
 
 
 def _bilateral_runs(padded, taps, inv_2sr, first, out, lo: int, hi: int) -> None:
     """stage_detail's output at flat positions lo..hi, one _BILATERAL_PIXELS run at a time."""
     wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, _BILATERAL_PIXELS)), np.float32)
-    for r0, r1 in _float32_runs(hi - lo):
+    for r0, r1 in chunk_bounds(hi - lo, _BILATERAL_PIXELS):
         c0, c1 = lo + r0, lo + r1
         centre = padded[first + c0 : first + c1]
         wgt = wgt_buf[: c1 - c0]

@@ -3,9 +3,10 @@
 Fork(fn, *args) offers fn(*args) to the helper; whichever lane claims it first
 computes it, once: join() runs it inline if no helper has started it, and
 otherwise waits for it. A lane only waits on a task another lane is running,
-so waits cannot deadlock. The pool has a worker per usable CPU beyond the
-caller's. Forks made on a worker (the helper's, or the threaded pipeline's,
-whose units fill the cores) are not offered: they run when joined.
+so waits cannot deadlock. The helper pool is sized once, at import, with a
+worker per usable CPU beyond the caller's. Forks made on a worker (the
+helper's, or the threaded pipeline's, whose units fill the cores) are not
+offered: they run when joined.
 """
 
 from __future__ import annotations
@@ -14,29 +15,27 @@ import os
 import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
-# the CPUs this process may run on
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_LANE = threading.local()  # .name: "pool" on threaded pipeline workers, "helper" on helpers
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on now."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def mark_worker(name: str = "pool") -> None:
+_WORKER = threading.local()  # .marked on helper and threaded pipeline workers
+
+
+def mark_worker() -> None:
     """Pool initializer: forks made on this thread are not offered to the helper."""
-    _LANE.name = name
+    _WORKER.marked = True
 
 
-_HELPERS = CPUS - 1
-_HELPER = (ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker, ("helper",))
-           if _HELPERS else None)
+_HELPERS = usable_cpus() - 1
+_HELPER = ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker) if _HELPERS else None
 
 
 def offered() -> bool:
     """Whether a fork made on this thread is offered to the helper, or only runs when joined."""
-    return _HELPER is not None and getattr(_LANE, "name", None) is None
-
-
-def pool_worker() -> bool:
-    """Whether this thread is a worker of the threaded pipeline's pool."""
-    return getattr(_LANE, "name", None) == "pool"
+    return _HELPER is not None and not getattr(_WORKER, "marked", False)
 
 
 class Fork:

@@ -64,7 +64,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import CPUS, Fork, mark_worker, offered
+from .lanes import Fork, mark_worker, offered, usable_cpus
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -340,7 +340,7 @@ def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
         return
     # one worker per usable CPU: more workers only contend for the same cores,
     # so the units' forks run on the worker that joins them
-    pool = ThreadPoolExecutor(max_workers=CPUS, initializer=mark_worker)
+    pool = ThreadPoolExecutor(max_workers=usable_cpus(), initializer=mark_worker)
     try:
         yield pool.submit
     finally:

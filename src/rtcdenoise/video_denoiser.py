@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frame import Frame, Range, check_ranges, clamp_index, quantize_plane, ranged
-from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, _float32_runs, stage_detail
-from .lanes import Fork, pool_worker
+from .frame import Frame, Range, check_ranges, chunk_bounds, clamp_index, quantize_plane, ranged
+from .image_denoiser import _BILATERAL_PIXELS, PASSTHROUGH_SIGMA, CascadeParams, stage_detail
+from .lanes import Fork
 from .rng import NoiseRng
 
 DEFAULT_CADENCE = 5
@@ -258,9 +258,8 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     neg_inv = -np.float32(1.0 / (2.0 * (params.k_temporal * sigma_eff) ** 2))
     a, b, c = (f.y.ravel() for f in (f_a, f_b, f_c))
     out = np.empty(b.size, dtype=np.uint8)
-    # in runs, so blocks on two lanes hold no frame-sized temporaries; whole on
-    # threaded pool workers, where runs cost about 5% of the fps
-    for c0, c1 in [(0, b.size)] if pool_worker() else _float32_runs(b.size):
+    # in runs, so blocks on two lanes hold no frame-sized temporaries
+    for c0, c1 in chunk_bounds(b.size, _BILATERAL_PIXELS):
         a_c, b_c, c_c = a[c0:c1], b[c0:c1], c[c0:c1]
         # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
         w_a = np.subtract(a_c, b_c, dtype=np.float32)
@@ -289,14 +288,10 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
 def fork_blocks(window: Sequence[Frame], sigma: float, params: BlockParams, blocks: dict) -> None:
     """Fork (lanes.Fork) each first-level block of a window that blocks lacks."""
     for i in range(3):
-        triplet, key = _triplet(*window[i : i + 3])
+        triplet = tuple(window[i : i + 3])
+        key = tuple(id(f) for f in triplet)
         if key not in blocks:
             blocks[key] = (triplet, Fork(denoise_block, *triplet, sigma, params))
-
-
-def _triplet(*frames: Frame) -> tuple:
-    """(frames, their key in a block cache); see denoise_window."""
-    return frames, tuple(id(f) for f in frames)
 
 
 def denoise_window(window: Sequence[Frame], sigma: float,
@@ -317,7 +312,8 @@ def denoise_window(window: Sequence[Frame], sigma: float,
         blocks = {}
 
     def first_level(i: int) -> Frame:
-        triplet, key = _triplet(*window[i : i + 3])
+        triplet = tuple(window[i : i + 3])
+        key = tuple(id(f) for f in triplet)
         if key not in blocks:
             blocks[key] = (triplet, denoise_block(*triplet, sigma, params))
         block = blocks[key][1]
