@@ -14,15 +14,17 @@ import json
 import math
 import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .analyzer import _jsonable, feedback_to_json, report_to_json
 from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
 from .frame import FormatError, VideoSequence
-from .frameio import read_y4m_file, write_y4m_file
+from .frameio import Y4MReader, Y4MWriter, open_y4m, read_y4m_file, write_y4m_file
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
@@ -37,6 +39,9 @@ _INJECTORS = {
     "saltpepper": (add_salt_pepper, "density", 1.0),
     "speckle": (add_speckle, "sigma multiplier", MAX_SPECKLE_MULT),
 }
+
+
+_OUT_BUFFER = 1 << 22  # bytes an output file buffers between writes
 
 
 class _UsageError(Exception):
@@ -121,17 +126,53 @@ def _load_config(path: Optional[str], seed: Optional[int] = None) -> PipelineCon
     return config
 
 
+@contextmanager
+def _replacing(path: Optional[str], mode: str = "w") -> Iterator:
+    """A file for path's new contents, which replace path only if the block completes.
+
+    The file is a temporary beside path, so an output naming an input leaves
+    the input whole while it is read, and a failed run leaves no partial
+    file. Yields None for no path.
+    """
+    if not path:
+        yield None
+        return
+    fd, tmp = tempfile.mkstemp(prefix=".", suffix=".part", dir=os.path.dirname(path) or ".")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given path
+        # a large buffer: each write that reaches the file gives up the
+        # interpreter lock, and taking it back can wait behind pool workers
+        with open(fd, mode, buffering=_OUT_BUFFER, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for line in lines:
             fh.write(line + "\n")
 
 
-def _read_clip(path: str) -> VideoSequence:
-    clip = read_y4m_file(path)
+def _nonempty(clip, path: str):
     if not len(clip):
         raise FormatError(f"{path}: no frames after the Y4M header")
     return clip
+
+
+def _read_clip(path: str) -> VideoSequence:
+    return _nonempty(read_y4m_file(path), path)
+
+
+@contextmanager
+def _open_clip(path: str) -> Iterator[Y4MReader]:
+    """The clip at path, read frame by frame."""
+    with open_y4m(path) as clip:
+        yield _nonempty(clip, path)
 
 
 def _check_frame_size(clip: VideoSequence, path: str, minimum: int, user: str) -> None:
@@ -188,13 +229,18 @@ def _cmd_denoise(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    noisy = _read_clip(args.input)
-    _check_frame_size(noisy, args.input, MIN_DETECT_SIDE, "the noise estimates")
-    output, reports, stats = run_denoise(noisy, config)
-    if args.out:
-        write_y4m_file(output, args.out)
-    if args.report:
-        _write_lines(args.report, (report_to_json(r) for r in reports))
+    with _open_clip(args.input) as noisy:
+        _check_frame_size(noisy, args.input, MIN_DETECT_SIDE, "the noise estimates")
+        with _replacing(args.out, "wb") as out, _replacing(args.report) as report_file:
+            writer = Y4MWriter(out, noisy.frame_rate) if out else None
+
+            def sink(frame, report) -> None:
+                if writer:
+                    writer.write(frame)
+                if report_file:
+                    report_file.write(report_to_json(report) + "\n")
+
+            _, _, stats = run_denoise(noisy, config, sink=sink)
     print(
         f"frames={stats.frame_count} bypassed={stats.frames_bypassed} "
         f"denoised={stats.frames_denoised} fps={stats.achieved_fps:.1f}"
@@ -203,55 +249,52 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    clean = _read_clip(args.input)
     root = NoiseRng(args.seed)
-    frames = list(clean)
-    for op_index, (kind, strength) in enumerate(args.noise):
-        injector = _INJECTORS[kind][0]
-        stream = root.derive(op_index)
-        frames = [
-            injector(frame, strength, seed=int(stream.derive(t).seed))
-            for t, frame in enumerate(frames)
-        ]
-    write_y4m_file(VideoSequence(tuple(frames), clean.frame_rate), args.out)
-    print(f"wrote {len(frames)} frames to {args.out}")
+    ops = [(_INJECTORS[kind][0], strength, root.derive(op_index))
+           for op_index, (kind, strength) in enumerate(args.noise)]
+    with _open_clip(args.input) as clean, _replacing(args.out, "wb") as out:
+        writer = Y4MWriter(out, clean.frame_rate)
+        for t, frame in enumerate(clean):
+            for injector, strength, stream in ops:
+                frame = injector(frame, strength, seed=int(stream.derive(t).seed))
+            writer.write(frame)
+    print(f"wrote {len(clean)} frames to {args.out}")
     return 0
 
 
 def _cmd_detect(args) -> int:
-    clip = _read_clip(args.input)
-    _check_frame_size(clip, args.input, MIN_DETECT_SIDE, "the noise estimates")
-    if args.histogram:
-        os.makedirs(args.histogram, exist_ok=True)
-    for t, frame in enumerate(clip):
-        est = analyze_frame(frame)
-        print(
-            f"frame={t} sigma={est.sigma:.4f} category={est.category.value} "
-            f"impulse={est.impulse_fraction:.4f} blockiness={est.blockiness_ratio:.4f} "
-            f"corr={est.mean_var_correlation:.4f}"
-        )
+    with _open_clip(args.input) as clip:
+        _check_frame_size(clip, args.input, MIN_DETECT_SIDE, "the noise estimates")
         if args.histogram:
-            path = os.path.join(args.histogram, f"hist_{t:05d}.txt")
-            _write_lines(path, (str(int(count)) for count in est.histogram))
+            os.makedirs(args.histogram, exist_ok=True)
+        for t, frame in enumerate(clip):
+            est = analyze_frame(frame)
+            print(
+                f"frame={t} sigma={est.sigma:.4f} category={est.category.value} "
+                f"impulse={est.impulse_fraction:.4f} blockiness={est.blockiness_ratio:.4f} "
+                f"corr={est.mean_var_correlation:.4f}"
+            )
+            if args.histogram:
+                path = os.path.join(args.histogram, f"hist_{t:05d}.txt")
+                _write_lines(path, (str(int(count)) for count in est.histogram))
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    ref = _read_clip(args.ref)
-    test = _read_clip(args.test)
-    _check_metric_size(ref, args.ref)
-    _check_metric_size(test, args.test)
-    if len(ref) != len(test):
-        raise FormatError(f"frame count mismatch: ref has {len(ref)}, test has {len(test)}")
-    if (ref.width, ref.height) != (test.width, test.height):
-        raise FormatError(
-            f"frame size mismatch: {args.ref} is {ref.width}x{ref.height}, "
-            f"{args.test} is {test.width}x{test.height}"
-        )
-    rows = []
-    for t, (a, b) in enumerate(zip(ref, test)):
-        (scores,) = full_reference_scores(a, [b])
-        rows.append({"frame": t, **scores._asdict()})
+    with _open_clip(args.ref) as ref, _open_clip(args.test) as test:
+        _check_metric_size(ref, args.ref)
+        _check_metric_size(test, args.test)
+        if len(ref) != len(test):
+            raise FormatError(f"frame count mismatch: ref has {len(ref)}, test has {len(test)}")
+        if (ref.width, ref.height) != (test.width, test.height):
+            raise FormatError(
+                f"frame size mismatch: {args.ref} is {ref.width}x{ref.height}, "
+                f"{args.test} is {test.width}x{test.height}"
+            )
+        rows = []
+        for t, (a, b) in enumerate(zip(ref, test)):
+            (scores,) = full_reference_scores(a, [b])
+            rows.append({"frame": t, **scores._asdict()})
     means = {
         key: sum(row[key] for row in rows) / len(rows)
         for key in ("psnr", "ssim", "ms_ssim", "vifp")

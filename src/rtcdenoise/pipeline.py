@@ -11,12 +11,14 @@ The work splits into pure units: a keyframe unit (detect, fork, keyframe
 cascade) per keyframe, and a cohort unit per cohort (for each frame, its
 temporal window, then its report). One driver loop produces frames, submits
 each unit once every frame it reads has arrived, and collects the results in
-order. The execution mode only decides how a unit runs: `sequential` runs it
-inline and forks work to the helper lane (lanes.Fork; see _cohort),
-`threaded` runs it on a thread pool sized to the CPUs the process may use,
-where forks run on the worker that joins them. Either way the units do the
-exact same arithmetic, so both modes produce bit-identical videos, reports,
-and feedback logs, and an exception raised in a unit or a fork reaches the
+order as they finish, handing each output frame and report on at once, so
+a run holds O(cadence) frames however long the clip (see _execute). The
+execution mode only decides how a unit runs: `sequential` runs it inline and
+forks work to the helper lane (lanes.Fork; see _cohort), `threaded` runs it
+on a thread pool sized to the CPUs the process may use, where forks run on
+the worker that joins them. Either way the units do the exact same
+arithmetic, so both modes produce bit-identical videos, reports, and
+feedback logs, and an exception raised in a unit or a fork reaches the
 caller.
 
 Determinism versus timing: reports and the feedback policy carry a *modeled*
@@ -254,6 +256,10 @@ def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
 # Windows a no-reference DENOISE cohort forks ahead of the frame it emits
 # (ROADMAP item 6 gives the depths measured)
 _LOOKAHEAD = 2
+# Cohorts the driver leaves uncollected. With fewer, threaded pool workers
+# idle while the driver writes out the oldest cohort and reads the next
+# frames (a bypassed cohort takes a few ms); each holds a few frames.
+_IN_FLIGHT = 8
 
 
 def _cohort(
@@ -358,6 +364,7 @@ class _Sender:
         self.loss = fresh_loss_model(config)
         self._next_encode_at = 0
         self._prev: Optional[Frame] = None
+        self.received: List[Frame] = []  # every frame produced, for the result
         self.trace: List[SenderTraceEntry] = [self._entry(0)]
 
     def _entry(self, index: int) -> SenderTraceEntry:
@@ -386,6 +393,7 @@ class _Sender:
         else:
             received = self._prev  # frame dropped by the sender; repeat last
         self._prev = received
+        self.received.append(received)
         return received
 
 
@@ -393,13 +401,18 @@ def _execute(
     config: PipelineConfig,
     n: int,
     produce: Callable[[int], Frame],
+    emit: Callable[[Frame, AnalyzerReport], None],
     reference: Optional[VideoSequence],
     on_feedback: Optional[Callable[[FeedbackMessage, int], None]],
-) -> Tuple[List[Frame], List[Frame], List[AnalyzerReport], List[FeedbackMessage], PipelineStats]:
-    """Drive the keyframe and cohort units over n frames; collect in order.
+) -> Tuple[List[FeedbackMessage], PipelineStats]:
+    """Drive the keyframe and cohort units over n frames, streaming.
 
-    Returns the received frames, the output frames, the reports, the feedback
-    log, and the run's stats.
+    Each output frame and its report go to emit(output, report) in frame
+    order as their cohort finishes. A received frame and a keyframe future
+    are dropped once the last cohort that reads them has been submitted, and
+    at most _IN_FLIGHT cohorts are left uncollected, so the driver holds
+    O(cadence) frames whatever n is. Returns the feedback log and the run's
+    stats.
 
     With a reference, every feedback window's reports make a message;
     on_feedback, when given, is invoked with (message, apply_index) at the
@@ -413,11 +426,10 @@ def _execute(
     apply_points = [plan.reach(plan.last_keyframe_at_or_before(w)).stop
                     for w in range(window - 1, n, window)] if on_feedback and window > 0 else []
 
-    received: List[Frame] = []
+    received: Dict[int, Frame] = {}
     keyframes: Dict[int, Future] = {}
     cohorts: deque = deque()  # cohort futures, in cohort order
-    outputs: List[Frame] = []
-    reports: List[AnalyzerReport] = []
+    recent: deque = deque(maxlen=max(window, 1))  # the current feedback window's reports
     feedback_log: List[FeedbackMessage] = []
     latency_ms: List[float] = []
     detect_ms: List[float] = []
@@ -435,14 +447,14 @@ def _execute(
         if record.decision.route is Route.DENOISE:
             denoised += len(emitted)
         for item in emitted:
-            outputs.append(item.output)
-            reports.append(item.report)
+            emit(item.output, item.report)
+            recent.append(item.report)
             if item.video_ms is not None:
                 video_ms.append(item.video_ms)
             analyze_ms.append(item.report_ms)
             latency_ms.append(item.span_ms + item.report_ms)  # keyframe + window + report
-            if window > 0 and reference is not None and len(reports) % window == 0:
-                feedback_log.append(make_feedback(reports[-window:], policy))
+            if window > 0 and reference is not None and len(latency_ms) % window == 0:
+                feedback_log.append(make_feedback(list(recent), policy))
 
     wall_start = time.perf_counter()
     with _unit_runner(config.execution) as submit:
@@ -453,16 +465,21 @@ def _execute(
                     collect()
                 on_feedback(feedback_log[applied], t)
                 applied += 1
-            frame = produce(t)
-            received.append(frame)
+            received[t] = frame = produce(t)
             if plan.role(t) is FrameRole.KEYFRAME:
                 keyframes[t] = submit(_keyframe, frame, config)
             while next_cohort < n and t + 1 >= plan.reach(next_cohort).stop:
                 reach = plan.reach(next_cohort)
-                cohorts.append(submit(_cohort, next_cohort, received[reach.start:reach.stop],
+                cohorts.append(submit(_cohort, next_cohort, [received[i] for i in reach],
                                       {k: keyframes[k] for k in reach if k in keyframes},
                                       plan, config, reference))
                 next_cohort = plan.cohort(next_cohort).stop
+                # no later cohort reads below the next one's reach
+                for i in range(reach.start, plan.reach(next_cohort).start if next_cohort < n else n):
+                    del received[i]
+                    keyframes.pop(i, None)
+                while cohorts and (cohorts[0].done() or len(cohorts) > _IN_FLIGHT):
+                    collect()
         while cohorts:
             collect()
     wall_ms = (time.perf_counter() - wall_start) * 1e3
@@ -481,24 +498,41 @@ def _execute(
         achieved_fps=n / (wall_ms / 1e3) if wall_ms > 0 else 0.0,
         wall_ms=wall_ms,
     )
-    return received, outputs, reports, feedback_log, stats
+    return feedback_log, stats
+
+
+def _appending(outputs: List[Frame], reports: List[AnalyzerReport]) -> Callable:
+    return lambda frame, report: (outputs.append(frame), reports.append(report))
 
 
 def run_denoise(
-    video: VideoSequence,
+    video: Sequence[Frame],
     config: PipelineConfig = PipelineConfig(),
-) -> Tuple[VideoSequence, List[AnalyzerReport], PipelineStats]:
-    """Receiver-only pipeline: detect, fork, denoise. Reports are no-reference."""
+    sink: Optional[Callable[[Frame, AnalyzerReport], None]] = None,
+) -> Tuple[Optional[VideoSequence], Optional[List[AnalyzerReport]], PipelineStats]:
+    """Receiver-only pipeline: detect, fork, denoise. Reports are no-reference.
+
+    video is a VideoSequence or anything else with len, indexing and a
+    frame_rate, such as a frameio.Y4MReader, whose frames are read as the
+    run reaches them. With a sink, each output frame and its report go to
+    sink(frame, report) in frame order as they finish, and the run keeps
+    neither: it returns (None, None, stats).
+    """
     if len(video) == 0:
         raise ValueError("input sequence is empty")
-    _, outputs, reports, _, stats = _execute(
+    outputs: List[Frame] = []
+    reports: List[AnalyzerReport] = []
+    _, stats = _execute(
         config=config,
         n=len(video),
-        produce=lambda t: video[t],
+        produce=video.__getitem__,
+        emit=sink or _appending(outputs, reports),
         reference=None,
         on_feedback=None,
     )
-    return video.replace_frames(outputs), reports, stats
+    if sink is not None:
+        return None, None, stats
+    return VideoSequence(frames=tuple(outputs), frame_rate=video.frame_rate), reports, stats
 
 
 def run_simulate(
@@ -509,15 +543,18 @@ def run_simulate(
     if len(clean) == 0:
         raise ValueError("input sequence is empty")
     sender = _Sender(clean, config)
-    received, outputs, reports, feedback_log, stats = _execute(
+    outputs: List[Frame] = []
+    reports: List[AnalyzerReport] = []
+    feedback_log, stats = _execute(
         config=config,
         n=len(clean),
         produce=sender.produce,
+        emit=_appending(outputs, reports),
         reference=clean,
         on_feedback=sender.apply,
     )
     return SimulationResult(
-        received=clean.replace_frames(received),
+        received=clean.replace_frames(sender.received),
         denoised=clean.replace_frames(outputs),
         reports=reports,
         feedback_log=feedback_log,

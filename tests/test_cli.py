@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,18 +10,26 @@ import pytest
 
 from rtcdenoise import (
     Frame,
+    NoiseRng,
     PipelineConfig,
     VideoSequence,
     add_gaussian_noise,
+    add_speckle,
     dump_config,
     make_sequence,
     parse_config_text,
+    read_y4m,
     read_y4m_file,
+    report_to_json,
+    run_denoise,
+    write_y4m,
     write_y4m_file,
 )
 from rtcdenoise.cli import main
+import rtcdenoise.pipeline
 
 import oracles
+from util import frames_equal, sequences_equal
 
 
 @pytest.fixture()
@@ -203,17 +214,53 @@ def test_detect_rejects_frames_below_3x3(tmp_path, shape, capsys):
     assert f"{shape[1]}x{shape[0]}" in err[0] and "at least 3 pixels" in err[0]
 
 
-def test_denoise_rejects_frames_below_3x3(tmp_path, capsys):
-    tiny = tmp_path / "tiny.y4m"
-    write_y4m_file(VideoSequence((Frame(y=np.zeros((2, 2), dtype=np.uint8)),) * 6), tiny)
-    out = tmp_path / "out.y4m"
-    assert main(["denoise", "--in", str(tiny), "--out", str(out)]) == 2
+def _assert_denoise_rejects(tmp_path, clip, problem, capsys):
+    """denoise exits 2 with one stderr line naming problem and writes no file."""
+    before = set(tmp_path.iterdir())
+    out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
+    assert main(["denoise", "--in", str(clip), "--out", str(out), "--report", str(report)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
-    assert len(err) == 1
-    assert "2x2" in err[0] and "at least 3 pixels" in err[0]
-    assert not out.exists()
+    assert len(err) == 1 and problem in err[0]
+    assert set(tmp_path.iterdir()) == before  # no --out, no --report, no temporary
+
+
+def test_denoise_rejects_frames_below_3x3(tmp_path, capsys):
+    for shape in [(2, 2), (2, 8), (8, 2)]:
+        tiny = tmp_path / "tiny.y4m"
+        write_y4m_file(VideoSequence((Frame(y=np.zeros(shape, dtype=np.uint8)),) * 6), tiny)
+        _assert_denoise_rejects(
+            tmp_path, tiny,
+            f"frames are {shape[1]}x{shape[0]}; the noise estimates need at least 3 pixels",
+            capsys)
+
+
+def _clip_bytes(n, **kwargs):
+    sink = io.BytesIO()
+    write_y4m(make_sequence(n, 16, 12, seed=9, **kwargs), sink)
+    return sink.getvalue()
+
+
+def test_denoise_rejects_a_truncated_last_frame(tmp_path, capsys):
+    clip = tmp_path / "cut.y4m"
+    clip.write_bytes(_clip_bytes(7, with_chroma=True)[:-5])
+    _assert_denoise_rejects(tmp_path, clip, "truncated frame 6", capsys)
+
+
+def test_denoise_rejects_a_bad_frame_marker_mid_clip(tmp_path, capsys):
+    data = _clip_bytes(7)
+    third = data.index(b"FRAME\n", data.index(b"FRAME\n", data.index(b"FRAME\n") + 1) + 1)
+    clip = tmp_path / "marker.y4m"
+    clip.write_bytes(data[:third] + b"FRAMX\n" + data[third + 6:])
+    _assert_denoise_rejects(tmp_path, clip, f"expected FRAME marker (byte offset {third})", capsys)
+
+
+@pytest.mark.parametrize("rate", ["F0:1", "F-25:1", "F0"])
+def test_denoise_rejects_non_positive_frame_rate(tmp_path, rate, capsys):
+    clip = tmp_path / "rate.y4m"
+    clip.write_bytes(_clip_bytes(4).replace(b"F25:1", rate.encode(), 1))
+    _assert_denoise_rejects(tmp_path, clip, "frame rate must be positive", capsys)
 
 
 @pytest.mark.parametrize("rate", ["F0:1", "F-25:1"])
@@ -411,3 +458,158 @@ def test_out_of_range_window_radius_or_k_temporal_is_data_error(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: {section}.{key}: must be in ")
     assert not out.exists()
+
+
+# --- streaming -------------------------------------------------------------------
+
+def _mixed_clip(path, n, with_chroma, width=40, height=36):
+    """A clip whose sigma switches between 4 and 30 every 4 frames, so both routes run."""
+    clean = make_sequence(n, width, height, seed=n, motion=(1.0, 0.5), with_chroma=with_chroma)
+    noisy = VideoSequence(tuple(add_gaussian_noise(f, 30.0 if (t // 4) % 2 else 4.0, seed=t)
+                                for t, f in enumerate(clean)))
+    write_y4m_file(noisy, path)
+    return noisy
+
+
+def _config_file(path, execution, cadence=5):
+    path.write_text(f"[pipeline]\nexecution = {execution}\n[video_denoiser]\ncadence = {cadence}\n")
+    return path
+
+
+@pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
+@pytest.mark.parametrize("n", [1, 4, 7, 13])
+@pytest.mark.parametrize("cadence", [2, 3, 5])
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, execution, cadence, n, with_chroma,
+                                                     capsys):
+    noisy = _mixed_clip(tmp_path / "in.y4m", n, with_chroma)
+    cfg = _config_file(tmp_path / "run.cfg", execution, cadence)
+    out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
+    assert main(["denoise", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
+                 "--out", str(out), "--report", str(report)]) == 0
+    assert capsys.readouterr().out.startswith(f"frames={n} ")
+
+    output, reports, _ = run_denoise(noisy, PipelineConfig(execution=execution, cadence=cadence))
+    expected = io.BytesIO()
+    write_y4m(output, expected)
+    assert out.read_bytes() == expected.getvalue()
+    assert report.read_text() == "".join(report_to_json(r) + "\n" for r in reports)
+
+
+def test_run_denoise_sink_gets_every_frame_in_order_and_keeps_none(tmp_path):
+    noisy = _mixed_clip(tmp_path / "in.y4m", 13, True)
+    for execution in ("sequential", "threaded"):
+        config = PipelineConfig(execution=execution, cadence=3)
+        output, reports, stats = run_denoise(noisy, config)
+        seen = []
+        streamed = run_denoise(noisy, config, sink=lambda frame, report: seen.append((frame, report)))
+        assert streamed[:2] == (None, None)
+        assert streamed[2].frame_count == 13 and streamed[2].frames_denoised == stats.frames_denoised
+        assert [r for _, r in seen] == reports
+        assert all(frames_equal(f, g) for (f, _), g in zip(seen, output))
+
+
+def test_denoise_out_may_name_its_input(tmp_path, capsys):
+    clip = tmp_path / "clip.y4m"
+    noisy = _mixed_clip(clip, 13, True)
+    assert main(["denoise", "--in", str(clip), "--out", str(clip)]) == 0
+    capsys.readouterr()
+    expected = io.BytesIO()
+    write_y4m(run_denoise(noisy)[0], expected)
+    assert clip.read_bytes() == expected.getvalue()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.y4m"]
+
+
+def test_inject_out_may_name_its_input(tmp_path, clean_clip, capsys):
+    copy = tmp_path / "copy.y4m"
+    copy.write_bytes(clean_clip.read_bytes())
+    argv = ["--noise", "gaussian:10", "--noise", "saltpepper:0.02", "--seed", "3"]
+    assert main(["inject", "--in", str(clean_clip), "--out", str(tmp_path / "want.y4m")] + argv) == 0
+    assert main(["inject", "--in", str(copy), "--out", str(copy)] + argv) == 0
+    capsys.readouterr()
+    assert copy.read_bytes() == (tmp_path / "want.y4m").read_bytes()
+
+
+def test_inject_applies_each_noise_stage_to_every_frame(tmp_path, clean_clip, capsys):
+    out = tmp_path / "noisy.y4m"
+    assert main(["inject", "--in", str(clean_clip), "--noise", "speckle:0.2",
+                 "--noise", "gaussian:6", "--seed", "11", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 8 frames to {out}\n"
+    frames = list(read_y4m_file(clean_clip))
+    root = NoiseRng(11)
+    for op_index, (inject, strength) in enumerate([(add_speckle, 0.2), (add_gaussian_noise, 6.0)]):
+        stream = root.derive(op_index)
+        frames = [inject(f, strength, seed=int(stream.derive(t).seed)) for t, f in enumerate(frames)]
+    assert sequences_equal(read_y4m_file(out), VideoSequence(tuple(frames)))
+
+
+def test_failing_run_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    clip = tmp_path / "in.y4m"
+    _mixed_clip(clip, 13, True)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise RuntimeError("injected fault")
+        return original(*args, **kwargs)
+
+    original = rtcdenoise.pipeline.build_report_noref
+    monkeypatch.setattr(rtcdenoise.pipeline, "build_report_noref", failing)
+    out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
+    for execution in ("sequential", "threaded"):
+        calls.clear()
+        cfg = _config_file(tmp_path / "run.cfg", execution, cadence=2)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            main(["denoise", "--in", str(clip), "--config", str(cfg),
+                  "--out", str(out), "--report", str(report)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.y4m", "run.cfg"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, capsys):
+    # at 320x240 the frames dominate the peak: a whole-clip run holds every
+    # input and output frame, about 3x as much at 400 frames as at 100. The
+    # clips repeat 26 frames (sigma 30 on 4 of every 16, else 4) to save time
+    # making them; the pipeline reads each frame afresh all the same.
+    cfg = _config_file(tmp_path / "run.cfg", execution)
+    clean = make_sequence(26, 320, 240, seed=5, motion=(1.0, 0.5), with_chroma=True)
+    noisy = [add_gaussian_noise(f, 30.0 if (t // 4) % 4 == 1 else 4.0, seed=t)
+             for t, f in enumerate(clean)]
+    clips = {n: tmp_path / f"in{n}.y4m" for n in (100, 400)}
+    for n, path in clips.items():
+        write_y4m_file(VideoSequence(tuple(noisy[t % len(noisy)] for t in range(n))), path)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["denoise", "--in", str(clips[n]), "--config", str(cfg),
+                         "--out", str(tmp_path / "out.y4m"),
+                         "--report", str(tmp_path / "report.jsonl")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # an untraced run first fills the interpreter's free lists of small
+    # objects, which would otherwise count as growth
+    main(["denoise", "--in", str(clips[100]), "--config", str(cfg)])
+    short, long = peak(100), peak(400)
+    capsys.readouterr()
+    assert long <= 1.1 * short, f"traced peak {short} B at 100 frames, {long} B at 400"
+
+
+def test_denoise_reads_a_pipe_whole(tmp_path, capsys):
+    data = _clip_bytes(7, with_chroma=True)
+    out = tmp_path / "out.y4m"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # fits in the pipe's buffer
+        os.close(write_end)
+        assert main(["denoise", "--in", f"/dev/fd/{read_end}", "--out", str(out)]) == 0
+    finally:
+        os.close(read_end)
+    capsys.readouterr()
+    expected = io.BytesIO()
+    write_y4m(run_denoise(read_y4m(data))[0], expected)
+    assert out.read_bytes() == expected.getvalue()

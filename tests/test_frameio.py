@@ -13,8 +13,9 @@ from rtcdenoise import (
     write_y4m,
     write_y4m_file,
 )
+from rtcdenoise.frameio import Y4MReader, Y4MWriter, open_y4m
 
-from util import sequences_equal
+from util import frames_equal, sequences_equal
 
 
 def _roundtrip(seq: VideoSequence) -> VideoSequence:
@@ -130,3 +131,63 @@ def test_read_y4m_file_holds_the_clip_once(tmp_path):
     for frame in back:
         for plane in (frame.y, frame.u, frame.v):
             assert not plane.flags.writeable
+
+
+def test_reader_checks_the_whole_stream_then_reads_frames_on_demand(tmp_path):
+    seq = make_sequence(5, 13, 9, seed=7, with_chroma=True, frame_rate=Fraction(30, 1))
+    path = tmp_path / "clip.y4m"
+    write_y4m_file(seq, path)
+    with open_y4m(path) as reader:
+        assert (len(reader), reader.width, reader.height) == (5, 13, 9)
+        assert reader.frame_rate == Fraction(30, 1)
+        assert frames_equal(reader[3], seq[3]) and frames_equal(reader[-1], seq[4])
+        assert sequences_equal(VideoSequence(tuple(reader)), seq)
+        assert not reader[0].y.flags.writeable
+
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    with pytest.raises(FormatError, match="truncated frame 4"):
+        with open_y4m(path):
+            pass
+
+
+def test_reader_rejects_a_bad_marker_past_the_first_frame():
+    data = _roundtrip_bytes(make_sequence(3, 4, 4, seed=1))
+    second = data.index(b"FRAME", data.index(b"FRAME") + 1)
+    with pytest.raises(FormatError) as err:
+        Y4MReader(io.BytesIO(data[:second] + b"JUNK\n" + data[second + 6:]))
+    assert err.value.offset == second
+
+
+def test_writer_writes_what_write_y4m_writes():
+    seq = make_sequence(3, 11, 7, seed=8, with_chroma=True)
+    sink = io.BytesIO()
+    writer = Y4MWriter(sink, seq.frame_rate)
+    for frame in seq:
+        writer.write(frame)
+    assert sink.getvalue() == _roundtrip_bytes(seq)
+    assert writer.written == len(sink.getvalue())
+
+
+class _Pipe(io.RawIOBase):
+    """A readable stream that cannot seek, like a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(buffer)
+
+
+def test_read_y4m_accepts_a_stream_that_cannot_seek():
+    seq = make_sequence(2, 8, 6, seed=4)
+    assert sequences_equal(read_y4m(io.BufferedReader(_Pipe(_roundtrip_bytes(seq)))), seq)
+
+
+def _roundtrip_bytes(seq: VideoSequence) -> bytes:
+    sink = io.BytesIO()
+    write_y4m(seq, sink)
+    return sink.getvalue()
