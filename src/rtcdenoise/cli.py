@@ -13,8 +13,8 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Iterator, List, Optional
@@ -130,23 +130,39 @@ def _load_config(path: Optional[str], seed: Optional[int] = None) -> PipelineCon
 def _replacing(path: Optional[str], mode: str = "w") -> Iterator:
     """A file for path's new contents, which replace path only if the block completes.
 
-    The file is a temporary beside path, so an output naming an input leaves
-    the input whole while it is read, and a failed run leaves no partial
-    file. Yields None for no path.
+    The file is a temporary beside the file path names (through any symlink),
+    renamed over it at the end, so an output naming an input leaves the input
+    whole while it is read, and a failed run leaves no partial file. It takes
+    the mode of the file it replaces, or the one open() would give a new file.
+    A path in /dev or /proc (/dev/null, /dev/stdout, /dev/fd/N) and a target
+    that is not a regular file (a FIFO) are written directly. Yields None
+    for no path.
     """
     if not path:
         yield None
         return
-    fd, tmp = tempfile.mkstemp(prefix=".", suffix=".part", dir=os.path.dirname(path) or ".")
+    # a large buffer: each write that reaches the file gives up the
+    # interpreter lock, and taking it back can wait behind pool workers
+    options = dict(buffering=_OUT_BUFFER, encoding=None if "b" in mode else "utf-8")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given path
-        # a large buffer: each write that reaches the file gives up the
-        # interpreter lock, and taking it back can wait behind pool workers
-        with open(fd, mode, buffering=_OUT_BUFFER, encoding=None if "b" in mode else "utf-8") as fh:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    system = os.path.realpath(os.path.dirname(os.path.abspath(path))).split(os.sep)[1]
+    if system in ("dev", "proc") or old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, mode, **options) as fh:
             yield fh
-        os.replace(tmp, path)
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **options) as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            yield fh
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -13,7 +13,6 @@ frame's bytes, so no frame aliases a mutable buffer.
 from __future__ import annotations
 
 import io
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import BinaryIO, Iterator, Union
@@ -102,18 +101,10 @@ class Y4MReader:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def _read(self, pos: int, size: int) -> bytes:
-        # one system call per frame: each call that gives up the interpreter
-        # lock may wait to take it back behind the pipeline's workers
-        try:
-            return os.pread(self._stream.fileno(), size, pos)
-        except (AttributeError, io.UnsupportedOperation):  # no file descriptor
-            self._stream.seek(pos)
-            return self._stream.read(size)
-
     def __getitem__(self, t: int) -> Frame:
         pos, offset = self._frames[t]
-        data = self._read(pos, offset + self._frame_size)
+        self._stream.seek(pos)
+        data = self._stream.read(offset + self._frame_size)
         planes = []
         for h, w in self._shapes:
             planes.append(np.frombuffer(data, np.uint8, h * w, offset).reshape(h, w))

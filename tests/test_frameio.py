@@ -1,3 +1,4 @@
+import gzip
 import io
 import tracemalloc
 from fractions import Fraction
@@ -167,6 +168,16 @@ def test_writer_writes_what_write_y4m_writes():
         writer.write(frame)
     assert sink.getvalue() == _roundtrip_bytes(seq)
     assert writer.written == len(sink.getvalue())
+
+
+def test_read_y4m_reads_through_a_decompressing_stream(tmp_path):
+    # a gzip file can seek, and its fileno() is the compressed file's
+    seq = make_sequence(4, 10, 6, seed=5, with_chroma=True)
+    path = tmp_path / "clip.y4m.gz"
+    with gzip.open(path, "wb") as fh:
+        write_y4m(seq, fh)
+    with gzip.open(path, "rb") as fh:
+        assert sequences_equal(read_y4m(fh), seq)
 
 
 class _Pipe(io.RawIOBase):
