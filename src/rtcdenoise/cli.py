@@ -24,7 +24,10 @@ from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
 from .frame import FormatError, VideoSequence
-from .frameio import Y4MReader, Y4MWriter, open_y4m, read_y4m_file, write_y4m_file
+from .frameio import Y4MReader, Y4MWriter, open_y4m, write_y4m
+# bench/tracing.py SITES wraps these on this module; simulate reads through
+# read_y4m_file and writes through write_y4m inside _replacing
+from .frameio import read_y4m_file, write_y4m_file  # noqa: F401
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
@@ -219,18 +222,16 @@ def _cmd_simulate(args) -> int:
     clean = _read_clip(args.input)
     _check_metric_size(clean, args.input)
     result = run_simulate(clean, config)
-    if args.out_received:
-        write_y4m_file(result.received, args.out_received)
-    if args.out_denoised:
-        write_y4m_file(result.denoised, args.out_denoised)
+    for path, clip in ((args.out_received, result.received), (args.out_denoised, result.denoised)):
+        with _replacing(path, "wb") as out:
+            if out:
+                write_y4m(clip, out)
     if args.report:
         _write_lines(args.report, (report_to_json(r) for r in result.reports))
     if args.feedback:
         _write_lines(args.feedback, (feedback_to_json(m) for m in result.feedback_log))
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(result.stats.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_lines(args.stats, [json.dumps(result.stats.to_json_dict(), indent=2)])
     stats = result.stats
     print(
         f"frames={stats.frame_count} bypassed={stats.frames_bypassed} "

@@ -371,7 +371,6 @@ def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
     for test in tests:
         _check_dimensions(reference, test)
     a = reference.y
-    _require_side(a, _SSIM_WINDOW)
     _require_side(a, MIN_METRIC_SIDE)
     planes = [test.y for test in tests]
     with Fork(_vifp_family, a, planes) as vifp_task:

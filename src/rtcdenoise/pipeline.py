@@ -14,7 +14,8 @@ each unit once every frame it reads has arrived, and collects the results in
 order as they finish, handing each output frame and report on at once, so
 a run holds O(cadence) frames however long the clip (see _execute). The
 execution mode only decides how a unit runs: `sequential` runs it inline and
-forks work to the helper lane (lanes.Fork; see _cohort), `threaded` runs it
+forks work to the helper lane (lanes.Fork; a no-reference cohort forks its
+first-level temporal blocks when it starts, see _cohort), `threaded` runs it
 on a thread pool sized to the CPUs the process may use, where forks run on
 the worker that joins them. Either way the units do the exact same
 arithmetic, so both modes produce bit-identical videos, reports, and
@@ -40,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -66,7 +67,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import Fork, mark_worker, offered, usable_cpus
+from .lanes import mark_worker, offered, usable_cpus
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -253,9 +254,6 @@ def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
     )
 
 
-# Windows a no-reference DENOISE cohort forks ahead of the frame it emits
-# (ROADMAP item 6 gives the depths measured)
-_LOOKAHEAD = 2
 # Cohorts the driver leaves uncollected. With fewer, threaded pool workers
 # idle while the driver writes out the oldest cohort and reads the next
 # frames (a bypassed cohort takes a few ms); each holds a few frames.
@@ -276,9 +274,10 @@ def _cohort(
     every keyframe index the windows reach to its keyframe unit's future.
 
     A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
-    window's new blocks, then the window, _LOOKAHEAD windows ahead of the
-    frame it emits. A full-reference report keeps both lanes busy, so those
-    windows run in order.
+    distinct first-level block of its windows once, when it starts; each
+    window then joins its blocks and runs its second-level block in frame
+    order. A full-reference report keeps both lanes busy, so those windows
+    run in order.
     """
     record = keyframes[start].result()
     denoise = record.decision.route is Route.DENOISE
@@ -290,30 +289,23 @@ def _cohort(
         return [keyframes[i].result().output if i in keyframes else frames[i - first]
                 for i in plan.window(t)]
 
-    blocks: dict = {}  # first-level temporal blocks shared by the cohort's windows
-    # forks that would only run when joined gain nothing by being made early,
-    # and assembling a window early can wait on a keyframe still running
-    ahead = list(plan.cohort(start)[1:]) if denoise and reference is None and offered() else []
-    forked: Dict[int, Fork] = {}  # window forks not joined yet
+    blocks: dict = {}  # first-level block forks shared by the cohort's windows
     emitted: List[_Emitted] = []
-    with ExitStack() as forks:
-        # leaving cancels the window forks (entered last, so first), then the block forks
-        forks.callback(lambda: [f.cancel() for _, f in blocks.values() if isinstance(f, Fork)])
+    try:
+        # forks that would only run when joined gain nothing by being made early,
+        # and assembling a window early can wait on a keyframe still running
+        if denoise and reference is None and offered():
+            for t in plan.cohort(start)[1:]:
+                fork_blocks(window(t), sigma, params, blocks)
         for t in plan.cohort(start):
             t0 = time.perf_counter()
-            while ahead and ahead[0] <= t + _LOOKAHEAD:
-                inputs = window(ahead[0])
-                fork_blocks(inputs, sigma, params, blocks)
-                forked[ahead.pop(0)] = forks.enter_context(
-                    Fork(denoise_window, inputs, sigma, params, blocks))
             received = frames[t - first]
             video_ms = None
             if t == start:
                 output, virtual = record.output, record.virtual_ms
             elif denoise:
                 v0 = time.perf_counter()
-                output = (forked.pop(t).join() if t in forked
-                          else denoise_window(window(t), sigma, params, blocks))
+                output = denoise_window(window(t), sigma, params, blocks)
                 video_ms = (time.perf_counter() - v0) * 1e3
                 virtual = _virtual_window_ms(received.width * received.height, sigma, config)
             else:
@@ -325,6 +317,9 @@ def _cohort(
                 span_ms += record.span_ms
             emitted.append(_Emitted(output, report, video_ms, span_ms,
                                     (time.perf_counter() - t1) * 1e3))
+    finally:
+        for _, fork in blocks.values():
+            fork.cancel()
     return record, emitted
 
 

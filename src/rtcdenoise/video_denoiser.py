@@ -285,13 +285,23 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     return fused
 
 
-def fork_blocks(window: Sequence[Frame], sigma: float, params: BlockParams, blocks: dict) -> None:
-    """Fork (lanes.Fork) each first-level block of a window that blocks lacks."""
+def fork_blocks(window: Sequence[Frame], sigma: float, params: BlockParams, blocks: dict) -> list:
+    """The forks (lanes.Fork) of a window's three first-level blocks, made where blocks lacks them.
+
+    blocks keeps the forks across calls that share sigma and params, such as
+    the windows of one cohort: consecutive windows share two of their three
+    triplets, and each distinct triplet is denoised once. An entry is keyed by
+    the identity of the triplet's frames and holds those frames and the
+    block's Fork, so no key can be reused by another frame while cached.
+    """
+    forks = []
     for i in range(3):
         triplet = tuple(window[i : i + 3])
         key = tuple(id(f) for f in triplet)
         if key not in blocks:
             blocks[key] = (triplet, Fork(denoise_block, *triplet, sigma, params))
+        forks.append(blocks[key][1])
+    return forks
 
 
 def denoise_window(window: Sequence[Frame], sigma: float,
@@ -299,27 +309,19 @@ def denoise_window(window: Sequence[Frame], sigma: float,
                    blocks: Optional[dict] = None) -> Frame:
     """Two-step cascade over exactly five frames; returns the denoised center.
 
-    blocks, when given, keeps first-level block outputs across calls that share
-    sigma and params, such as the windows of one cohort: consecutive windows
-    share two of their three triplets, and each distinct triplet is denoised
-    once. Entries are keyed by the identity of the triplet's frames and hold
-    those frames, so no key can be reused by another frame while cached. An
-    entry holds the block's output, or fork_blocks' pending Fork, joined here.
+    The first-level blocks are the forks fork_blocks makes in, or finds in,
+    blocks (see there), joined here. Without blocks the call forks its own
+    and cancels them on return, so none of them is left running.
     """
     if len(window) != 5:
         raise ValueError(f"window must hold 5 frames, got {len(window)}")
-    if blocks is None:
-        blocks = {}
-
-    def first_level(i: int) -> Frame:
-        triplet = tuple(window[i : i + 3])
-        key = tuple(id(f) for f in triplet)
-        if key not in blocks:
-            blocks[key] = (triplet, denoise_block(*triplet, sigma, params))
-        block = blocks[key][1]
-        return block.join() if isinstance(block, Fork) else block
-
-    # a helper starts forks in the order made, so joining the last first
-    # claims the blocks it has not started before waiting on a running one
-    last, middle = first_level(2), first_level(1)
-    return denoise_block(first_level(0), middle, last, sigma, params)
+    forks = fork_blocks(window, sigma, params, {} if blocks is None else blocks)
+    try:
+        # a helper starts forks in the order made, so joining the last first
+        # claims the blocks it has not started before waiting on a running one
+        last, middle = forks[2].join(), forks[1].join()
+        return denoise_block(forks[0].join(), middle, last, sigma, params)
+    finally:
+        if blocks is None:
+            for fork in forks:
+                fork.cancel()

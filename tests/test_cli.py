@@ -28,6 +28,7 @@ from rtcdenoise import (
     write_y4m_file,
 )
 from rtcdenoise.cli import main
+from rtcdenoise.frameio import Y4MWriter
 import rtcdenoise.pipeline
 
 import oracles
@@ -102,6 +103,25 @@ def test_simulate_deterministic_outputs(tmp_path, clean_clip):
         assert main(["simulate", "--in", str(clean_clip), "--out-received", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_write_failure_keeps_the_old_output(tmp_path, clean_clip, monkeypatch):
+    denoised = tmp_path / "denoised.y4m"
+    denoised.write_bytes(b"old contents")
+    original = Y4MWriter.write
+    calls = []
+
+    def failing(self, frame):
+        calls.append(None)
+        if len(calls) > 2:
+            raise RuntimeError("injected write fault")
+        return original(self, frame)
+
+    monkeypatch.setattr(Y4MWriter, "write", failing)
+    with pytest.raises(RuntimeError, match="injected write fault"):
+        main(["simulate", "--in", str(clean_clip), "--out-denoised", str(denoised)])
+    assert denoised.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.y4m", "denoised.y4m"]
 
 
 # --- denoise -----------------------------------------------------------------

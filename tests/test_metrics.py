@@ -285,6 +285,13 @@ def test_concurrent_full_reference_scores_equal_serial(metric_pairs):
     assert len(helpers) <= lanes._HELPERS
 
 
+@pytest.mark.parametrize("side", [10, 16])
+def test_full_reference_scores_name_the_side_they_need(side):
+    frame = _const(0, side, side)
+    with pytest.raises(ValueError, match=f"at least {metrics.MIN_METRIC_SIDE} pixels"):
+        metrics.full_reference_scores(frame, [frame])
+
+
 def test_report_completes_while_helper_is_busy(natural_frames):
     ref, tests = _report_frames(natural_frames)
     expected = metrics.full_reference_scores(ref, tests)

@@ -32,6 +32,7 @@ import rtcdenoise.image_denoiser
 import rtcdenoise.pipeline
 import rtcdenoise.video_denoiser
 from rtcdenoise import lanes
+import oracles
 from oracles import denoise_stream
 from util import frames_equal, helpers_blocked, sequences_equal
 
@@ -157,8 +158,9 @@ def test_run_denoise_matches_stream_oracle(cadence, n):
 
 # --- failures -----------------------------------------------------------------------
 
-# Forked tasks, each looked up through the module that forks it: the keyframe's
-# smooth stage, a first-level temporal block and a window computed ahead.
+# Tasks, each looked up through the module that calls it: the keyframe's
+# forked smooth stage, a forked first-level temporal block and the window the
+# cohort computes on its own thread.
 FORKED_TASKS = [
     (rtcdenoise.image_denoiser, "stage_smooth"),
     (rtcdenoise.video_denoiser, "denoise_block"),
@@ -257,13 +259,13 @@ def test_caller_error_leaves_no_forked_task_running(forked, failing, monkeypatch
 
 
 def _recording_helper(monkeypatch):
-    """Count the tasks offered to the helper pool, then pass them on."""
+    """Record the function of each Fork offered to the helper pool, then pass it on."""
     submitted = []
     pool = lanes._HELPER
 
     class Recording:
         def submit(self, fn, *args):
-            submitted.append(fn)
+            submitted.append(fn.__self__._task[0])  # fn is the offered Fork's _run
             return pool.submit(fn, *args)
 
     monkeypatch.setattr(lanes, "_HELPER", Recording() if pool is not None else None)
@@ -277,6 +279,76 @@ def test_threaded_run_submits_nothing_to_the_helper(monkeypatch):
     assert submitted == []
     run_denoise(noisy, PipelineConfig())
     assert len(submitted) > 0 or lanes._HELPER is None  # the sequential run forks
+
+
+def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch):
+    if lanes._HELPER is None:
+        pytest.skip("one usable CPU: nothing is offered to a helper")
+    _, noisy = _noisy_sequence(12, 25.0, seed=17)
+    submitted = _recording_helper(monkeypatch)
+    _, _, stats = run_denoise(noisy)
+    assert stats.frames_denoised == 12
+    offered = {fn.__name__ for fn in submitted}
+    assert {"denoise_block", "stage_smooth", "_bilateral_runs"} <= offered
+    assert "denoise_window" not in offered
+
+
+# --- a window on its own --------------------------------------------------------------
+
+def test_standalone_window_equals_cohort_output_and_oracle():
+    n, sigma = 6, 25.0
+    _, noisy = _noisy_sequence(n, sigma, seed=20, width=24, height=16)
+    out, reports, stats = run_denoise(noisy)
+    assert stats.frames_denoised == n
+    plan = schedule_windows(n)
+    keys = plan.keyframe_indices
+    sigma_work = reports[0].sigma  # Gaussian noise: no prefilter, so the cascade's sigma
+    for t in plan.cohort(0)[1:]:
+        window = [out[i] if i in keys else noisy[i] for i in plan.window(t)]
+        free = denoise_window(window, sigma_work)
+        with helpers_blocked():
+            claimed = denoise_window(window, sigma_work)
+        assert frames_equal(free, out[t]) and frames_equal(claimed, out[t]), t
+        if t == 2:
+            first = [oracles.classical_block(*(f.y for f in window[i : i + 3]), sigma_work, 1.0, True)
+                     for i in range(3)]
+            assert np.array_equal(free.y, oracles.classical_block(*first, sigma_work, 1.0, True))
+
+
+def test_standalone_window_error_leaves_no_block_running(monkeypatch):
+    _, noisy = _noisy_sequence(5, 25.0, seed=21)
+    window = list(noisy)
+    original = rtcdenoise.video_denoiser.denoise_block
+    lock = threading.Lock()
+    running = [0]
+    after_raise = []
+    raised = threading.Event()
+
+    def slow_or_failing(f_a, *args, **kwargs):
+        with lock:
+            running[0] += 1
+            if raised.is_set():
+                after_raise.append(None)
+        try:
+            if f_a is window[2]:  # the last first-level block, which the caller joins first
+                raise RuntimeError("injected block fault")
+            time.sleep(0.05)  # still running when the failing block raises
+            return original(f_a, *args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(rtcdenoise.video_denoiser, "denoise_block", slow_or_failing)
+    with pytest.raises(RuntimeError, match="injected block fault"):
+        try:
+            denoise_window(window, 25.0)
+        finally:
+            with lock:
+                running_at_raise = running[0]
+            raised.set()
+    assert running_at_raise == 0
+    time.sleep(0.3)
+    assert not after_raise
 
 
 # --- schedules ------------------------------------------------------------------------
