@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .analyzer import Recommendation
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
@@ -181,6 +180,8 @@ def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
 
 
 def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
+    from scipy.fft import dctn, idctn  # on first use: the receiver's path needs no scipy
+
     h, w = plane.shape
     pad_h = (-h) % _BLOCK
     pad_w = (-w) % _BLOCK

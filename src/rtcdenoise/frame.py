@@ -202,12 +202,13 @@ def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]
     so their temporaries stay small and in cache instead of being allocated
     (and page-faulted in) frame-sized on every call. Each kernel family has
     one size constant, kept beside it: ELEMENTWISE_PIXELS,
-    image_denoiser._BILATERAL_PIXELS and metrics._BAND_PIXELS. Two costs set
-    it: each numpy call hands the interpreter lock over, so under two threads
-    longer runs (fewer calls) wait less; but longer runs need larger
-    temporaries, which leave the core's cache and, past the allocator's mmap
-    threshold, are page-faulted in afresh on each run. The README's "Chunk
-    sizes" gives the measurements.
+    image_denoiser._BILATERAL_PIXELS, image_denoiser._SMOOTH_PIXELS (the row
+    bands of stage_smooth) and metrics._BAND_PIXELS (the row bands of the
+    metric moments). Two costs set it: each numpy call hands the interpreter
+    lock over, so under two threads longer runs (fewer calls) wait less; but
+    longer runs need larger temporaries, which leave the core's cache and,
+    past the allocator's mmap threshold, are page-faulted in afresh on each
+    run. The README's "Chunk sizes" gives the measurements.
     """
     size = ELEMENTWISE_PIXELS if size is None else size
     for c0 in range(0, n, size):

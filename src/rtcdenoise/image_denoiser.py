@@ -4,9 +4,13 @@ Two parallel stages process the same input: a bilateral filter that keeps
 edges (detail stage) and a noise-scaled Gaussian blur that buys PSNR
 (smooth stage). A fusion stage blends them per pixel, gated by the local
 gradient magnitude of the detail output, so edges keep the bilateral result
-and flat regions take the blur. denoise_keyframe forks the smooth stage, and
-stage_detail half of its runs when a helper lane takes forks (lanes.Fork),
-while the caller filters the other half; then it fuses.
+and flat regions take the blur. denoise_keyframe runs the detail stage, then
+the smooth stage, then fuses. When a helper lane takes forks (lanes.Fork),
+each of the two stages forks half of its work to it (stage_detail half of
+its runs, stage_smooth half of its rows) while the caller does the other half.
+
+Every stage is numpy alone, so the receiver never loads scipy. The blur
+still gives scipy.ndimage.correlate1d's values to the bit (stage_smooth).
 
 Below sigma 0.5 the whole cascade is a bit-exact passthrough: denoising
 visually clean frames only costs latency.
@@ -19,11 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
 from .lanes import Fork, offered
-from .metrics import _GRADIENT_TABLE, _gaussian_taps, _gradient_index, _row_bands
+from .metrics import _GRADIENT_TABLE, _gaussian_taps, _gradient_index
 
 PASSTHROUGH_SIGMA = 0.5
 
@@ -141,33 +144,82 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     return frame.with_luma(plane)
 
 
+# Output pixels per row band of stage_smooth. A band makes about 30 numpy
+# calls, so short bands wait on lock hand-offs under two threads: two 480x360
+# calls on two threads took 8.4 ms at 1 << 14 (4.8 here), and a keyframe on
+# two lanes 18.7 ms (16.6 here). Its buffers (about 1.7 MB at 480 wide) stay
+# in a 2 MB L2: whole-plane passes took 5.9 and 17.0 ms.
+_SMOOTH_PIXELS = 1 << 16
+
+
+def _symmetric_taps(shifted, kernel: np.ndarray, out: np.ndarray, sums: np.ndarray,
+                    pair: np.ndarray) -> None:
+    """out = sum over j of kernel[reach + j] * shifted(j), for a symmetric kernel.
+
+    The sum runs in scipy.ndimage.correlate1d's order for symmetric weights:
+    the centre tap first, then each pair from the outermost inward,
+    (x[-j] + x[+j]) * w[j] in float64, so its values equal correlate1d's to
+    the bit. A pair of uint8 values sums exactly in uint16 sums; pair may be
+    sums.
+    """
+    reach = len(kernel) // 2
+    np.multiply(shifted(0), kernel[reach], out=out)
+    for j in range(reach, 0, -1):
+        np.add(shifted(-j), shifted(j), out=sums, dtype=sums.dtype)
+        np.multiply(sums, kernel[reach + j], out=pair)
+        out += pair
+
+
+def _smooth_rows(padded: np.ndarray, kernel: np.ndarray, w: int, out: np.ndarray,
+                 r0: int, r1: int) -> None:
+    """stage_smooth's output rows r0..r1 into out, one band of _SMOOTH_PIXELS at a time."""
+    reach = len(kernel) // 2
+    pw = w + 2 * reach
+    rows = max(1, min(r1 - r0, _SMOOTH_PIXELS // w))
+    vertical, horizontal, pair = np.empty((3, rows * pw), dtype=np.float64)
+    sums = np.empty(rows * pw, dtype=np.uint16)
+    for b0, b1 in chunk_bounds(r1 - r0, rows):
+        size = (b1 - b0) * pw
+        first = (reach + r0 + b0) * pw  # flat index of the band's first padded row
+        v = vertical[:size]
+        _symmetric_taps(lambda j: padded[first + j * pw : first + j * pw + size], kernel, v,
+                        sums[:size], pair[:size])
+        size -= 2 * reach  # the last row's right padding is never kept
+        band = horizontal[:size]
+        _symmetric_taps(lambda j: v[reach + j : reach + j + size], kernel, band,
+                        pair[:size], pair[:size])
+        start = (r0 + b0) * pw
+        out[start : start + size] = quantize_plane(band)
+
+
 def stage_smooth(frame: Frame, sigma_est: float, params: CascadeParams = CascadeParams()) -> Frame:
     """Separable Gaussian blur with noise-scaled strength, replicated borders.
 
-    Filters one row band at a time (metrics._row_bands). The vertical pass of
-    a band also reads the kernel's reach of rows above and below it, clamped
-    to the frame, and each kept value depends on those rows alone, so every
-    value equals that of filtering the whole plane.
+    Every value equals that of scipy.ndimage.correlate1d(mode="nearest")
+    along both axes of the whole plane (see _symmetric_taps). The plane is
+    edge-padded once, as uint8, and filtered one band of _SMOOTH_PIXELS rows
+    at a time. As in stage_detail, a band's padded rows lie end to end: a
+    vertical tap is a shift by whole rows, and a horizontal tap a shift
+    within the band's flat run, whose positions in the padding are dropped.
+    The vertical pass covers the padded columns too, so it is already the
+    edge-padded input of the horizontal pass.
     """
     if sigma_est < 0:
         raise ValueError("sigma_est must be non-negative")
     kernel = gaussian_kernel(params.gaussian_sigma(sigma_est))
     reach = len(kernel) // 2
-    y = frame.y
-    h, w = y.shape
-    bands = list(_row_bands(h, w))
-    rows = bands[0][1]  # the first band is the largest
-    vertical = np.empty((min(rows + 2 * reach, h), w), dtype=np.float64)
-    horizontal = np.empty((rows, w), dtype=np.float64)
-    out = np.empty((h, w), dtype=np.uint8)
-    for r0, r1 in bands:
-        lo, hi = max(r0 - reach, 0), min(r1 + reach, h)
-        # uint8 to float64 is exact, so filtering the uint8 rows gives the same values
-        v = correlate1d(y[lo:hi], kernel, axis=0, output=vertical[: hi - lo], mode="nearest")
-        band = correlate1d(v[r0 - lo : r1 - lo], kernel, axis=1, output=horizontal[: r1 - r0],
-                           mode="nearest")
-        out[r0:r1] = quantize_plane(band)
-    return frame.with_luma(out)
+    h, w = frame.y.shape
+    pw = w + 2 * reach
+    padded = np.pad(frame.y, reach, mode="edge").ravel()
+    out = np.empty(h * pw, dtype=np.uint8)
+    if offered():  # a helper filters the lower half; each band reads padded alone
+        with Fork(_smooth_rows, padded, kernel, w, out, h // 2, h) as half:
+            _smooth_rows(padded, kernel, w, out, 0, h // 2)
+            half.join()
+    else:
+        _smooth_rows(padded, kernel, w, out, 0, h)
+    plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
+    return frame.with_luma(plane)
 
 
 def stage_fuse(
@@ -204,5 +256,7 @@ def denoise_keyframe(frame: Frame, estimate: float, params: CascadeParams = Casc
     """Full cascade at the estimated noise sigma; below PASSTHROUGH_SIGMA it returns frame."""
     if estimate < PASSTHROUGH_SIGMA:
         return frame
-    with Fork(stage_smooth, frame, estimate, params) as smooth:
-        return stage_fuse(stage_detail(frame, estimate, params), smooth.join(), estimate, params)
+    # each stage splits itself over both lanes: a smooth forked whole would
+    # run on the helper ahead of the bilateral's half, and the caller would wait
+    detail = stage_detail(frame, estimate, params)
+    return stage_fuse(detail, stage_smooth(frame, estimate, params), estimate, params)

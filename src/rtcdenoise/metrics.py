@@ -25,6 +25,13 @@ it goes, and the elementwise map arithmetic runs band by band. Every value
 equals that of whole-plane float64 filtering, and no frame-sized temporaries
 are allocated beyond the maps whose means are taken.
 
+The separable filters are scipy.ndimage.correlate1d, imported on first use
+rather than with this module: the receiver's own path (image_denoiser's
+Gaussian stage and the no-reference detail retention here) runs on numpy
+alone, and importing scipy.ndimage takes longer and more memory than the
+rest of the package (see the README's "Install"). A timed caller
+(pipeline.run_simulate) imports it before its clock starts.
+
 All SSIM-family metrics are exactly symmetric in their two arguments: every
 mixed term is a commutative product or sum, so swapping arguments produces
 bit-identical floats.
@@ -36,7 +43,6 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .frame import PIXEL_MAX, Frame, chunk_bounds
 from .lanes import Fork
@@ -82,8 +88,8 @@ _SSIM_TAPS = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
 _VIF_TAPS = tuple(_gaussian_taps(size, size / 5.0) for size in (17, 9, 5, 3))
 
 
-# Output pixels per row band of the separable filters: the metric moments
-# here and image_denoiser.stage_smooth. A band's temporaries stay in cache and
+# Output pixels per row band of the metric moments (stage_smooth has its own,
+# image_denoiser._SMOOTH_PIXELS). A band's temporaries stay in cache and
 # are reused rather than page-faulted in afresh, and the rows a band filters
 # beyond its own (the window's reach) stay few. At 480x360, 1 << 15 and
 # 1 << 16 took about 1.6x and 2.3x the page faults of 1 << 14 per
@@ -122,6 +128,8 @@ def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: 
     passes write into scratch's "rows" and name maps; the result is a view of
     the latter, valid until the next call that writes it.
     """
+    from scipy.ndimage import correlate1d  # on first use: see the module docstring
+
     h, w = plane.shape
     r = (len(taps) - 1) // 2
     rows = correlate1d(plane, taps, axis=0, output=scratch.plane("rows", plane.shape),
@@ -189,17 +197,18 @@ def _psnr(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> float:
     return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
-def _ssim_maps(ref: _Moments, plane: np.ndarray, scratch: _Scratch):
-    """cs and luminance * cs maps of a test plane against one reference level."""
+def _ssim_maps(ref: _Moments, plane: np.ndarray, scratch: _Scratch, luminance: bool = True):
+    """A test plane's cs map against one reference level, and its luminance * cs map or None."""
     cs_map = scratch.plane("map", ref.mu.shape)
-    ssim_map = scratch.plane("ssim", ref.mu.shape)
+    ssim_map = scratch.plane("ssim", ref.mu.shape) if luminance else None
     for rows, mu_b, square, cross in _moment_bands(plane, _SSIM_TAPS, scratch, ref.plane):
         mu_a = ref.mu[rows]
         var_b = square - mu_b * mu_b
         cov = cross - mu_a * mu_b
-        luminance = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
         cs = np.divide(2.0 * cov + _C2, ref.var[rows] + var_b + _C2, out=cs_map[rows])
-        np.multiply(luminance, cs, out=ssim_map[rows])
+        if luminance:
+            lum = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
+            np.multiply(lum, cs, out=ssim_map[rows])
     return cs_map, ssim_map
 
 
@@ -225,13 +234,15 @@ def _ms_ssim(levels: list, plane: np.ndarray, scratch: _Scratch) -> tuple[float,
     weights = np.array(MS_SSIM_WEIGHTS[: len(levels)], dtype=np.float64)
     weights /= weights.sum()
     score = 1.0
+    last = len(levels) - 1
     for level, ref in enumerate(levels):
         if level:
             plane = _downsample2(plane)
-        cs_map, ssim_map = _ssim_maps(ref, plane, scratch)
+        # the levels between the first and the last read only the cs map
+        cs_map, ssim_map = _ssim_maps(ref, plane, scratch, level in (0, last))
         if level == 0:
             ssim_value = float(np.mean(ssim_map))
-        term = float(np.mean(ssim_map if level == len(levels) - 1 else cs_map))
+        term = float(np.mean(ssim_map if level == last else cs_map))
         # negative means are possible on adversarial inputs; clamp before the
         # fractional power, which is undefined for negative bases
         score *= max(term, 0.0) ** weights[level]

@@ -11,7 +11,9 @@ All metric functions take plain 2-D float64 arrays in [0, 255].
 `add_gaussian_noise` and `add_speckle` are the injectors' whole-plane
 formulas, one `NoiseRng.normals` block per frame. `bilateral`, `fuse` and
 `classical_block` are per-pixel loops in the kernels' float32/float64
-operation order, so the kernels must equal them bit for bit.
+operation order, so the kernels must equal them bit for bit. `correlate_nearest`,
+`smooth` and `median3x3` are the scipy filters the package's numpy kernels
+replace.
 
 The `separable_*` metrics are the exception: they are the package's own
 separable-filter formulas as they stood before full-reference reports shared
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import correlate1d
+from scipy.ndimage import correlate1d, median_filter
 
 from rtcdenoise import (
     AnalyzerReport,
@@ -218,6 +220,23 @@ def bilateral(plane: np.ndarray, sigma_est: float, spatial_sigma: float,
             mean = float(np.float32(value_sum / weight_sum))
             out[i, j] = min(max(math.floor(mean + 0.5), 0), 255)
     return out
+
+
+def correlate_nearest(values: np.ndarray, kernel: np.ndarray, axis: int = -1) -> np.ndarray:
+    """scipy's correlate1d in float64 along one axis, edges replicated."""
+    return correlate1d(values.astype(np.float64), kernel, axis=axis, mode="nearest")
+
+
+def smooth(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """stage_smooth of a uint8 plane: correlate_nearest down the whole plane,
+    then across it, rounded half up and clamped to [0, 255]."""
+    out = correlate_nearest(correlate_nearest(plane, kernel, axis=0), kernel, axis=1)
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def median3x3(plane: np.ndarray) -> np.ndarray:
+    """median_filter_3x3 of a uint8 plane: scipy's median_filter(size=3, mode="nearest")."""
+    return median_filter(plane, size=3, mode="nearest")
 
 
 def fuse(detail: np.ndarray, smooth: np.ndarray, tau: float) -> np.ndarray:

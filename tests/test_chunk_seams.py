@@ -1,8 +1,9 @@
 """Chunked kernels give the same bits whatever their chunk size.
 
 Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
-image_denoiser._BILATERAL_PIXELS (the bilateral and the temporal blend) and
-metrics._BAND_PIXELS (row bands of the separable filters). At their shipped
+image_denoiser._BILATERAL_PIXELS (the bilateral and the temporal blend),
+image_denoiser._SMOOTH_PIXELS (row bands of stage_smooth) and
+metrics._BAND_PIXELS (row bands of the metric moments). At their shipped
 sizes every test frame elsewhere fits in one chunk, so these tests shrink each
 constant to small odd sizes, putting many seams inside small frames, and
 compare against the oracles.
@@ -10,7 +11,6 @@ compare against the oracles.
 
 import numpy as np
 import pytest
-from scipy.ndimage import correlate1d
 
 from rtcdenoise import (
     BlockParams,
@@ -132,20 +132,15 @@ def test_noise_injector_across_chunk_seams_matches_oracle(monkeypatch, size):
 BAND_SIZES = (1, 61, 331)
 
 
-def _whole_plane_smooth(plane: np.ndarray, sigma_est: float) -> np.ndarray:
-    kernel = gaussian_kernel(CascadeParams().gaussian_sigma(sigma_est))
-    rows = correlate1d(plane.astype(np.float64), kernel, axis=0, mode="nearest")
-    return quantize_plane(correlate1d(rows, kernel, axis=1, mode="nearest"))
-
-
-@pytest.mark.parametrize("size", BAND_SIZES)
-def test_stage_smooth_across_band_seams_equals_whole_plane_filter(monkeypatch, size):
-    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+@pytest.mark.parametrize("rows", SMALL_SIZES)
+def test_stage_smooth_across_band_seams_equals_whole_plane_filter(monkeypatch, rows):
+    monkeypatch.setattr(image_denoiser, "_SMOOTH_PIXELS", rows * 53)
     # sigma 60 reaches 8 rows, more than a band; 7 rows is less than one reach
     for shape in ((47, 53), (7, 53)):
         frame = _noisy(shape[1], shape[0], seed=25)
         for sigma in (5.0, 25.0, 60.0):
-            assert np.array_equal(stage_smooth(frame, sigma).y, _whole_plane_smooth(frame.y, sigma))
+            kernel = gaussian_kernel(CascadeParams().gaussian_sigma(sigma))
+            assert np.array_equal(stage_smooth(frame, sigma).y, oracles.smooth(frame.y, kernel))
 
 
 @pytest.mark.parametrize("size", BAND_SIZES)
@@ -176,6 +171,7 @@ def test_modes_agree_with_every_family_across_seams(monkeypatch):
     # flat positions at radius 3; at 48 pixels per row a 97-pixel band is 2 rows
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", 61)
     monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", 127)
+    monkeypatch.setattr(image_denoiser, "_SMOOTH_PIXELS", 97)
     monkeypatch.setattr(metrics, "_BAND_PIXELS", 97)
     runs = [run_denoise(noisy, PipelineConfig(execution=mode)) for mode in ("sequential", "threaded")]
     stats = reference[2]

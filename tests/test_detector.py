@@ -226,6 +226,16 @@ def test_median_filter_keeps_flat_regions_and_edges():
     assert np.array_equal(cleaned.y, y)
 
 
+@pytest.mark.parametrize("shape", [(37, 53), (1, 1), (2, 3), (3, 2)])
+def test_median_filter_equals_scipy_median(shape):
+    rng = np.random.default_rng(sum(shape))
+    noisy = rng.integers(0, 256, shape, dtype=np.uint8)
+    # mostly saturated: many equal values, and impulses next to each other
+    saturated = rng.choice(np.array([0, 255, 90], dtype=np.uint8), shape, p=(0.4, 0.4, 0.2))
+    for y in (noisy, saturated):
+        assert np.array_equal(median_filter_3x3(Frame(y=y)).y, oracles.median3x3(y))
+
+
 def test_median_filter_preserves_chroma_object():
     frame = make_frame(16, 16, seed=8, with_chroma=True)
     cleaned = median_filter_3x3(frame)

@@ -17,6 +17,7 @@ from rtcdenoise import (
     stage_smooth,
 )
 from rtcdenoise.metrics import gradient_magnitude
+from rtcdenoise import image_denoiser
 from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MAX_WINDOW_RADIUS, MIN_CASCADE_SIGMA
 
 import oracles
@@ -155,6 +156,35 @@ def test_stage_smooth_constant_frame_invariant():
     frame = _const(201)
     out = stage_smooth(frame, 30.0)
     assert np.array_equal(out.y, frame.y)
+
+
+# sigma_est is the Gaussian sigma itself, so each length's sigma is (k - 0.5) / 3
+_SMOOTH_BY_SIGMA = CascadeParams(gaussian_sigma_divisor=1.0, gaussian_sigma_min=0.1,
+                                 gaussian_sigma_max=3.0)
+
+
+@pytest.mark.parametrize("length", range(3, 18, 2))
+def test_stage_smooth_equals_scipy_whole_plane_filter(length):
+    sigma = (length // 2 - 0.5) / 3.0
+    kernel = gaussian_kernel(sigma)
+    assert len(kernel) == length
+    rng = np.random.default_rng(length)
+    # the 1x1, 2x3 and 5x1 frames are narrower and shorter than the kernel
+    for h, w in ((1, 1), (2, 3), (5, 1), (23, 37)):
+        y = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        out = stage_smooth(Frame(y=y), sigma, _SMOOTH_BY_SIGMA).y
+        assert np.array_equal(out, oracles.smooth(y, kernel)), (h, w)
+    # rounding to uint8 hides most changes of summation order, so each pass's
+    # float64 values must equal correlate1d's too: uint8 rows (the vertical
+    # pass, summing pairs in uint16) and float64 rows (the horizontal pass)
+    reach = length // 2
+    for line, sums in ((rng.integers(0, 256, 301, dtype=np.uint8), np.empty(301, np.uint16)),
+                       (rng.uniform(0.0, 255.0, 301), np.empty(301))):
+        padded = np.pad(line, reach, mode="edge")
+        out = np.empty(301)
+        image_denoiser._symmetric_taps(lambda j: padded[reach + j : reach + j + 301], kernel, out,
+                                       sums, np.empty(301))
+        assert np.array_equal(out, oracles.correlate_nearest(line, kernel)), line.dtype
 
 
 def test_stage_smooth_impulse_response_is_separable_kernel():

@@ -158,11 +158,11 @@ def test_run_denoise_matches_stream_oracle(cadence, n):
 
 # --- failures -----------------------------------------------------------------------
 
-# Tasks, each looked up through the module that calls it: the keyframe's
-# forked smooth stage, a forked first-level temporal block and the window the
-# cohort computes on its own thread.
+# Tasks, each looked up through the module that calls it: the keyframe
+# smooth's rows (one half forked), a forked first-level temporal block and the
+# window the cohort computes on its own thread.
 FORKED_TASKS = [
-    (rtcdenoise.image_denoiser, "stage_smooth"),
+    (rtcdenoise.image_denoiser, "_smooth_rows"),
     (rtcdenoise.video_denoiser, "denoise_block"),
     (rtcdenoise.pipeline, "denoise_window"),
 ]
@@ -217,10 +217,9 @@ def test_stage_failure_raises_instead_of_hanging(execution, module, name, monkey
 
 
 @pytest.mark.parametrize("forked, failing", [
-    ((rtcdenoise.image_denoiser, "stage_smooth"), (rtcdenoise.image_denoiser, "stage_detail")),
     ((rtcdenoise.video_denoiser, "denoise_block"), (rtcdenoise.pipeline, "build_report_noref")),
     ((rtcdenoise.pipeline, "denoise_window"), (rtcdenoise.pipeline, "build_report_noref")),
-], ids=["stage_smooth", "denoise_block", "denoise_window"])
+], ids=["denoise_block", "denoise_window"])
 def test_caller_error_leaves_no_forked_task_running(forked, failing, monkeypatch):
     _, noisy = _noisy_sequence(12, 25.0, seed=18)
     original = getattr(*forked)
@@ -258,6 +257,37 @@ def test_caller_error_leaves_no_forked_task_running(forked, failing, monkeypatch
     assert not after_raise
 
 
+def test_smooth_error_on_the_caller_leaves_no_half_running(monkeypatch):
+    _, noisy = _noisy_sequence(6, 25.0, seed=18)
+    original = rtcdenoise.image_denoiser._smooth_rows
+    running = []
+    after_raise = []
+    raised = threading.Event()
+
+    def rows(padded, kernel, w, out, r0, r1):
+        if r0 == 0:  # the caller's own half
+            raise RuntimeError("injected caller fault")
+        if raised.is_set():
+            after_raise.append(None)
+        running.append(None)
+        try:
+            time.sleep(0.05)  # still running when the caller fails
+            return original(padded, kernel, w, out, r0, r1)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(rtcdenoise.image_denoiser, "_smooth_rows", rows)
+    with pytest.raises(RuntimeError, match="injected caller fault"):
+        try:
+            run_denoise(noisy)
+        finally:
+            running_at_raise = len(running)
+            raised.set()
+    assert running_at_raise == 0
+    time.sleep(0.3)
+    assert not after_raise
+
+
 def _recording_helper(monkeypatch):
     """Record the function of each Fork offered to the helper pool, then pass it on."""
     submitted = []
@@ -289,7 +319,7 @@ def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch
     _, _, stats = run_denoise(noisy)
     assert stats.frames_denoised == 12
     offered = {fn.__name__ for fn in submitted}
-    assert {"denoise_block", "stage_smooth", "_bilateral_runs"} <= offered
+    assert {"denoise_block", "_smooth_rows", "_bilateral_runs"} <= offered
     assert "denoise_window" not in offered
 
 
@@ -547,6 +577,49 @@ def test_run_denoise_modes_agree_on_outputs_and_reports():
     out_thr, rep_thr, _ = run_denoise(noisy, PipelineConfig(execution="threaded"))
     assert sequences_equal(out_seq, out_thr)
     assert rep_seq == rep_thr
+
+
+class _SlowSource:
+    """A clip whose frames take a while to arrive, counting those returned."""
+
+    def __init__(self, video, delay_s):
+        self.video, self.delay_s, self.returned = video, delay_s, 0
+        self.frame_rate = video.frame_rate
+
+    def __len__(self):
+        return len(self.video)
+
+    def __getitem__(self, t):
+        time.sleep(self.delay_s)
+        self.returned += 1
+        return self.video[t]
+
+
+def test_threaded_run_emits_a_finished_cohort_after_the_next_frame(monkeypatch):
+    _, noisy = _noisy_sequence(17, 25.0, seed=16, width=48, height=32)
+    expected = run_denoise(noisy)[0]
+    source = _SlowSource(noisy, 0.03)
+    finished = {}  # cohort start -> frames returned when its unit finished
+    cohort = rtcdenoise.pipeline._cohort
+
+    def recording(start, *args):
+        result = cohort(start, *args)
+        finished[start] = source.returned
+        return result
+
+    monkeypatch.setattr(rtcdenoise.pipeline, "_cohort", recording)
+    arrived = []  # frames returned when each output frame reached the sink
+    outputs = []
+
+    def sink(frame, report):
+        arrived.append(source.returned)
+        outputs.append(frame)
+
+    cadence = PipelineConfig().cadence
+    run_denoise(source, PipelineConfig(execution="threaded"), sink=sink)
+    assert sequences_equal(VideoSequence(tuple(outputs)), expected)
+    for t, count in enumerate(arrived):
+        assert count - finished[t - t % cadence] <= 1, t
 
 
 # --- modeled runtime ----------------------------------------------------------------
