@@ -1,7 +1,10 @@
 """Simulated sender, codec surrogate, and lossy network.
 
 The encoder surrogate is an 8x8 orthonormal block-DCT with uniform coefficient
-quantization, optionally preceded by a bilinear down/upscale round trip. The
+quantization, optionally preceded by a bilinear down/upscale round trip. It
+transforms bands of whole block rows (_CODEC_PIXELS) straight into uint8, so
+at scale 1 no frame-sized float64 array is made; the values equal those of
+one transform of the whole plane. The
 network drops whole horizontal slices (Bernoulli or Gilbert-Elliott) and the
 decoder conceals a lost slice with the co-located slice of the previous
 decoded frame, which yields the familiar blocky "pixelation" artifacts.
@@ -171,7 +174,7 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
-    """Float64 down/up bilinear round trip; at scale 1 just the float64 copy."""
+    """Float64 bilinear down/up round trip."""
     h, w = plane.shape
     small_h = max(1, round(h * scale))
     small_w = max(1, round(w * scale))
@@ -179,31 +182,48 @@ def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
     return _bilinear_resize(small, h, w)
 
 
+# Pixels per band of the block-DCT quantizer, in whole 8-row block rows. At
+# 480x360 a band is 64 rows, and a call traces 1.2 MB; 1 << 16 ran about as
+# fast (README "Chunk sizes") but traced 2.1 MB.
+_CODEC_PIXELS = 1 << 15
+
+
 def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
+    """uint8 of the 8x8 orthonormal block-DCT round trip with step-q coefficients.
+
+    The plane is edge-padded to whole blocks and transformed a band of block
+    rows at a time; each block's values depend on that block alone, so they
+    equal those of transforming the whole padded plane.
+    """
     from scipy.fft import dctn, idctn  # on first use: the receiver's path needs no scipy
 
     h, w = plane.shape
-    pad_h = (-h) % _BLOCK
-    pad_w = (-w) % _BLOCK
-    padded = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    ph, pw = padded.shape
-    blocks = padded.reshape(ph // _BLOCK, _BLOCK, pw // _BLOCK, _BLOCK).swapaxes(1, 2)
-    coeffs = dctn(blocks, axes=(-2, -1), norm="ortho")
-    coeffs = np.round(coeffs / q) * q
-    recon = idctn(coeffs, axes=(-2, -1), norm="ortho")
-    recon = recon.swapaxes(1, 2).reshape(ph, pw)
-    return recon[:h, :w]
+    out = np.empty((h, w), dtype=np.uint8)
+    band_rows = max(_BLOCK, _CODEC_PIXELS // w // _BLOCK * _BLOCK)
+    for r0, r1 in chunk_bounds(h, band_rows):
+        band = np.pad(plane[r0:r1], ((0, (r0 - r1) % _BLOCK), (0, (-w) % _BLOCK)), mode="edge")
+        bh, bw = band.shape
+        blocks = band.reshape(bh // _BLOCK, _BLOCK, bw // _BLOCK, _BLOCK).swapaxes(1, 2)
+        coeffs = dctn(blocks, axes=(-2, -1), norm="ortho")
+        coeffs /= q
+        np.round(coeffs, out=coeffs)
+        coeffs *= q
+        recon = idctn(coeffs, axes=(-2, -1), norm="ortho")
+        out[r0:r1] = quantize_plane(recon.swapaxes(1, 2).reshape(bh, bw)[: r1 - r0, :w])
+    return out
 
 
 def encode_decode(frame: Frame, config: SenderConfig) -> Frame:
     """Codec surrogate: optional resolution round trip, then block-DCT quantization.
 
-    Quantization applies to luma; chroma only takes the resolution round trip.
-    Output dimensions always match the input.
+    Quantization applies to luma; chroma only takes the resolution round trip,
+    so at scale 1 it passes through as it is. Output dimensions always match
+    the input.
     """
+    if config.resolution_scale == 1:
+        return frame.with_luma(_block_dct_quantize(frame.y, config.q))
     planes = [_scale_round_trip(p, config.resolution_scale) for p in frame.planes]
-    planes[0] = _block_dct_quantize(planes[0], config.q)
-    return Frame(*(quantize_plane(p) for p in planes))
+    return Frame(_block_dct_quantize(planes[0], config.q), *(quantize_plane(p) for p in planes[1:]))
 
 
 def transmit(

@@ -203,8 +203,9 @@ def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]
     (and page-faulted in) frame-sized on every call. Each kernel family has
     one size constant, kept beside it: ELEMENTWISE_PIXELS,
     image_denoiser._BILATERAL_PIXELS, image_denoiser._SMOOTH_PIXELS (the row
-    bands of stage_smooth) and metrics._BAND_PIXELS (the row bands of the
-    metric moments). Two costs set it: each numpy call hands the interpreter
+    bands of stage_smooth), metrics._BAND_PIXELS (the row bands of the
+    metric moments) and channel._CODEC_PIXELS (the bands of block rows of
+    the codec surrogate). Two costs set it: each numpy call hands the interpreter
     lock over, so under two threads longer runs (fewer calls) wait less; but
     longer runs need larger temporaries, which leave the core's cache and,
     past the allocator's mmap threshold, are page-faulted in afresh on each

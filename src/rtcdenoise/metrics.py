@@ -13,17 +13,21 @@ one reference, in two independent families: PSNR with MS-SSIM (SSIM is the
 mean of luminance * cs at MS-SSIM level 0, so it needs no filtering of its
 own), and VIFp. full_reference_scores runs the families at the same time:
 the calling thread scores the first while VIFp is forked to the other lane
-(lanes.Fork), and the filters release the interpreter lock. Each family builds
-its reference side once for both test frames: at every MS-SSIM level and
-VIFp scale the windowed mean and variance (for VIFp also the weak-reference
-mask and the denominator term). The standalone functions run through the
-same code and give the same bits.
+(lanes.Fork), and the filters release the interpreter lock. The standalone
+functions run the same code with one test frame and give the same bits.
 
-MS-SSIM level 0 and VIFp scale 1 filter straight from the frames' uint8
-rows: moments are filtered in row bands, each band converted to float64 as
-it goes, and the elementwise map arithmetic runs band by band. Every value
-equals that of whole-plane float64 filtering, and no frame-sized temporaries
-are allocated beyond the maps whose means are taken.
+Every MS-SSIM level and VIFp scale runs band-major: for each row band of
+window positions, the reference's windowed mean and variance are filtered
+once, then each test frame's moments, and the band's cs, luminance * cs,
+VIFp information and denominator terms go straight into streaming sums
+(_PairwiseSum). PSNR's squared errors and detail_retention's scores stream
+the same way, in runs. So the moments and maps are band-sized: no mean,
+variance, weak-reference mask or SSIM map of the whole frame is kept. What
+stays frame-sized is the pyramid below level 0 (float32 2x2 means, a quarter
+of the frame or less) and VIFp's halved planes. The streaming sums add in
+numpy's pairwise order, and every filtered value equals that of whole-plane
+float64 filtering, so each mean equals np.mean of the whole map bit for bit,
+whatever the band size.
 
 The separable filters are scipy.ndimage.correlate1d, imported on first use
 rather than with this module: the receiver's own path (image_denoiser's
@@ -39,8 +43,10 @@ bit-identical floats.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +101,11 @@ _VIF_TAPS = tuple(_gaussian_taps(size, size / 5.0) for size in (17, 9, 5, 3))
 # 1 << 16 took about 1.6x and 2.3x the page faults of 1 << 14 per
 # full-reference report, and its time did not move on one or two threads.
 _BAND_PIXELS = 1 << 14
+# Most values in a leaf of a _PairwiseSum (numpy's tree splits no run of 128
+# values or fewer, so a smaller limit acts as 128). A leaf is one
+# np.add.reduce call, and a sum buffers up to one leaf: at 480x360 a leaf is
+# about 2,700 values, and a report's sums buffer about 0.15 MB.
+_SUM_LEAF = 1 << 12
 
 
 def _row_bands(rows: int, width: int, step: int = 1):
@@ -102,60 +113,150 @@ def _row_bands(rows: int, width: int, step: int = 1):
     return chunk_bounds(rows, max(step, _BAND_PIXELS // width // step * step))
 
 
-class _Scratch:
-    """Named float64 maps; a name's buffer serves every later, smaller request.
+@functools.lru_cache(maxsize=64)
+def _pairwise_plan(n: int, leaf: int) -> tuple:
+    """numpy's summation tree over n values, cut into leaves of at most leaf values.
 
-    A frame-sized array is page-faulted in afresh on each allocation (see
-    frame.chunk_bounds), so one scratch set serves a whole report.
+    numpy sums a contiguous float64 run of more than 128 values as the sum of
+    its two halves, the first rounded down to a multiple of 8 values. Returns
+    each leaf's length and how many of the nodes above it it completes.
+    """
+    if n <= max(leaf, 128):
+        return (n,), (0,)
+    half = n // 2 - n // 2 % 8
+    left, left_joins = _pairwise_plan(half, leaf)
+    right, right_joins = _pairwise_plan(n - half, leaf)
+    return left + right, left_joins + right_joins[:-1] + (right_joins[-1] + 1,)
+
+
+class _PairwiseSum:
+    """np.add.reduce of n float64 values that arrive in pieces, bit for bit.
+
+    Each leaf of numpy's summation tree is summed with np.add.reduce once its
+    values have arrived: straight from a piece that holds it whole, else from
+    a buffer. total() adds the leaf sums up the same tree, so it equals
+    np.add.reduce of the whole sequence, and mean() the sequence's np.mean,
+    wherever the pieces begin and end.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        leaves, self._joins = _pairwise_plan(n, _SUM_LEAF)
+        # leaf k holds values [_bounds[k], _bounds[k + 1]); the last bound stops add's scan
+        self._bounds = list(itertools.accumulate(leaves, initial=0)) + [math.inf]
+        self._buffer = np.empty(max(leaves), dtype=np.float64)
+        self._sums: list = []
+        self._arrived = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Append the values of a C-contiguous float64 array, in raster order."""
+        values = values.reshape(-1)
+        start = self._arrived
+        stop = self._arrived = start + values.size
+        bounds, sums = self._bounds, self._sums
+        k = len(sums)
+        while bounds[k + 1] <= stop:  # leaf k is complete
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo >= start:
+                sums.append(float(np.add.reduce(values[lo - start : hi - start])))
+            else:  # its first values are in the buffer
+                self._buffer[start - lo : hi - lo] = values[: hi - start]
+                sums.append(float(np.add.reduce(self._buffer[: hi - lo])))
+            k += 1
+        lo = max(bounds[k], start)
+        if lo < stop:
+            self._buffer[lo - bounds[k] : stop - bounds[k]] = values[lo - start :]
+
+    def total(self) -> float:
+        stack: list = []
+        for value, joins in zip(self._sums, self._joins):
+            stack.append(value)
+            for _ in range(joins):
+                right = stack.pop()
+                stack[-1] += right
+        return stack[0]
+
+    def mean(self) -> float:
+        return self.total() / self.n
+
+
+class _Scratch:
+    """Named float64 arrays; a name's buffer serves every later, smaller request.
+
+    An array past the allocator's mmap threshold is page-faulted in afresh on
+    each allocation (see frame.chunk_bounds), so one scratch set serves a
+    whole metric family.
     """
 
     def __init__(self):
         self._flat: dict = {}
 
-    def plane(self, name: str, shape: tuple) -> np.ndarray:
-        size = shape[0] * shape[1]
+    def plane(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype=np.float64)
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
         return flat[:size].reshape(shape)
 
 
-def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
-    """Separable correlation, keeping only fully-covered window positions.
+def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: str,
+                  step: int = 1) -> np.ndarray:
+    """Separable correlation at every step-th fully-covered window position, both axes.
 
     The second pass filters only the rows the crop keeps, each row on its own,
     so the values are those of filtering the whole plane and cropping. The
-    passes write into scratch's "rows" and name maps; the result is a view of
-    the latter, valid until the next call that writes it.
+    passes write into scratch's "rows" and name arrays; the result is a view
+    of the latter, valid until the next call that writes it.
     """
     from scipy.ndimage import correlate1d  # on first use: see the module docstring
 
     h, w = plane.shape
     r = (len(taps) - 1) // 2
     rows = correlate1d(plane, taps, axis=0, output=scratch.plane("rows", plane.shape),
-                       mode="constant")[r : h - r]
+                       mode="constant")[r : h - r : step]
     out = correlate1d(rows, taps, axis=1, output=scratch.plane(name, rows.shape), mode="constant")
-    return out[:, r : w - r]
+    return out[:, r : w - r : step]
 
 
-def _moment_bands(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch,
-                  ref: Optional[np.ndarray] = None):
-    """Windowed moments of a plane, one row band of fully-covered positions at a time.
+def _band_moments(reference: np.ndarray, planes: list, taps: np.ndarray, scratch: _Scratch):
+    """Windowed moments of a reference and its test planes, one row band at a time.
 
-    Yields (rows, mean, filtered plane², filtered ref * plane); the last is
-    None without a ref plane. A band filters its own rows plus the window's
-    reach above and below, and each filtered value depends on those rows
-    alone, so every value equals that of filtering the whole plane. A uint8
-    plane is converted to float64 one band at a time. The moments are views
-    of scratch, overwritten by the next band.
+    Yields (mu_a, var_a, tests) for each band of fully-covered positions,
+    where tests yields (mu_b, var_b, cov) for each test plane in turn and
+    must be used up before the next band. A band filters its own rows plus
+    the window's reach above and below, and each filtered value depends on
+    those rows alone, so every value equals that of filtering the whole
+    float64 plane: the filters read uint8 rows as float64, and products are
+    taken in float64. The moments are views of scratch: the reference's
+    valid for the band, a test plane's until the next plane, whose moments
+    the caller may overwrite. scratch's "term" array is free for the caller.
     """
     reach = len(taps) - 1
-    for r0, r1 in _row_bands(plane.shape[0] - reach, plane.shape[1]):
-        band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
-        cross = (None if ref is None
-                 else _filter_valid(ref[r0 : r1 + reach] * band, taps, scratch, "cross"))
-        yield (slice(r0, r1), _filter_valid(band, taps, scratch, "mean"),
-               _filter_valid(band * band, taps, scratch, "square"), cross)
+    for r0, r1 in _row_bands(reference.shape[0] - reach, reference.shape[1]):
+        rows = slice(r0, r1 + reach)
+        a = reference[rows]
+        mu_a = _filter_valid(a, taps, scratch, "mu_a")
+        var_a = _filter_valid(_product(a, a, scratch), taps, scratch, "var_a")
+        var_a -= np.multiply(mu_a, mu_a, out=scratch.plane("term", mu_a.shape))
+        yield mu_a, var_a, _test_moments(a, mu_a, planes, rows, taps, scratch)
+
+
+def _test_moments(a, mu_a, planes, rows, taps, scratch):
+    for plane in planes:
+        b = plane[rows]
+        mu_b = _filter_valid(b, taps, scratch, "mu_b")
+        var_b = _filter_valid(_product(b, b, scratch), taps, scratch, "var_b")
+        var_b -= np.multiply(mu_b, mu_b, out=scratch.plane("term", mu_b.shape))
+        cov = _filter_valid(_product(a, b, scratch), taps, scratch, "cov")
+        cov -= np.multiply(mu_a, mu_b, out=scratch.plane("term", mu_b.shape))
+        yield mu_b, var_b, cov
+
+
+def _product(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """a * b in float64 values: uint8 products are exact in uint16, which the filters read."""
+    if a.dtype == np.uint8:
+        return np.multiply(a, b, out=scratch.plane("product16", a.shape, np.uint16), dtype=np.uint16)
+    return np.multiply(a, b, out=scratch.plane("product", a.shape), dtype=np.float64)
 
 
 def _filter_halve(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> np.ndarray:
@@ -164,188 +265,188 @@ def _filter_halve(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> np.
     rows = plane.shape[0] - reach
     out = np.empty(((rows + 1) // 2, (plane.shape[1] - reach + 1) // 2), dtype=np.float64)
     for r0, r1 in _row_bands(rows, plane.shape[1], step=2):
-        band = plane[r0 : r1 + reach].astype(np.float64, copy=False)
-        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(band, taps, scratch, "mean")[::2, ::2]
+        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(plane[r0 : r1 + reach], taps, scratch,
+                                                     "mu_a", step=2)
     return out
 
 
-class _Moments(NamedTuple):
-    """A reference plane with its windowed mean and variance."""
-
-    plane: np.ndarray
-    mu: np.ndarray
-    var: np.ndarray
-
-
-def _reference_moments(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> _Moments:
+def _valid_size(plane: np.ndarray, taps: np.ndarray) -> int:
     reach = len(taps) - 1
-    shape = (plane.shape[0] - reach, plane.shape[1] - reach)
-    mu = np.empty(shape, dtype=np.float64)
-    var = np.empty(shape, dtype=np.float64)
-    for rows, mu_a, square, _ in _moment_bands(plane, taps, scratch):
-        mu[rows] = mu_a
-        np.subtract(square, mu_a * mu_a, out=var[rows])
-    return _Moments(plane, mu, var)
+    return (plane.shape[0] - reach) * (plane.shape[1] - reach)
 
 
-def _psnr(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> float:
-    error = np.subtract(a, b, out=scratch.plane("map", a.shape), dtype=np.float64)
-    error **= 2
-    mse = float(np.mean(error))
-    if mse == 0.0:
-        return INFINITE
-    return 10.0 * math.log10(255.0 ** 2 / mse)
+def _psnr(reference: np.ndarray, planes: list) -> list:
+    a = reference.reshape(-1)
+    values = []
+    for plane in planes:
+        b = plane.reshape(-1)
+        error = _PairwiseSum(a.size)
+        for c0, c1 in chunk_bounds(a.size, _BAND_PIXELS):
+            run = np.subtract(a[c0:c1], b[c0:c1], dtype=np.float64)
+            run **= 2
+            error.add(run)
+        mse = error.mean()
+        values.append(INFINITE if mse == 0.0 else 10.0 * math.log10(255.0 ** 2 / mse))
+    return values
 
 
-def _ssim_maps(ref: _Moments, plane: np.ndarray, scratch: _Scratch, luminance: bool = True):
-    """A test plane's cs map against one reference level, and its luminance * cs map or None."""
-    cs_map = scratch.plane("map", ref.mu.shape)
-    ssim_map = scratch.plane("ssim", ref.mu.shape) if luminance else None
-    for rows, mu_b, square, cross in _moment_bands(plane, _SSIM_TAPS, scratch, ref.plane):
-        mu_a = ref.mu[rows]
-        var_b = square - mu_b * mu_b
-        cov = cross - mu_a * mu_b
-        cs = np.divide(2.0 * cov + _C2, ref.var[rows] + var_b + _C2, out=cs_map[rows])
-        if luminance:
-            lum = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
-            np.multiply(lum, cs, out=ssim_map[rows])
-    return cs_map, ssim_map
+def _ssim_level(reference: np.ndarray, planes: list, scratch: _Scratch,
+                cs: bool, luminance: bool) -> list:
+    """Each test plane's (mean cs, mean luminance * cs) at one SSIM level; None where not asked."""
+    n = _valid_size(reference, _SSIM_TAPS)
+    sums = [(_PairwiseSum(n) if cs else None, _PairwiseSum(n) if luminance else None)
+            for _ in planes]
+    for mu_a, var_a, tests in _band_moments(reference, planes, _SSIM_TAPS, scratch):
+        for (cs_sum, ssim_sum), (mu_b, var_b, cov) in zip(sums, tests):
+            # cs = (2 cov + C2) / (var_a + var_b + C2), in this order
+            cs_map = np.multiply(2.0, cov, out=scratch.plane("cs", mu_a.shape))
+            cs_map += _C2
+            var_b += var_a
+            var_b += _C2
+            cs_map /= var_b
+            if cs:
+                cs_sum.add(cs_map)
+            if luminance:
+                # (2 mu_a mu_b + C1) / (mu_a^2 + mu_b^2 + C1) * cs, in this order
+                ssim_map = np.multiply(2.0, mu_a, out=scratch.plane("term", mu_a.shape))
+                ssim_map *= mu_b
+                ssim_map += _C1
+                mu_b *= mu_b
+                mu_b += np.multiply(mu_a, mu_a, out=var_b)
+                mu_b += _C1
+                ssim_map /= mu_b
+                ssim_map *= cs_map
+                ssim_sum.add(ssim_map)
+    return [tuple(None if s is None else s.mean() for s in pair) for pair in sums]
 
 
 def _downsample2(plane: np.ndarray) -> np.ndarray:
+    """2x2 means of a uint8 plane or of an earlier level, as float32.
+
+    Level k holds multiples of 4**-k up to 255, 8 + 2k significant bits at
+    most, so float32 holds the float64 means exactly in half the memory.
+    """
     h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
-    return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+    out = np.empty((h2, w2), dtype=np.float32)
+    return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3), dtype=np.float64,
+                                                                 out=out)
 
 
-def _ms_ssim_levels(plane: np.ndarray, scratch: _Scratch) -> list:
-    """Reference moments at every MS-SSIM level the frame size allows (5 max)."""
-    levels = []
-    dim = min(plane.shape)
-    while dim >= _SSIM_WINDOW and len(levels) < len(MS_SSIM_WEIGHTS):
-        if levels:
-            plane = _downsample2(plane)
-        levels.append(_reference_moments(plane, _SSIM_TAPS, scratch))
+def _ms_ssim(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
+    """(MS-SSIM, SSIM) of each test plane; SSIM is level 0's mean of luminance * cs."""
+    levels = 0
+    dim = min(reference.shape)
+    while dim >= _SSIM_WINDOW and levels < len(MS_SSIM_WEIGHTS):
+        levels += 1
         dim //= 2
-    return levels
-
-
-def _ms_ssim(levels: list, plane: np.ndarray, scratch: _Scratch) -> tuple[float, float]:
-    """(MS-SSIM, SSIM) of a test plane; SSIM is level 0's mean of luminance * cs."""
-    weights = np.array(MS_SSIM_WEIGHTS[: len(levels)], dtype=np.float64)
+    weights = np.array(MS_SSIM_WEIGHTS[:levels], dtype=np.float64)
     weights /= weights.sum()
-    score = 1.0
-    last = len(levels) - 1
-    for level, ref in enumerate(levels):
+    scores = [1.0] * len(planes)
+    for level in range(levels):
         if level:
-            plane = _downsample2(plane)
-        # the levels between the first and the last read only the cs map
-        cs_map, ssim_map = _ssim_maps(ref, plane, scratch, level in (0, last))
+            reference = _downsample2(reference)
+            planes = [_downsample2(plane) for plane in planes]
+        last = level == levels - 1
+        # the levels between the first and the last read only the cs mean
+        means = _ssim_level(reference, planes, scratch, not last, level == 0 or last)
         if level == 0:
-            ssim_value = float(np.mean(ssim_map))
-        term = float(np.mean(ssim_map if level == last else cs_map))
-        # negative means are possible on adversarial inputs; clamp before the
-        # fractional power, which is undefined for negative bases
-        score *= max(term, 0.0) ** weights[level]
-    return float(score), ssim_value
+            ssim_values = [ssim_value for _, ssim_value in means]
+        for i, (cs, ssim_value) in enumerate(means):
+            # negative means are possible on adversarial inputs; clamp before
+            # the fractional power, which is undefined for negative bases
+            scores[i] *= max(ssim_value if last else cs, 0.0) ** weights[level]
+    return [(float(score), ssim_value) for score, ssim_value in zip(scores, ssim_values)]
 
 
-class _VifScale(NamedTuple):
-    """Reference side of one VIFp scale."""
+def _vif_information(var_a: np.ndarray, weak_ref: np.ndarray, var_b: np.ndarray,
+                     cov: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """One band of a test plane's VIFp information map, in scratch's "term" array.
 
-    plane: np.ndarray
-    mu: np.ndarray
-    var: np.ndarray  # clamped at 0, then zeroed where weak
-    taps: np.ndarray
-    weak: np.ndarray  # variance below eps: no reference signal to carry
-    den: float  # this scale's denominator term
+    var_a is zero where weak_ref; var_b and cov are overwritten.
+    """
+    np.maximum(var_b, 0.0, out=var_b)
+    # g = cov / (var_a + eps) and sv_sq = var_b - g cov; the values a weak
+    # reference gives are overwritten by its rule below
+    g = np.add(var_a, _VIF_EPS, out=scratch.plane("term", var_a.shape))
+    np.divide(cov, g, out=g)
+    sv_sq = np.multiply(g, cov, out=cov)
+    np.subtract(var_b, sv_sq, out=sv_sq)
+
+    g[weak_ref] = 0.0
+    sv_sq[weak_ref] = var_b[weak_ref]
+
+    weak_test = var_b < _VIF_EPS
+    g[weak_test] = 0.0
+    sv_sq[weak_test] = 0.0
+
+    negative_gain = g < 0.0
+    sv_sq[negative_gain] = var_b[negative_gain]
+    g[negative_gain] = 0.0
+    np.maximum(sv_sq, _VIF_EPS, out=sv_sq)
+    # log10(1 + g^2 var_a / (sv_sq + sigma_nsq)), in this order
+    sv_sq += _VIF_SIGMA_NSQ
+    info = np.multiply(g, g, out=g)
+    info *= var_a
+    info /= sv_sq
+    info += 1.0
+    return np.log10(info, out=info)
 
 
-def _vifp_scales(plane: np.ndarray, scratch: _Scratch) -> list:
-    """Reference side of each VIFp scale the frame size allows (none below 17 px)."""
-    scales = []
+def _vifp(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
+    """VIFp of each test plane over the scales the frame size allows (none below 17 px)."""
+    num = [0.0] * len(planes)
+    den = 0.0
     for scale, taps in enumerate(_VIF_TAPS, start=1):
         if scale > 1:
-            if min(plane.shape) < len(taps):
+            if min(reference.shape) < len(taps):
                 break
-            plane = _filter_halve(plane, taps, scratch)
-        if min(plane.shape) < len(taps):
+            reference = _filter_halve(reference, taps, scratch)
+            planes = [_filter_halve(plane, taps, scratch) for plane in planes]
+        if min(reference.shape) < len(taps):
             break
-        _, mu, var = _reference_moments(plane, taps, scratch)
-        np.maximum(var, 0.0, out=var)
-        weak = var < _VIF_EPS
-        var[weak] = 0.0
-        den = float(np.log10(1.0 + var / _VIF_SIGMA_NSQ).sum())
-        scales.append(_VifScale(plane, mu, var, taps, weak, den))
-    return scales
-
-
-def _vifp(scales: list, plane: np.ndarray, scratch: _Scratch) -> float:
-    num = 0.0
-    den = 0.0
-    for index, ref in enumerate(scales):
-        if index:
-            plane = _filter_halve(plane, ref.taps, scratch)
-        info = scratch.plane("map", ref.mu.shape)
-        for rows, mu_b, square, cross in _moment_bands(plane, ref.taps, scratch, ref.plane):
-            mu_a = ref.mu[rows]
-            var_b = square - mu_b * mu_b
-            cov = cross - mu_a * mu_b
-            np.maximum(var_b, 0.0, out=var_b)
-
-            # var_a is zero at weak-reference positions; the g and sv_sq it
-            # gives there are overwritten by the weak-reference rule below
-            var_a = ref.var[rows]
-            g = cov / (var_a + _VIF_EPS)
-            sv_sq = var_b - g * cov
-
-            weak_ref = ref.weak[rows]
-            g[weak_ref] = 0.0
-            sv_sq[weak_ref] = var_b[weak_ref]
-
-            weak_test = var_b < _VIF_EPS
-            g[weak_test] = 0.0
-            sv_sq[weak_test] = 0.0
-
-            negative_gain = g < 0.0
-            sv_sq[negative_gain] = var_b[negative_gain]
-            g[negative_gain] = 0.0
-            np.maximum(sv_sq, _VIF_EPS, out=sv_sq)
-
-            np.log10(1.0 + g * g * var_a / (sv_sq + _VIF_SIGMA_NSQ), out=info[rows])
-        num += float(info.sum())
-        den += ref.den
-    return num / max(den, _VIF_EPS)
+        n = _valid_size(reference, taps)
+        den_sum = _PairwiseSum(n)
+        info_sums = [_PairwiseSum(n) for _ in planes]
+        for _, var_a, tests in _band_moments(reference, planes, taps, scratch):
+            np.maximum(var_a, 0.0, out=var_a)
+            weak_ref = var_a < _VIF_EPS  # no reference signal to carry
+            var_a[weak_ref] = 0.0
+            # log10(1 + var_a / sigma_nsq), in this order
+            den_term = np.divide(var_a, _VIF_SIGMA_NSQ, out=scratch.plane("term", var_a.shape))
+            den_term += 1.0
+            den_sum.add(np.log10(den_term, out=den_term))
+            for info_sum, (_, var_b, cov) in zip(info_sums, tests):
+                info_sum.add(_vif_information(var_a, weak_ref, var_b, cov, scratch))
+        num = [value + info_sum.total() for value, info_sum in zip(num, info_sums)]
+        den += den_sum.total()
+    return [value / max(den, _VIF_EPS) for value in num]
 
 
 def psnr(ref: Frame, test: Frame) -> float:
     """Peak signal-to-noise ratio in dB; identical frames give math.inf."""
     a, b = _luma_pair(ref, test)
-    return _psnr(a, b, _Scratch())
+    return _psnr(a, [b])[0]
 
 
 def ssim(ref: Frame, test: Frame) -> float:
     """Structural similarity, mean over valid 11x11 window positions."""
     a, b = _luma_pair(ref, test)
     _require_side(a, _SSIM_WINDOW)
-    scratch = _Scratch()
-    _, ssim_map = _ssim_maps(_reference_moments(a, _SSIM_TAPS, scratch), b, scratch)
-    return float(np.mean(ssim_map))
+    return _ssim_level(a, [b], _Scratch(), cs=False, luminance=True)[0][1]
 
 
 def ms_ssim(ref: Frame, test: Frame) -> float:
     """Multi-scale SSIM; scale count adapts to frame size (5 max)."""
     a, b = _luma_pair(ref, test)
     _require_side(a, _SSIM_WINDOW)
-    scratch = _Scratch()
-    return _ms_ssim(_ms_ssim_levels(a, scratch), b, scratch)[0]
+    return _ms_ssim(a, [b], _Scratch())[0][0]
 
 
 def vifp(ref: Frame, test: Frame) -> float:
     """Pixel-domain visual information fidelity over 4 scales."""
     a, b = _luma_pair(ref, test)
     _require_side(a, MIN_METRIC_SIDE)
-    scratch = _Scratch()
-    return _vifp(_vifp_scales(a, scratch), b, scratch)
+    return _vifp(a, [b], _Scratch())[0]
 
 
 class FullReferenceScores(NamedTuple):
@@ -357,35 +458,23 @@ class FullReferenceScores(NamedTuple):
     vifp: float
 
 
-def _psnr_and_ms_ssim(reference: np.ndarray, planes: list) -> tuple[list, list]:
-    scratch = _Scratch()
-    psnr_values = [_psnr(reference, plane, scratch) for plane in planes]
-    levels = _ms_ssim_levels(reference, scratch)
-    return psnr_values, [_ms_ssim(levels, plane, scratch) for plane in planes]
-
-
-def _vifp_family(reference: np.ndarray, planes: list) -> list:
-    scratch = _Scratch()
-    scales = _vifp_scales(reference, scratch)
-    return [_vifp(scales, plane, scratch) for plane in planes]
-
-
 def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
     """PSNR, SSIM, MS-SSIM and VIFp of each test frame against one reference.
 
-    Each family's reference side is built once and serves every test frame.
-    VIFp is forked (lanes.Fork) while the calling thread scores PSNR and
-    MS-SSIM; if no helper has started it by then (it may be busy with other
-    work), the caller runs it. Nothing is kept across calls, and no helper
-    task of the call is left running when it returns or raises.
+    Each band's reference moments are computed once and serve every test
+    frame. VIFp is forked (lanes.Fork) while the calling thread scores PSNR
+    and MS-SSIM; if no helper has started it by then (it may be busy with
+    other work), the caller runs it. Nothing is kept across calls, and no
+    helper task of the call is left running when it returns or raises.
     """
     for test in tests:
         _check_dimensions(reference, test)
     a = reference.y
     _require_side(a, MIN_METRIC_SIDE)
     planes = [test.y for test in tests]
-    with Fork(_vifp_family, a, planes) as vifp_task:
-        psnr_values, ms_ssim_pairs = _psnr_and_ms_ssim(a, planes)
+    with Fork(_vifp, a, planes, _Scratch()) as vifp_task:
+        psnr_values = _psnr(a, planes)
+        ms_ssim_pairs = _ms_ssim(a, planes, _Scratch())
         vifp_values = vifp_task.join()
     return [
         FullReferenceScores(p, s, m, v)
@@ -432,13 +521,12 @@ def detail_retention(ref: Frame, test: Frame) -> float:
     _check_dimensions(ref, test)
     index_ref = _gradient_index(ref.y).ravel()
     index_test = _gradient_index(test.y).ravel()
-    score = np.empty(index_ref.size, dtype=np.float64)
-    for c0, c1 in chunk_bounds(score.size):
+    score = _PairwiseSum(index_ref.size)
+    for c0, c1 in chunk_bounds(index_ref.size):
         g_ref = _GRADIENT_TABLE[index_ref[c0:c1]]
         g_test = _GRADIENT_TABLE[index_test[c0:c1]]
         # (2 g_ref g_test + C) / (g_ref^2 + g_test^2 + C), in this order
-        s = score[c0:c1]
-        np.multiply(2.0, g_ref, out=s)
+        s = np.multiply(2.0, g_ref)
         s *= g_test
         s += _RETENTION_C
         g_ref *= g_ref
@@ -446,4 +534,5 @@ def detail_retention(ref: Frame, test: Frame) -> float:
         g_ref += g_test
         g_ref += _RETENTION_C
         s /= g_ref
-    return float(np.mean(score.reshape(ref.y.shape)))
+        score.add(s)
+    return score.mean()

@@ -29,11 +29,21 @@ def mix64(z: np.ndarray | int) -> np.ndarray | np.uint64:
     silently, while the scalar path would raise RuntimeWarnings.
     """
     scalar = np.ndim(z) == 0
-    out = np.atleast_1d(np.asarray(z, dtype=np.uint64)).copy()
-    out = (out ^ (out >> np.uint64(30))) * _MIX1
-    out = (out ^ (out >> np.uint64(27))) * _MIX2
-    out ^= out >> np.uint64(31)
+    out = _mix64_in_place(np.atleast_1d(np.asarray(z, dtype=np.uint64)).copy())
     return np.uint64(out[0]) if scalar else out
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 of a uint64 array, computed in the array itself (and returned)."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class NoiseRng:
@@ -55,13 +65,19 @@ class NoiseRng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        words = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        return mix64(self.seed + idx * _GOLDEN)
+        words *= _GOLDEN
+        words += self.seed
+        return _mix64_in_place(words)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n float64 uniforms in [0, 1)."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+        words = self.raw(n)
+        words >>= np.uint64(11)
+        out = words.view(np.float64)
+        np.multiply(words, _U53_SCALE, out=out)
+        return out
 
     def normals(self, n: int) -> np.ndarray:
         """Next n standard-normal float64 draws (Box-Muller, cosine branch).
@@ -82,8 +98,15 @@ class NoiseRng:
         """
         u1 = NoiseRng(int(self.seed), self.counter + c0).uniforms(c1 - c0)
         u2 = NoiseRng(int(self.seed), self.counter + n + c0).uniforms(c1 - c0)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        return r * np.cos(2.0 * np.pi * u2)
+        # sqrt(-2 log1p(-u1)) * cos(2 pi u2), in place
+        np.negative(u1, out=u1)
+        np.log1p(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        u1 *= u2
+        return u1
 
     def __repr__(self) -> str:
         return f"NoiseRng(seed={int(self.seed):#x}, counter={self.counter})"

@@ -9,7 +9,8 @@ is evidence rather than tautology.
 All metric functions take plain 2-D float64 arrays in [0, 255].
 `denoise_stream` is the window-assembly reference the pipeline must match.
 `add_gaussian_noise` and `add_speckle` are the injectors' whole-plane
-formulas, one `NoiseRng.normals` block per frame. `bilateral`, `fuse` and
+formulas, one `NoiseRng.normals` block per frame, and `block_dct_quantize`
+is the codec's block-DCT round trip in one transform of the whole plane. `bilateral`, `fuse` and
 `classical_block` are per-pixel loops in the kernels' float32/float64
 operation order, so the kernels must equal them bit for bit. `correlate_nearest`,
 `smooth` and `median3x3` are the scipy filters the package's numpy kernels
@@ -28,6 +29,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import dctn, idctn
 from scipy.ndimage import correlate1d, median_filter
 
 from rtcdenoise import (
@@ -167,6 +169,17 @@ def add_gaussian_noise(frame, sigma: float, seed: int = 0):
 
 def add_speckle(frame, sigma_mult: float, seed: int = 0):
     return frame.with_luma(frame.luma_f64() * (1.0 + sigma_mult * _normal_plane(frame, seed)))
+
+
+def block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
+    """uint8 of the 8x8 orthonormal DCT round trip of the whole edge-padded plane, step q."""
+    h, w = plane.shape
+    padded = np.pad(plane.astype(np.float64), ((0, -h % 8), (0, -w % 8)), mode="edge")
+    ph, pw = padded.shape
+    blocks = padded.reshape(ph // 8, 8, pw // 8, 8).swapaxes(1, 2)
+    coeffs = np.round(dctn(blocks, axes=(-2, -1), norm="ortho") / q) * q
+    recon = idctn(coeffs, axes=(-2, -1), norm="ortho").swapaxes(1, 2).reshape(ph, pw)[:h, :w]
+    return np.clip(np.floor(recon + 0.5), 0, 255).astype(np.uint8)
 
 
 def schedule_reference(n_frames: int, cadence: int):

@@ -20,10 +20,11 @@ from rtcdenoise import (
     transmit,
 )
 
+from rtcdenoise import channel
 from rtcdenoise.channel import _scale_round_trip
 from rtcdenoise.frame import quantize_plane
 
-from util import frames_equal
+from util import frames_equal, traced_peak
 
 import oracles
 
@@ -88,6 +89,44 @@ def test_encode_decode_chroma_takes_only_the_resolution_round_trip():
             assert np.array_equal(got, expected)
             if scale == 1:
                 assert np.array_equal(got, plane)
+
+
+@pytest.mark.parametrize("shape", [(360, 480), (37, 53)])
+def test_block_dct_equals_whole_plane_transform(shape):
+    rng = np.random.default_rng(shape[1])
+    luma = rng.integers(0, 256, shape, dtype=np.uint8)
+    for plane in (luma, _scale_round_trip(luma, Fraction(3, 4))):
+        for q in (1, 7, 16, 64):
+            assert np.array_equal(channel._block_dct_quantize(plane, q),
+                                  oracles.block_dct_quantize(plane, q)), q
+
+
+@pytest.mark.parametrize("scale", SCALE_LADDER)
+def test_encode_decode_equals_whole_plane_round_trip(scale):
+    frame = make_frame(53, 37, seed=4, with_chroma=True)
+    for q in (1, 8, 48):
+        planes = [_scale_round_trip(p, scale) for p in frame.planes]
+        expected = Frame(oracles.block_dct_quantize(planes[0], q),
+                         *(quantize_plane(p) for p in planes[1:]))
+        decoded = encode_decode(frame, SenderConfig(q=q, q_min=1, resolution_scale=scale))
+        assert frames_equal(decoded, expected)
+        if scale == 1:  # chroma passes through, byte for byte
+            assert decoded.u.tobytes() == frame.u.tobytes()
+            assert decoded.v.tobytes() == frame.v.tobytes()
+
+
+# traced peak of one encode_decode of this 480x360 frame at scale 1 when the
+# codec transformed the whole plane after a float64 copy of every plane
+WHOLE_PLANE_CODEC_PEAK = 6_913_780
+
+
+def test_encode_decode_traces_a_third_of_the_whole_plane_peak():
+    frame = add_gaussian_noise(make_frame(480, 360, seed=3), 25.0, seed=4)
+    config = SenderConfig()
+    expected = encode_decode(frame, config)  # scipy.fft's import and plan cache
+    decoded, peak = traced_peak(encode_decode, frame, config)
+    assert frames_equal(decoded, expected)
+    assert peak <= WHOLE_PLANE_CODEC_PEAK / 3, f"traced peak {peak} B"
 
 
 def test_encode_decode_downscale_loses_detail():

@@ -2,8 +2,9 @@
 
 Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
 image_denoiser._BILATERAL_PIXELS (the bilateral and the temporal blend),
-image_denoiser._SMOOTH_PIXELS (row bands of stage_smooth) and
-metrics._BAND_PIXELS (row bands of the metric moments). At their shipped
+image_denoiser._SMOOTH_PIXELS (row bands of stage_smooth),
+metrics._BAND_PIXELS (row bands of the metric moments) and
+channel._CODEC_PIXELS (bands of block rows of the codec). At their shipped
 sizes every test frame elsewhere fits in one chunk, so these tests shrink each
 constant to small odd sizes, putting many seams inside small frames, and
 compare against the oracles.
@@ -34,7 +35,7 @@ from rtcdenoise import (
     vifp,
 )
 from rtcdenoise import frame as frame_module
-from rtcdenoise import image_denoiser, metrics
+from rtcdenoise import channel, image_denoiser, metrics
 from rtcdenoise.metrics import full_reference_scores
 
 import oracles
@@ -156,6 +157,22 @@ def test_metrics_across_band_seams_equal_separable_reference(monkeypatch, size):
                          oracles.separable_ms_ssim(a, b), oracles.separable_vifp(a, b)))
         assert (psnr(ref, test), ssim(ref, test), ms_ssim(ref, test), vifp(ref, test)) == expected[-1]
     assert [tuple(s) for s in full_reference_scores(ref, tests)] == expected
+
+
+# --- the bands of the codec ----------------------------------------------------
+
+
+# at 53 pixels per row, one, two and three block rows; every size is one block
+# row at 480
+@pytest.mark.parametrize("size", [1, 2 * 8 * 53, 3 * 8 * 53])
+def test_block_dct_across_band_seams_equals_whole_plane_transform(monkeypatch, size):
+    monkeypatch.setattr(channel, "_CODEC_PIXELS", size)
+    rng = np.random.default_rng(size)
+    for shape in ((37, 53), (360, 480)):
+        luma = rng.integers(0, 256, shape, dtype=np.uint8)
+        for q in (1, 16):
+            assert np.array_equal(channel._block_dct_quantize(luma, q),
+                                  oracles.block_dct_quantize(luma, q))
 
 
 # --- both execution modes, every family cut small -------------------------------

@@ -4,7 +4,6 @@ import os
 import re
 import stat
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +31,7 @@ from rtcdenoise.frameio import Y4MWriter
 import rtcdenoise.pipeline
 
 import oracles
-from util import frames_equal, sequences_equal
+from util import frames_equal, sequences_equal, traced_peak
 
 
 @pytest.fixture()
@@ -690,14 +689,11 @@ def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, caps
         write_y4m_file(VideoSequence(tuple(noisy[t % len(noisy)] for t in range(n))), path)
 
     def peak(n):
-        tracemalloc.start()
-        try:
-            assert main(["denoise", "--in", str(clips[n]), "--config", str(cfg),
-                         "--out", str(tmp_path / "out.y4m"),
-                         "--report", str(tmp_path / "report.jsonl")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, traced = traced_peak(main, ["denoise", "--in", str(clips[n]), "--config", str(cfg),
+                                          "--out", str(tmp_path / "out.y4m"),
+                                          "--report", str(tmp_path / "report.jsonl")])
+        assert code == 0
+        return traced
 
     short, long = peak(100), peak(400)
     capsys.readouterr()

@@ -1,6 +1,5 @@
 import gzip
 import io
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from rtcdenoise import (
 )
 from rtcdenoise.frameio import Y4MReader, Y4MWriter, open_y4m
 
-from util import frames_equal, sequences_equal
+from util import frames_equal, sequences_equal, traced_peak
 
 
 def _roundtrip(seq: VideoSequence) -> VideoSequence:
@@ -121,12 +120,7 @@ def test_read_y4m_file_holds_the_clip_once(tmp_path):
     seq = make_sequence(20, 64, 48, seed=6, with_chroma=True)
     path = tmp_path / "clip.y4m"
     size = write_y4m_file(seq, path)
-    tracemalloc.start()
-    try:
-        back = read_y4m_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(read_y4m_file, path)
     assert sequences_equal(back, seq)
     assert peak < 1.5 * size, f"traced peak {peak} for a {size}-byte file"
     for frame in back:

@@ -24,7 +24,7 @@ from rtcdenoise.analyzer import build_report
 from rtcdenoise.metrics import gradient_magnitude
 
 import oracles
-from util import helpers_blocked
+from util import helpers_blocked, traced_peak
 
 
 def _const(value, h=32, w=32):
@@ -46,6 +46,54 @@ def metric_pairs(natural_frames):
     ref = _crop(natural_frames[0], 96, 160)
     pairs.append((ref, add_gaussian_noise(ref, 25.0, seed=9)))
     return pairs
+
+
+# --- the streaming sum ---------------------------------------------------------
+
+SUM_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 39_100, 164_500, 172_800)
+# the shipped limit; numpy's unrolled block, and a limit below it, which acts
+# as it; a limit that is no multiple of 8; one longer than every length
+SUM_LEAVES = (metrics._SUM_LEAF, 128, 1, 1000, 1 << 18)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _sum_inputs(rng, n):
+    wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    inputs = {"wide": wide, "negative zeros": np.full(n, -0.0)}
+    for name, specials in (("inf", (np.inf,)), ("nan", (np.nan,)), ("both infs", (np.inf, -np.inf))):
+        values = wide.copy()
+        values[rng.integers(0, n, len(specials))] = specials
+        inputs[name] = values
+    return inputs
+
+
+def _two_d_shape(n):
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return (rows, n // rows)
+
+
+@pytest.mark.parametrize("leaf", SUM_LEAVES)
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_pairwise_sum_equals_numpy_over_the_whole_sequence(monkeypatch, n, leaf):
+    monkeypatch.setattr(metrics, "_SUM_LEAF", leaf)
+    rng = np.random.default_rng(n * 7 + leaf)
+    shape = _two_d_shape(n)
+    for name, values in _sum_inputs(rng, n).items():
+        plane = values.reshape(shape)
+        flat, bands = metrics._PairwiseSum(n), metrics._PairwiseSum(n)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            # random seams; some pieces are empty
+            for piece in np.split(values, np.sort(rng.integers(0, n + 1, rng.integers(0, 12)))):
+                flat.add(piece)
+            for band in np.split(plane, np.sort(rng.integers(0, shape[0] + 1, 5))):
+                bands.add(band)
+            expected = [_bits(np.add.reduce(values)), _bits(np.mean(values)), _bits(np.mean(plane))]
+        for stream in (flat, bands):
+            total, mean = _bits(stream.total()), _bits(stream.mean())
+            assert [total, mean, mean] == expected, name
 
 
 # --- psnr ---------------------------------------------------------------------
@@ -305,13 +353,29 @@ def test_report_completes_while_helper_is_busy(natural_frames):
         assert results == [expected]
 
 
+# traced peak of one build_report on these 480x360 frames when the report
+# built whole-frame float64 maps
+WHOLE_FRAME_REPORT_PEAK = 15_019_192
+
+
+def test_build_report_traces_a_third_of_the_whole_frame_peak():
+    ref = make_frame(480, 360, seed=3)
+    noisy = add_gaussian_noise(ref, 25.0, seed=4)
+    denoised = stage_smooth(noisy, 25.0)
+    args = (0, ref, noisy, denoised, 25.0, 10.0)
+    expected = build_report(*args)  # scipy.ndimage's import and the helper pool
+    report, peak = traced_peak(build_report, *args)
+    assert report == expected
+    assert peak <= WHOLE_FRAME_REPORT_PEAK / 3, f"traced peak {peak} B"
+
+
 def test_helper_error_reaches_build_report_caller(natural_frames, monkeypatch):
     ref, (noisy, denoised) = _report_frames(natural_frames)
 
-    def failing_vifp(scales, plane, scratch):
+    def failing_information(*args):
         raise RuntimeError("injected VIFp fault")
 
-    monkeypatch.setattr(metrics, "_vifp", failing_vifp)
+    monkeypatch.setattr(metrics, "_vif_information", failing_information)
     for _ in range(3):  # the helper or the caller may run VIFp; both must raise
         with pytest.raises(RuntimeError, match="injected VIFp fault"):
             build_report(0, ref, noisy, denoised, 25.0, 10.0)
@@ -321,23 +385,28 @@ def test_caller_error_leaves_no_helper_task_running(natural_frames, monkeypatch)
     ref, tests = _report_frames(natural_frames)
     started = threading.Event()
     finished = []
-    original_vifp = metrics._vifp
+    original_information = metrics._vif_information
 
-    def slow_vifp(scales, plane, scratch):
-        started.set()
-        time.sleep(0.3)
-        value = original_vifp(scales, plane, scratch)
-        finished.append(value)
-        return value
+    def slow_information(*args):
+        if not started.is_set():
+            started.set()
+            time.sleep(0.3)
+        finished.append(original_information(*args))
+        return finished[-1]
 
-    def failing_ms_ssim(levels, plane, scratch):
+    monkeypatch.setattr(metrics, "_vif_information", slow_information)
+    metrics.full_reference_scores(ref, tests)
+    steps = len(finished)  # one per band, scale and test frame
+    started.clear()
+    finished.clear()
+
+    def failing_ms_ssim(reference, planes, scratch):
         # the helper is now running VIFp; on a single CPU there is no helper
         assert lanes._HELPER is None or started.wait(timeout=10)
         raise RuntimeError("injected MS-SSIM fault")
 
-    monkeypatch.setattr(metrics, "_vifp", slow_vifp)
     monkeypatch.setattr(metrics, "_ms_ssim", failing_ms_ssim)
     with pytest.raises(RuntimeError, match="injected MS-SSIM fault"):
         metrics.full_reference_scores(ref, tests)
     # the running task finished before the error was raised; one never started stays so
-    assert len(finished) == (len(tests) if lanes._HELPER is not None else 0)
+    assert len(finished) == (steps if lanes._HELPER is not None else 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtcdenoise import NoiseRng
+from rtcdenoise.frame import ELEMENTWISE_PIXELS
 
 MASK = (1 << 64) - 1
 
@@ -70,6 +71,26 @@ def test_normal_runs_piece_together_normals():
     runs = [rng.normal_run(10, c0, c1) for c0, c1 in ((0, 4), (4, 5), (5, 10))]
     assert rng.counter == 3
     assert np.array_equal(np.concatenate(runs), NoiseRng(11, counter=3).normals(10))
+
+
+def test_normal_runs_equal_the_docstring_formula_across_chunk_seams():
+    seed, counter, n = MASK - 4, 9, 3 * ELEMENTWISE_PIXELS
+
+    def uniforms(draws):
+        # mix64(s + (i + 1) * golden), all mod 2**64; its top 53 bits
+        z = np.uint64(seed) + (draws + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    draws = np.arange(counter, counter + n, dtype=np.uint64)
+    u1, u2 = uniforms(draws), uniforms(draws + np.uint64(n))
+    expected = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    rng = NoiseRng(seed, counter)
+    seam = ELEMENTWISE_PIXELS
+    for c0, c1 in ((seam - 100, seam + 50), (seam + 50, 2 * seam + 1)):
+        assert np.array_equal(rng.normal_run(n, c0, c1), expected[c0:c1])
 
 
 def test_normals_moments():

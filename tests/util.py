@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,6 +40,16 @@ def mean_abs_frame_diff(seq: VideoSequence) -> float:
         for t in range(1, len(seq))
     ]
     return float(np.mean(diffs))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextmanager
