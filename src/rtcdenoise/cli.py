@@ -17,14 +17,15 @@ import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import zip_longest
 from typing import Iterator, List, Optional
 
 from .analyzer import _jsonable, feedback_to_json, report_to_json
 from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
-from .frame import FormatError, VideoSequence
-from .frameio import Y4MReader, Y4MWriter, open_y4m, write_y4m
+from .frame import FormatError, Frame, VideoSequence
+from .frameio import Y4MWriter, open_y4m, write_y4m
 # bench/tracing.py SITES wraps these on this module; simulate reads through
 # read_y4m_file and writes through write_y4m inside _replacing
 from .frameio import read_y4m_file, write_y4m_file  # noqa: F401
@@ -177,21 +178,14 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
-def _nonempty(clip, path: str):
-    if not len(clip):
+def _frames(clip, path: str) -> Iterator[Frame]:
+    """clip's frames in order; once it ends, FormatError if it had none."""
+    empty = True
+    for frame in clip:
+        empty = False
+        yield frame
+    if empty:
         raise FormatError(f"{path}: no frames after the Y4M header")
-    return clip
-
-
-def _read_clip(path: str) -> VideoSequence:
-    return _nonempty(read_y4m_file(path), path)
-
-
-@contextmanager
-def _open_clip(path: str) -> Iterator[Y4MReader]:
-    """The clip at path, read frame by frame."""
-    with open_y4m(path) as clip:
-        yield _nonempty(clip, path)
 
 
 def _check_frame_size(clip: VideoSequence, path: str, minimum: int, user: str) -> None:
@@ -219,7 +213,8 @@ def _cmd_simulate(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    clean = _read_clip(args.input)
+    clean = read_y4m_file(args.input)
+    clean = clean.replace_frames(_frames(clean, args.input))
     _check_metric_size(clean, args.input)
     result = run_simulate(clean, config)
     for path, clip in ((args.out_received, result.received), (args.out_denoised, result.denoised)):
@@ -246,7 +241,7 @@ def _cmd_denoise(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    with _open_clip(args.input) as noisy:
+    with open_y4m(args.input) as noisy:
         _check_frame_size(noisy, args.input, MIN_DETECT_SIDE, "the noise estimates")
         with _replacing(args.out, "wb") as out, _replacing(args.report) as report_file:
             writer = Y4MWriter(out, noisy.frame_rate) if out else None
@@ -257,7 +252,7 @@ def _cmd_denoise(args) -> int:
                 if report_file:
                     report_file.write(report_to_json(report) + "\n")
 
-            _, _, stats = run_denoise(noisy, config, sink=sink)
+            _, _, stats = run_denoise(_frames(noisy, args.input), config, sink=sink)
     print(
         f"frames={stats.frame_count} bypassed={stats.frames_bypassed} "
         f"denoised={stats.frames_denoised} fps={stats.achieved_fps:.1f}"
@@ -269,22 +264,22 @@ def _cmd_inject(args) -> int:
     root = NoiseRng(args.seed)
     ops = [(_INJECTORS[kind][0], strength, root.derive(op_index))
            for op_index, (kind, strength) in enumerate(args.noise)]
-    with _open_clip(args.input) as clean, _replacing(args.out, "wb") as out:
+    with open_y4m(args.input) as clean, _replacing(args.out, "wb") as out:
         writer = Y4MWriter(out, clean.frame_rate)
-        for t, frame in enumerate(clean):
+        for t, frame in enumerate(_frames(clean, args.input)):
             for injector, strength, stream in ops:
                 frame = injector(frame, strength, seed=int(stream.derive(t).seed))
             writer.write(frame)
-    print(f"wrote {len(clean)} frames to {args.out}")
+    print(f"wrote {t + 1} frames to {args.out}")
     return 0
 
 
 def _cmd_detect(args) -> int:
-    with _open_clip(args.input) as clip:
+    with open_y4m(args.input) as clip:
         _check_frame_size(clip, args.input, MIN_DETECT_SIDE, "the noise estimates")
         if args.histogram:
             os.makedirs(args.histogram, exist_ok=True)
-        for t, frame in enumerate(clip):
+        for t, frame in enumerate(_frames(clip, args.input)):
             est = analyze_frame(frame)
             print(
                 f"frame={t} sigma={est.sigma:.4f} category={est.category.value} "
@@ -298,18 +293,21 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    with _open_clip(args.ref) as ref, _open_clip(args.test) as test:
+    with open_y4m(args.ref) as ref, open_y4m(args.test) as test:
         _check_metric_size(ref, args.ref)
         _check_metric_size(test, args.test)
-        if len(ref) != len(test):
-            raise FormatError(f"frame count mismatch: ref has {len(ref)}, test has {len(test)}")
         if (ref.width, ref.height) != (test.width, test.height):
             raise FormatError(
                 f"frame size mismatch: {args.ref} is {ref.width}x{ref.height}, "
                 f"{args.test} is {test.width}x{test.height}"
             )
         rows = []
-        for t, (a, b) in enumerate(zip(ref, test)):
+        pairs = zip_longest(_frames(ref, args.ref), _frames(test, args.test))
+        for t, (a, b) in enumerate(pairs):
+            if a is None or b is None:
+                ended, other = (args.ref, args.test) if a is None else (args.test, args.ref)
+                raise FormatError(
+                    f"frame count mismatch: {ended} ends after {t} frames, {other} has more")
             (scores,) = full_reference_scores(a, [b])
             rows.append({"frame": t, **scores._asdict()})
     means = {

@@ -3,11 +3,11 @@
 Sequences round-trip bit-exactly, which the tests rely on for fixtures.
 Y4MReader and Y4MWriter handle one frame at a time, so a clip can stream
 through the pipeline; read_y4m and write_y4m are built on them. The reader
-checks the whole stream when it opens it (header, then every FRAME marker
-and frame length, by seeking), so parse errors, which carry the byte offset
-of the offending data, come before any frame; it then reads each frame's
-planes when asked. Every plane it returns is a read-only view of that
-frame's bytes, so no frame aliases a mutable buffer.
+reads forward only, so a pipe streams like a file: it parses the header when
+it opens the stream, then each FRAME marker and frame as it is iterated.
+Parse errors carry the byte offset of the offending data and come at the
+first bad marker or short frame. Every plane it returns is a read-only view
+of that frame's bytes, so no frame aliases a mutable buffer.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 from typing import BinaryIO, Iterator, Union
 
 import numpy as np
@@ -30,19 +31,15 @@ ByteSource = Union[bytes, bytearray, BinaryIO]
 
 
 class Y4MReader:
-    """The frames of a YUV4MPEG2 stream, read one at a time on demand.
+    """The frames of a YUV4MPEG2 stream, read forward one at a time.
 
-    Opening checks the whole stream and raises FormatError for any fault, so
-    len(reader) and the geometry are known before the first frame is read.
-    reader[t] reads frame t's planes; one thread reads at a time. A stream
-    that cannot seek, such as a pipe, is read whole first.
+    Opening parses the header, so the geometry and frame rate are known before
+    the first frame. Iterating reads each FRAME marker and frame in order and
+    raises FormatError at the first bad marker or truncated frame.
     """
 
     def __init__(self, stream: BinaryIO):
-        if not stream.seekable():
-            stream = io.BytesIO(stream.read())
         self._stream = stream
-        base = stream.tell()
         header = stream.readline()
         if not header.startswith(_Y4M_MAGIC):
             raise FormatError("not a YUV4MPEG2 stream (bad magic)", offset=0)
@@ -74,42 +71,36 @@ class Y4MReader:
         if width is None or height is None or width < 1 or height < 1:
             raise FormatError("header missing valid W/H parameters", offset=0)
         if colorspace not in _PLANE_COUNTS:
-            raise FormatError(f"unsupported colorspace C{colorspace}", offset=0)
+            raise FormatError(f"unsupported colorspace C{colorspace!r}", offset=0)
         self.width, self.height = width, height
         cshape = chroma_shape(height, width)
         self._shapes = ((height, width), cshape, cshape)[: _PLANE_COUNTS[colorspace]]
         self._frame_size = sum(h * w for h, w in self._shapes)
+        self._pos = len(header)  # bytes read so far
+        self._count = 0  # frames read so far
 
-        self._frames = []  # (stream position, marker length) of each frame
-        end = stream.seek(0, io.SEEK_END)
-        pos = base + len(header)
-        while pos < end:
-            stream.seek(pos)
-            marker = stream.readline()
-            if not (marker.endswith(b"\n") and marker.startswith(b"FRAME")):
-                raise FormatError("expected FRAME marker", offset=pos - base)
-            offset = pos + len(marker)
-            if end - offset < self._frame_size:
-                raise FormatError(
-                    f"truncated frame {len(self._frames)}: "
-                    f"got {end - offset} of {self._frame_size} bytes",
-                    offset=offset - base,
-                )
-            self._frames.append((pos, len(marker)))
-            pos = offset + self._frame_size
+    def __iter__(self) -> "Y4MReader":
+        return self
 
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __getitem__(self, t: int) -> Frame:
-        pos, offset = self._frames[t]
-        self._stream.seek(pos)
-        data = self._stream.read(offset + self._frame_size)
-        planes = []
-        for h, w in self._shapes:
-            planes.append(np.frombuffer(data, np.uint8, h * w, offset).reshape(h, w))
-            offset += h * w
-        return Frame(*planes)
+    def __next__(self) -> Frame:
+        marker = self._stream.readline()
+        if not marker:
+            raise StopIteration
+        if not (marker.endswith(b"\n") and marker.startswith(b"FRAME")):
+            raise FormatError("expected FRAME marker", offset=self._pos)
+        self._pos += len(marker)
+        data = b""  # a raw stream, such as an unbuffered pipe, may return less than asked
+        while len(data) < self._frame_size:
+            part = self._stream.read(self._frame_size - len(data))
+            if not part:
+                raise FormatError(f"truncated frame {self._count}: got {len(data)} of "
+                                  f"{self._frame_size} bytes", offset=self._pos)
+            data += part
+        self._pos += len(data)
+        self._count += 1
+        pixels = np.frombuffer(data, np.uint8)
+        starts = accumulate((h * w for h, w in self._shapes), initial=0)
+        return Frame(*(pixels[s:s + h * w].reshape(h, w) for s, (h, w) in zip(starts, self._shapes)))
 
 
 class Y4MWriter:

@@ -9,7 +9,7 @@ output (denoised or passed through, whatever its own cohort decided).
 
 The work splits into pure units: a keyframe unit (detect, fork, keyframe
 cascade) per keyframe, and a cohort unit per cohort (for each frame, its
-temporal window, then its report). One driver loop produces frames, submits
+temporal window, then its report). One driver loop reads frames forward, submits
 each unit once every frame it reads has arrived, and collects the results in
 order as they finish, handing each output frame and report on at once, so
 a run holds O(cadence) frames however long the clip (see _execute). The
@@ -38,13 +38,15 @@ execution modes.
 
 from __future__ import annotations
 
+import itertools
+import sys
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analyzer import (
     AnalyzerReport,
@@ -394,13 +396,16 @@ class _Sender:
 
 def _execute(
     config: PipelineConfig,
-    n: int,
-    produce: Callable[[int], Frame],
+    frames: Iterable[Frame],
     emit: Callable[[Frame, AnalyzerReport], None],
     reference: Optional[VideoSequence],
     on_feedback: Optional[Callable[[FeedbackMessage, int], None]],
 ) -> Tuple[List[FeedbackMessage], PipelineStats]:
-    """Drive the keyframe and cohort units over n frames, streaming.
+    """Drive the keyframe and cohort units over frames, read forward once, streaming.
+
+    The plan has no end until frames runs out after n frames. A cohort is
+    submitted once the last frame it reads has arrived, so until then none of
+    its windows reaches the clip end; the rest are submitted under WindowPlan(n).
 
     Each output frame and its report go to emit(output, report) in frame
     order as their cohort finishes. A received frame and a keyframe future
@@ -411,15 +416,16 @@ def _execute(
 
     With a reference, every feedback window's reports make a message;
     on_feedback, when given, is invoked with (message, apply_index) at the
-    plan-derived apply point, before frame apply_index is produced.
+    plan-derived apply point, before frame apply_index is read from frames.
     """
-    plan = WindowPlan(n, config.cadence)
+    plan = WindowPlan(sys.maxsize, config.cadence)
     window = config.feedback_window
     policy = FeedbackPolicy(sigma_threshold=config.threshold, budget_ms=config.budget_ms)
     # each feedback message applies right after the last frame read by the
-    # cohort that holds its window's final frame
-    apply_points = [plan.reach(plan.last_keyframe_at_or_before(w)).stop
-                    for w in range(window - 1, n, window)] if on_feedback and window > 0 else []
+    # cohort that holds its window's final frame; one at the end never applies
+    apply_points = [point for point in (plan.reach(plan.last_keyframe_at_or_before(w)).stop
+                                        for w in range(window - 1, len(reference), window))
+                    if point < len(reference)] if on_feedback and window > 0 else []
 
     received: Dict[int, Frame] = {}
     keyframes: Dict[int, Future] = {}
@@ -454,33 +460,43 @@ def _execute(
     wall_start = time.perf_counter()
     with _unit_runner(config.execution) as submit:
         next_cohort = applied = 0
-        for t in range(n):
+        source = iter(frames)
+        for t in itertools.count():
             while applied < len(apply_points) and apply_points[applied] <= t:
                 while len(feedback_log) <= applied:
                     collect()
                 on_feedback(feedback_log[applied], t)
                 applied += 1
-            received[t] = frame = produce(t)
-            if plan.role(t) is FrameRole.KEYFRAME:
-                keyframes[t] = submit(_keyframe, frame, config)
-            while next_cohort < n and t + 1 >= plan.reach(next_cohort).stop:
+            frame = next(source, None)
+            if frame is None:  # the source has ended after t frames
+                if t == 0:
+                    raise ValueError("input sequence is empty")
+                plan = WindowPlan(t, config.cadence)
+            else:
+                received[t] = frame
+                if plan.role(t) is FrameRole.KEYFRAME:
+                    keyframes[t] = submit(_keyframe, frame, config)
+            while next_cohort < plan.n_frames and t + 1 >= plan.reach(next_cohort).stop:
                 reach = plan.reach(next_cohort)
                 cohorts.append(submit(_cohort, next_cohort, [received[i] for i in reach],
                                       {k: keyframes[k] for k in reach if k in keyframes},
                                       plan, config, reference))
                 next_cohort = plan.cohort(next_cohort).stop
                 # no later cohort reads below the next one's reach
-                for i in range(reach.start, plan.reach(next_cohort).start if next_cohort < n else n):
+                for i in range(reach.start, next_cohort - 1):
                     del received[i]
                     keyframes.pop(i, None)
                 while len(cohorts) > _IN_FLIGHT:
                     collect()
-            # after every frame: a source that blocks in produce must not hold
-            # back a cohort that finished meanwhile until the next submission
+            # after every frame: a source that blocks must not hold back a
+            # cohort that finished meanwhile until the next submission
             while cohorts and cohorts[0].done():
                 collect()
+            if frame is None:
+                break
         while cohorts:
             collect()
+    n = plan.n_frames
     wall_ms = (time.perf_counter() - wall_start) * 1e3
 
     ordered = sorted(latency_ms)
@@ -505,26 +521,23 @@ def _appending(outputs: List[Frame], reports: List[AnalyzerReport]) -> Callable:
 
 
 def run_denoise(
-    video: Sequence[Frame],
+    video: Iterable[Frame],
     config: PipelineConfig = PipelineConfig(),
     sink: Optional[Callable[[Frame, AnalyzerReport], None]] = None,
 ) -> Tuple[Optional[VideoSequence], Optional[List[AnalyzerReport]], PipelineStats]:
     """Receiver-only pipeline: detect, fork, denoise. Reports are no-reference.
 
-    video is a VideoSequence or anything else with len, indexing and a
-    frame_rate, such as a frameio.Y4MReader, whose frames are read as the
-    run reaches them. With a sink, each output frame and its report go to
+    video is any iterable of frames with a frame_rate, such as a
+    VideoSequence or a frameio.Y4MReader; it is read forward once, as the run
+    reaches each frame. With a sink, each output frame and its report go to
     sink(frame, report) in frame order as they finish, and the run keeps
-    neither: it returns (None, None, stats).
+    neither: it returns (None, None, stats), and video needs no frame_rate.
     """
-    if len(video) == 0:
-        raise ValueError("input sequence is empty")
     outputs: List[Frame] = []
     reports: List[AnalyzerReport] = []
     _, stats = _execute(
         config=config,
-        n=len(video),
-        produce=video.__getitem__,
+        frames=video,
         emit=sink or _appending(outputs, reports),
         reference=None,
         on_feedback=None,
@@ -539,8 +552,6 @@ def run_simulate(
     config: PipelineConfig = PipelineConfig(),
 ) -> SimulationResult:
     """Closed loop: sender/codec/channel, receiver pipeline, analyzer feedback."""
-    if len(clean) == 0:
-        raise ValueError("input sequence is empty")
     # the codec and the full-reference metrics import scipy on first use;
     # import it before _execute starts its clock, so no span pays for it
     import scipy.fft  # noqa: F401
@@ -551,8 +562,7 @@ def run_simulate(
     reports: List[AnalyzerReport] = []
     feedback_log, stats = _execute(
         config=config,
-        n=len(clean),
-        produce=sender.produce,
+        frames=map(sender.produce, range(len(clean))),
         emit=_appending(outputs, reports),
         reference=clean,
         on_feedback=sender.apply,

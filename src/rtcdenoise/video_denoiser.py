@@ -184,11 +184,11 @@ def read_weights(source) -> ConvWeightSet:
         end = pos + 4 * (k_count + out_ch)
         if end > len(payload):
             raise ValueError(f"weight file truncated in layer {layer} tensors")
-        flat = np.frombuffer(payload, dtype="<f4", count=k_count, offset=pos)
-        kernels.append(flat.reshape(out_ch, in_ch, 3, 3).astype(np.float32))
-        biases.append(
-            np.frombuffer(payload, dtype="<f4", count=out_ch, offset=pos + 4 * k_count).astype(np.float32)
-        )
+        flat = np.frombuffer(payload, dtype="<f4", count=k_count + out_ch, offset=pos).astype(np.float32)
+        if not np.isfinite(flat).all():
+            raise ValueError(f"layer {layer} holds a non-finite weight")
+        kernels.append(flat[:k_count].reshape(out_ch, in_ch, 3, 3))
+        biases.append(flat[k_count:])
         pos = end
     if pos != len(payload):
         raise ValueError(f"{len(payload) - pos} trailing bytes after layer 3")

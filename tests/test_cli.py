@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rtcdenoise import (
+    ConvWeightSet,
     Frame,
     NoiseRng,
     PipelineConfig,
@@ -19,11 +20,13 @@ from rtcdenoise import (
     dump_config,
     make_sequence,
     parse_config_text,
+    random_weights,
     read_y4m,
     read_y4m_file,
     report_to_json,
     run_denoise,
     write_y4m,
+    write_weights_file,
     write_y4m_file,
 )
 from rtcdenoise.cli import main
@@ -31,7 +34,7 @@ from rtcdenoise.frameio import Y4MWriter
 import rtcdenoise.pipeline
 
 import oracles
-from util import frames_equal, sequences_equal, traced_peak
+from util import frames_equal, pipe_feeding, sequences_equal, traced_peak
 
 
 @pytest.fixture()
@@ -235,11 +238,12 @@ def test_detect_rejects_frames_below_3x3(tmp_path, shape, capsys):
     assert f"{shape[1]}x{shape[0]}" in err[0] and "at least 3 pixels" in err[0]
 
 
-def _assert_denoise_rejects(tmp_path, clip, problem, capsys):
+def _assert_denoise_rejects(tmp_path, clip, problem, capsys, options=()):
     """denoise exits 2 with one stderr line naming problem and writes no file."""
     before = set(tmp_path.iterdir())
     out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
-    assert main(["denoise", "--in", str(clip), "--out", str(out), "--report", str(report)]) == 2
+    assert main(["denoise", "--in", str(clip), "--out", str(out), "--report", str(report),
+                 *options]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
@@ -263,10 +267,17 @@ def _clip_bytes(n, **kwargs):
     return sink.getvalue()
 
 
-def test_denoise_rejects_a_truncated_last_frame(tmp_path, capsys):
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_denoise_rejects_a_truncated_last_frame(tmp_path, execution, capsys):
+    # the error comes while earlier cohorts are in flight; the run still
+    # leaves no file and no pool thread behind
     clip = tmp_path / "cut.y4m"
-    clip.write_bytes(_clip_bytes(7, with_chroma=True)[:-5])
-    _assert_denoise_rejects(tmp_path, clip, "truncated frame 6", capsys)
+    clip.write_bytes(_clip_bytes(13, with_chroma=True)[:-5])
+    cfg = _config_file(tmp_path / "run.cfg", execution, cadence=2)
+    threads = set(threading.enumerate())
+    _assert_denoise_rejects(tmp_path, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
+    assert [t.name for t in set(threading.enumerate()) - threads
+            if not t.name.startswith("rtcdenoise-helper")] == []
 
 
 def test_denoise_rejects_a_bad_frame_marker_mid_clip(tmp_path, capsys):
@@ -275,6 +286,41 @@ def test_denoise_rejects_a_bad_frame_marker_mid_clip(tmp_path, capsys):
     clip = tmp_path / "marker.y4m"
     clip.write_bytes(data[:third] + b"FRAMX\n" + data[third + 6:])
     _assert_denoise_rejects(tmp_path, clip, f"expected FRAME marker (byte offset {third})", capsys)
+
+
+_EVERY_COMMAND = [
+    ["denoise", "--in", "{clip}"],
+    ["simulate", "--in", "{clip}"],
+    ["metrics", "--ref", "{clip}", "--test", "{clip}"],
+    ["inject", "--in", "{clip}", "--noise", "gaussian:4", "--out", "{out}"],
+    ["detect", "--in", "{clip}"],
+]
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=lambda command: command[0])
+@pytest.mark.parametrize("byte", [b"\x0b", b"\x1d", b"\r"], ids=["vt", "gs", "cr"])
+def test_a_line_breaking_colorspace_token_gives_one_error_line(tmp_path, command, byte, capsys):
+    clip = tmp_path / "cs.y4m"
+    clip.write_bytes(_clip_bytes(2).replace(b"Cmono", b"C4" + byte + b"20", 1))
+    assert main([arg.format(clip=clip, out=tmp_path / "out.y4m") for arg in command]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: unsupported colorspace C'4")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cs.y4m"]
+
+
+def test_non_finite_conv_weights_are_a_config_error(tmp_path, capsys):
+    weights = random_weights(seed=1)
+    kernels = (np.full_like(weights.kernels[0], np.nan),) + weights.kernels[1:]
+    path = tmp_path / "nan.cwb"
+    write_weights_file(ConvWeightSet(kernels=kernels, biases=weights.biases), path)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(f"[video_denoiser]\nmode = conv\nweights = {path}\n")
+    clip = tmp_path / "in.y4m"
+    _mixed_clip(clip, 4, True)
+    _assert_denoise_rejects(tmp_path, clip, "cannot load weights: layer 1 holds a non-finite weight",
+                            capsys, ["--config", str(cfg)])
 
 
 @pytest.mark.parametrize("rate", ["F0:1", "F-25:1", "F0"])
@@ -350,6 +396,17 @@ def test_metrics_frame_count_mismatch_is_data_error(tmp_path, clean_clip, capsys
     assert "frame count mismatch" in capsys.readouterr().err
 
 
+def test_metrics_count_mismatch_names_the_clip_that_ends_first(tmp_path, clean_clip, capsys):
+    short = tmp_path / "short.y4m"
+    write_y4m_file(make_sequence(3, 64, 48, seed=4), short)
+    for ref, test in ((clean_clip, short), (short, clean_clip)):
+        assert main(["metrics", "--ref", str(ref), "--test", str(test)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: frame count mismatch: {short} ends after 3 frames, {clean_clip} has more"]
+
+
 def test_metrics_rows_equal_separable_reference(tmp_path, clean_clip, noisy_clip, capsys):
     json_path = tmp_path / "metrics.jsonl"
     assert main(["metrics", "--ref", str(clean_clip), "--test", str(noisy_clip),
@@ -377,13 +434,7 @@ def test_metrics_frame_size_mismatch_is_data_error(tmp_path, capsys):
     assert "64x48" in err[0] and "48x64" in err[0]
 
 
-@pytest.mark.parametrize("command", [
-    ["denoise", "--in", "{clip}"],
-    ["simulate", "--in", "{clip}"],
-    ["metrics", "--ref", "{clip}", "--test", "{clip}"],
-    ["inject", "--in", "{clip}", "--noise", "gaussian:4", "--out", "{out}"],
-    ["detect", "--in", "{clip}"],
-])
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
 def test_header_only_input_is_data_error(tmp_path, command, capsys):
     empty = tmp_path / "empty.y4m"
     empty.write_bytes(b"YUV4MPEG2 W64 H48 F25:1 Ip A1:1 Cmono\n")
@@ -669,17 +720,19 @@ def test_out_naming_an_open_descriptor_writes_through_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.y4m", "out.y4m"]
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
 @pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, capsys):
+def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, source, capsys):
     # at 320x240 a whole-clip run holds every input and output frame, about
-    # 3x as much at 400 frames as at 100 (18.6 against 61.7 MB). A streamed
-    # run peaks near 15 MB (sequential) and 20 MB (threaded): the frames in
-    # flight plus the two 4 MB output buffers. What still grows with length
-    # is small objects (the clip's frame index, per-frame timings, freed
-    # tuples the interpreter keeps for reuse), a few hundred kB; with the
-    # threaded pool's timing the ratio read 1.00-1.04. The clips repeat 26
-    # frames (sigma 30 on 4 of every 16, else 4) to save time making them;
-    # the pipeline reads each frame afresh all the same.
+    # 3x as much at 400 frames as at 100 (18.6 against 61.7 MB). The reader
+    # reads forward, a pipe as a file, so a streamed run peaks near 11-15 MB
+    # (sequential) and 20 MB (threaded): the frames in flight plus the two
+    # 4 MB output buffers. What still grows with length is small objects
+    # (per-frame timings, freed tuples the interpreter keeps for reuse), a
+    # few hundred kB; with the threaded pool's timing the ratio read
+    # 1.00-1.04. The pipe's writer thread reads the clip file 64 kB at a
+    # time. The clips repeat 26 frames (sigma 30 on 4 of every 16, else 4) to
+    # save time making them; the pipeline reads each frame afresh all the same.
     cfg = _config_file(tmp_path / "run.cfg", execution)
     clean = make_sequence(26, 320, 240, seed=5, motion=(1.0, 0.5), with_chroma=True)
     noisy = [add_gaussian_noise(f, 30.0 if (t // 4) % 4 == 1 else 4.0, seed=t)
@@ -688,10 +741,17 @@ def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, caps
     for n, path in clips.items():
         write_y4m_file(VideoSequence(tuple(noisy[t % len(noisy)] for t in range(n))), path)
 
+    def denoise(clip):
+        return main(["denoise", "--in", clip, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.y4m"),
+                     "--report", str(tmp_path / "report.jsonl")])
+
     def peak(n):
-        code, traced = traced_peak(main, ["denoise", "--in", str(clips[n]), "--config", str(cfg),
-                                          "--out", str(tmp_path / "out.y4m"),
-                                          "--report", str(tmp_path / "report.jsonl")])
+        if source == "file":
+            code, traced = traced_peak(denoise, str(clips[n]))
+        else:
+            with pipe_feeding(clips[n]) as fd:
+                code, traced = traced_peak(denoise, f"/dev/fd/{fd}")
         assert code == 0
         return traced
 
@@ -700,16 +760,11 @@ def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, caps
     assert long <= 1.1 * short, f"traced peak {short} B at 100 frames, {long} B at 400"
 
 
-def test_denoise_reads_a_pipe_whole(tmp_path, capsys):
+def test_denoise_streams_a_pipe(tmp_path, capsys):
     data = _clip_bytes(7, with_chroma=True)
     out = tmp_path / "out.y4m"
-    read_end, write_end = os.pipe()
-    try:
-        os.write(write_end, data)  # fits in the pipe's buffer
-        os.close(write_end)
-        assert main(["denoise", "--in", f"/dev/fd/{read_end}", "--out", str(out)]) == 0
-    finally:
-        os.close(read_end)
+    with pipe_feeding(data, chunk=100) as fd:
+        assert main(["denoise", "--in", f"/dev/fd/{fd}", "--out", str(out)]) == 0
     capsys.readouterr()
     expected = io.BytesIO()
     write_y4m(run_denoise(read_y4m(data))[0], expected)

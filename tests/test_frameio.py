@@ -15,7 +15,7 @@ from rtcdenoise import (
 )
 from rtcdenoise.frameio import Y4MReader, Y4MWriter, open_y4m
 
-from util import frames_equal, sequences_equal, traced_peak
+from util import frames_equal, pipe_feeding, sequences_equal, traced_peak
 
 
 def _roundtrip(seq: VideoSequence) -> VideoSequence:
@@ -128,29 +128,36 @@ def test_read_y4m_file_holds_the_clip_once(tmp_path):
             assert not plane.flags.writeable
 
 
-def test_reader_checks_the_whole_stream_then_reads_frames_on_demand(tmp_path):
+def test_reader_parses_the_header_then_reads_frames_forward(tmp_path):
     seq = make_sequence(5, 13, 9, seed=7, with_chroma=True, frame_rate=Fraction(30, 1))
     path = tmp_path / "clip.y4m"
     write_y4m_file(seq, path)
     with open_y4m(path) as reader:
-        assert (len(reader), reader.width, reader.height) == (5, 13, 9)
-        assert reader.frame_rate == Fraction(30, 1)
-        assert frames_equal(reader[3], seq[3]) and frames_equal(reader[-1], seq[4])
-        assert sequences_equal(VideoSequence(tuple(reader)), seq)
-        assert not reader[0].y.flags.writeable
+        assert (reader.width, reader.height, reader.frame_rate) == (13, 9, Fraction(30, 1))
+        first = next(reader)
+        assert frames_equal(first, seq[0]) and not first.y.flags.writeable
+        assert sequences_equal(VideoSequence((first,) + tuple(reader)), seq)
+        assert list(reader) == []  # one pass
 
+    # the error comes at the faulty frame, after every whole frame before it
     data = path.read_bytes()
     path.write_bytes(data[:-1])
-    with pytest.raises(FormatError, match="truncated frame 4"):
-        with open_y4m(path):
-            pass
+    read = []
+    with open_y4m(path) as reader, pytest.raises(FormatError, match="truncated frame 4") as err:
+        for frame in reader:
+            read.append(frame)
+    assert sequences_equal(VideoSequence(tuple(read)), VideoSequence(seq.frames[:4]))
+    assert err.value.offset == len(data) - (13 * 9 + 2 * 7 * 5)
 
 
 def test_reader_rejects_a_bad_marker_past_the_first_frame():
-    data = _roundtrip_bytes(make_sequence(3, 4, 4, seed=1))
+    seq = make_sequence(3, 4, 4, seed=1)
+    data = _roundtrip_bytes(seq)
     second = data.index(b"FRAME", data.index(b"FRAME") + 1)
+    reader = Y4MReader(io.BytesIO(data[:second] + b"JUNK\n" + data[second + 6:]))
+    assert frames_equal(next(reader), seq[0])
     with pytest.raises(FormatError) as err:
-        Y4MReader(io.BytesIO(data[:second] + b"JUNK\n" + data[second + 6:]))
+        next(reader)
     assert err.value.offset == second
 
 
@@ -174,22 +181,18 @@ def test_read_y4m_reads_through_a_decompressing_stream(tmp_path):
         assert sequences_equal(read_y4m(fh), seq)
 
 
-class _Pipe(io.RawIOBase):
-    """A readable stream that cannot seek, like a pipe."""
-
-    def __init__(self, data: bytes):
-        self._data = io.BytesIO(data)
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        return self._data.readinto(buffer)
-
-
 def test_read_y4m_accepts_a_stream_that_cannot_seek():
     seq = make_sequence(2, 8, 6, seed=4)
-    assert sequences_equal(read_y4m(io.BufferedReader(_Pipe(_roundtrip_bytes(seq)))), seq)
+    with pipe_feeding(_roundtrip_bytes(seq)) as fd, open(fd, "rb", closefd=False) as fh:
+        assert sequences_equal(read_y4m(fh), seq)
+
+
+def test_reader_reads_a_raw_pipe_until_each_frame_is_whole():
+    # 2,160-byte frames through an unbuffered pipe that gives at most 1,000 bytes a read
+    seq = make_sequence(3, 40, 36, seed=4, with_chroma=True)
+    with pipe_feeding(_roundtrip_bytes(seq), chunk=1000) as fd, \
+            open(fd, "rb", buffering=0, closefd=False) as raw:
+        assert sequences_equal(read_y4m(raw), seq)
 
 
 def _roundtrip_bytes(seq: VideoSequence) -> bytes:

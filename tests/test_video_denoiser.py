@@ -272,6 +272,25 @@ def test_weights_roundtrip_buffer_and_file(tmp_path):
     assert np.array_equal(loaded2.kernels[2], weights.kernels[2])
 
 
+def _weights_with(layer: int, value: float, in_bias: bool) -> ConvWeightSet:
+    """random_weights with one kernel or bias value of the layer (1-based) replaced."""
+    good = random_weights(seed=2)
+    kernels, biases = list(good.kernels), list(good.biases)
+    arrays = biases if in_bias else kernels
+    arrays[layer - 1] = arrays[layer - 1].copy()
+    arrays[layer - 1].flat[0] = value
+    return ConvWeightSet(kernels=tuple(kernels), biases=tuple(biases))
+
+
+@pytest.mark.parametrize("layer, value, in_bias", [
+    (1, np.nan, False), (2, np.inf, True), (3, -np.inf, False), (3, np.nan, True)])
+def test_weights_reject_non_finite_values(layer, value, in_bias):
+    buf = io.BytesIO()
+    write_weights(_weights_with(layer, value, in_bias), buf)  # a valid checksum
+    with pytest.raises(ValueError, match=f"^layer {layer} holds a non-finite weight$"):
+        read_weights(buf.getvalue())
+
+
 def test_weights_reject_corruption():
     buf = io.BytesIO()
     write_weights(random_weights(seed=1), buf)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import fcntl
+import io
+import os
+import struct
+import termios
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -70,3 +76,46 @@ def helpers_blocked():
     finally:
         gate.set()
         assert all(blocker.result(timeout=10) is True for blocker in blockers)
+
+
+def _unread(fd: int) -> int:
+    """Bytes waiting in the pipe that fd is an end of."""
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
+
+
+@contextmanager
+def pipe_feeding(source, chunk: int = 1 << 16):
+    """The read end of a pipe that a writer thread feeds source into, chunk bytes at a time.
+
+    source is bytes, or the path of a file, which is streamed. Each chunk goes
+    into the pipe only once the one before it has been read, so no read of the
+    pipe returns more than one chunk. Leaving the block closes the read end,
+    which stops a writer whose reader quit early, and joins the writer.
+    """
+    read_end, write_end = os.pipe()
+    closed = threading.Event()
+
+    def feed():
+        streamed = isinstance(source, (str, os.PathLike))
+        try:
+            with open(source, "rb") if streamed else io.BytesIO(source) as src:
+                while part := src.read(chunk):
+                    while _unread(write_end) and not closed.is_set():
+                        time.sleep(1e-4)
+                    view = memoryview(part)
+                    while view:
+                        view = view[os.write(write_end, view):]
+        except BrokenPipeError:
+            pass  # the reader quit early
+        finally:
+            os.close(write_end)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield read_end
+    finally:
+        closed.set()
+        os.close(read_end)
+        writer.join(timeout=30)
+        assert not writer.is_alive(), "the pipe's writer thread did not finish"
