@@ -15,19 +15,18 @@ import math
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import zip_longest
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from .analyzer import _jsonable, feedback_to_json, report_to_json
 from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
-from .frame import FormatError, Frame, VideoSequence
-from .frameio import Y4MWriter, open_y4m, write_y4m
-# bench/tracing.py SITES wraps these on this module; simulate reads through
-# read_y4m_file and writes through write_y4m inside _replacing
+from .frame import FormatError, Frame
+from .frameio import Y4MReader, Y4MWriter, open_y4m
+# bench/tracing.py SITES wraps these on this module; no subcommand calls them
 from .frameio import read_y4m_file, write_y4m_file  # noqa: F401
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
@@ -131,7 +130,7 @@ def _load_config(path: Optional[str], seed: Optional[int] = None) -> PipelineCon
 
 
 @contextmanager
-def _replacing(path: Optional[str], mode: str = "w") -> Iterator:
+def _replacing(path: Optional[str], mode: str = "w", buffering: int = _OUT_BUFFER) -> Iterator:
     """A file for path's new contents, which replace path only if the block completes.
 
     The file is a temporary beside the file path names (through any symlink),
@@ -147,7 +146,7 @@ def _replacing(path: Optional[str], mode: str = "w") -> Iterator:
         return
     # a large buffer: each write that reaches the file gives up the
     # interpreter lock, and taking it back can wait behind pool workers
-    options = dict(buffering=_OUT_BUFFER, encoding=None if "b" in mode else "utf-8")
+    options = dict(buffering=buffering, encoding=None if "b" in mode else "utf-8")
     try:
         old = os.stat(path)
     except FileNotFoundError:
@@ -172,6 +171,30 @@ def _replacing(path: Optional[str], mode: str = "w") -> Iterator:
         raise
 
 
+@contextmanager
+def _streaming(clip: Y4MReader, clip_paths: List[Optional[str]],
+               report_path: Optional[str]) -> Iterator[Callable]:
+    """sink(*frames, report): frame i to clip_paths[i], the report's line to report_path.
+
+    Each is a _replacing file, renamed in that order: of two that name one path, the later stays.
+    Each buffers up to 16 of clip's frames, so a short clip of small frames holds little.
+    """
+    size = min(_OUT_BUFFER, 16 * clip.frame_size)
+    with ExitStack() as stack:  # exits, so renames, in the reverse of entering
+        report_file = stack.enter_context(_replacing(report_path, "w", size))
+        outs = [stack.enter_context(_replacing(path, "wb", size)) for path in clip_paths[::-1]]
+        writers = [Y4MWriter(out, clip.frame_rate) if out else None for out in outs[::-1]]
+
+        def sink(*items) -> None:
+            for writer, frame in zip(writers, items):
+                if writer:
+                    writer.write(frame)
+            if report_file:
+                report_file.write(report_to_json(items[-1]) + "\n")
+
+        yield sink
+
+
 def _write_lines(path: str, lines) -> None:
     with _replacing(path) as fh:
         for line in lines:
@@ -188,16 +211,13 @@ def _frames(clip, path: str) -> Iterator[Frame]:
         raise FormatError(f"{path}: no frames after the Y4M header")
 
 
-def _check_frame_size(clip: VideoSequence, path: str, minimum: int, user: str) -> None:
+def _check_frame_size(clip: Y4MReader, path: str, minimum: int = MIN_METRIC_SIDE,
+                      user: str = "the quality metrics") -> None:
     if min(clip.width, clip.height) < minimum:
         raise FormatError(
             f"{path}: frames are {clip.width}x{clip.height}; {user} "
             f"need at least {minimum} pixels on each side"
         )
-
-
-def _check_metric_size(clip: VideoSequence, path: str) -> None:
-    _check_frame_size(clip, path, MIN_METRIC_SIDE, "the quality metrics")
 
 
 def _fmt(value: float) -> str:
@@ -213,16 +233,11 @@ def _cmd_simulate(args) -> int:
     if args.dump_config:
         print(dump_config(config))
         return 0
-    clean = read_y4m_file(args.input)
-    clean = clean.replace_frames(_frames(clean, args.input))
-    _check_metric_size(clean, args.input)
-    result = run_simulate(clean, config)
-    for path, clip in ((args.out_received, result.received), (args.out_denoised, result.denoised)):
-        with _replacing(path, "wb") as out:
-            if out:
-                write_y4m(clip, out)
-    if args.report:
-        _write_lines(args.report, (report_to_json(r) for r in result.reports))
+    with open_y4m(args.input) as clean:
+        _check_frame_size(clean, args.input)
+        outputs = [args.out_received, args.out_denoised]
+        with _streaming(clean, outputs, args.report) as sink:
+            result = run_simulate(_frames(clean, args.input), config, sink=sink)
     if args.feedback:
         _write_lines(args.feedback, (feedback_to_json(m) for m in result.feedback_log))
     if args.stats:
@@ -243,15 +258,7 @@ def _cmd_denoise(args) -> int:
         return 0
     with open_y4m(args.input) as noisy:
         _check_frame_size(noisy, args.input, MIN_DETECT_SIDE, "the noise estimates")
-        with _replacing(args.out, "wb") as out, _replacing(args.report) as report_file:
-            writer = Y4MWriter(out, noisy.frame_rate) if out else None
-
-            def sink(frame, report) -> None:
-                if writer:
-                    writer.write(frame)
-                if report_file:
-                    report_file.write(report_to_json(report) + "\n")
-
+        with _streaming(noisy, [args.out], args.report) as sink:
             _, _, stats = run_denoise(_frames(noisy, args.input), config, sink=sink)
     print(
         f"frames={stats.frame_count} bypassed={stats.frames_bypassed} "
@@ -294,8 +301,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_metrics(args) -> int:
     with open_y4m(args.ref) as ref, open_y4m(args.test) as test:
-        _check_metric_size(ref, args.ref)
-        _check_metric_size(test, args.test)
+        _check_frame_size(ref, args.ref)
+        _check_frame_size(test, args.test)
         if (ref.width, ref.height) != (test.width, test.height):
             raise FormatError(
                 f"frame size mismatch: {args.ref} is {ref.width}x{ref.height}, "
@@ -350,10 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -250,9 +250,6 @@ class VideoSequence:
     @property
     def height(self) -> int:
         return self.frames[0].height
-
-    def replace_frames(self, frames: Sequence[Frame]) -> "VideoSequence":
-        return VideoSequence(frames=tuple(frames), frame_rate=self.frame_rate)
 
 
 def clamp_index(i: int, n: int) -> int:

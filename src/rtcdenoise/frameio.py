@@ -7,7 +7,7 @@ reads forward only, so a pipe streams like a file: it parses the header when
 it opens the stream, then each FRAME marker and frame as it is iterated.
 Parse errors carry the byte offset of the offending data and come at the
 first bad marker or short frame. Every plane it returns is a read-only view
-of that frame's bytes, so no frame aliases a mutable buffer.
+of that frame's bytes, which no other object holds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 # colorspace tag -> planes per frame: luma, then the 4:2:0 u and v planes
 _PLANE_COUNTS = {"mono": 1, "420": 3, "420jpeg": 3, "420mpeg2": 3, "420paldv": 3}
 _WRITE_TAGS = {1: "Cmono", 3: "C420"}
+# the most bytes one readline reads, and a frame's buffer takes before its
+# bytes arrive: a damaged header or FRAME line is not read on into the frames,
+# nor a damaged frame size allocated up front
+_LINE_LIMIT = 1 << 16
+_READ_LIMIT = 1 << 24
 
 ByteSource = Union[bytes, bytearray, BinaryIO]
 
@@ -40,7 +45,7 @@ class Y4MReader:
 
     def __init__(self, stream: BinaryIO):
         self._stream = stream
-        header = stream.readline()
+        header = stream.readline(_LINE_LIMIT)
         if not header.startswith(_Y4M_MAGIC):
             raise FormatError("not a YUV4MPEG2 stream (bad magic)", offset=0)
         if not header.endswith(b"\n"):
@@ -75,7 +80,7 @@ class Y4MReader:
         self.width, self.height = width, height
         cshape = chroma_shape(height, width)
         self._shapes = ((height, width), cshape, cshape)[: _PLANE_COUNTS[colorspace]]
-        self._frame_size = sum(h * w for h, w in self._shapes)
+        self.frame_size = sum(h * w for h, w in self._shapes)
         self._pos = len(header)  # bytes read so far
         self._count = 0  # frames read so far
 
@@ -83,22 +88,24 @@ class Y4MReader:
         return self
 
     def __next__(self) -> Frame:
-        marker = self._stream.readline()
+        marker = self._stream.readline(_LINE_LIMIT)
         if not marker:
             raise StopIteration
         if not (marker.endswith(b"\n") and marker.startswith(b"FRAME")):
             raise FormatError("expected FRAME marker", offset=self._pos)
         self._pos += len(marker)
-        data = b""  # a raw stream, such as an unbuffered pipe, may return less than asked
-        while len(data) < self._frame_size:
-            part = self._stream.read(self._frame_size - len(data))
+        pixels = np.empty(min(self.frame_size, _READ_LIMIT), np.uint8)
+        got = 0  # a raw stream, such as an unbuffered pipe, may return less than asked
+        while got < self.frame_size:
+            if got == pixels.size:  # grown in place as bytes arrive, doubling
+                pixels.resize(min(self.frame_size, 2 * got), refcheck=False)
+            part = self._stream.readinto(memoryview(pixels)[got:])
             if not part:
-                raise FormatError(f"truncated frame {self._count}: got {len(data)} of "
-                                  f"{self._frame_size} bytes", offset=self._pos)
-            data += part
-        self._pos += len(data)
+                raise FormatError(f"truncated frame {self._count}: got {got} of "
+                                  f"{self.frame_size} bytes", offset=self._pos)
+            got += part
+        self._pos += got
         self._count += 1
-        pixels = np.frombuffer(data, np.uint8)
         starts = accumulate((h * w for h, w in self._shapes), initial=0)
         return Frame(*(pixels[s:s + h * w].reshape(h, w) for s, (h, w) in zip(starts, self._shapes)))
 

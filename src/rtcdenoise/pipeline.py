@@ -9,18 +9,18 @@ output (denoised or passed through, whatever its own cohort decided).
 
 The work splits into pure units: a keyframe unit (detect, fork, keyframe
 cascade) per keyframe, and a cohort unit per cohort (for each frame, its
-temporal window, then its report). One driver loop reads frames forward, submits
-each unit once every frame it reads has arrived, and collects the results in
-order as they finish, handing each output frame and report on at once, so
-a run holds O(cadence) frames however long the clip (see _execute). The
-execution mode only decides how a unit runs: `sequential` runs it inline and
-forks work to the helper lane (lanes.Fork; a no-reference cohort forks its
-first-level temporal blocks when it starts, see _cohort), `threaded` runs it
-on a thread pool sized to the CPUs the process may use, where forks run on
-the worker that joins them. Either way the units do the exact same
-arithmetic, so both modes produce bit-identical videos, reports, and
-feedback logs, and an exception raised in a unit or a fork reaches the
-caller.
+temporal window, then its report). One driver loop reads each frame, beside
+its reference, forward once; it submits each unit once every frame it reads
+has arrived, and collects the results in order as they finish, handing each
+frame on at once, so a run holds O(cadence) frames however long the clip
+(see _execute). The execution mode only decides how a unit runs:
+`sequential` runs it inline and forks work to the helper lane (lanes.Fork; a
+no-reference cohort forks its first-level temporal blocks when it starts,
+see _cohort), `threaded` runs it on a thread pool sized to the CPUs the
+process may use, where forks run on the worker that joins them. Either way
+the units do the exact same arithmetic, so both modes produce bit-identical
+videos, reports, and feedback logs, and an exception raised in a unit or a
+fork reaches the caller.
 
 Determinism versus timing: reports and the feedback policy carry a *modeled*
 runtime (a fixed cost in nanoseconds per pixel per unit of work, calibrated
@@ -159,9 +159,9 @@ class SenderTraceEntry:
 
 
 class SimulationResult(NamedTuple):
-    received: VideoSequence
-    denoised: VideoSequence
-    reports: List[AnalyzerReport]
+    received: Optional[VideoSequence]  # these three are None for a run with a sink
+    denoised: Optional[VideoSequence]
+    reports: Optional[List[AnalyzerReport]]
     feedback_log: List[FeedbackMessage]
     sender_trace: List[SenderTraceEntry]
     stats: PipelineStats
@@ -180,6 +180,7 @@ class _KeyframeRecord:
 
 @dataclass(frozen=True)
 class _Emitted:
+    received: Frame
     output: Frame
     report: AnalyzerReport
     video_ms: Optional[float]  # measured, temporal DENOISE frames only
@@ -224,14 +225,14 @@ def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
 
 
 def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
-            record: _KeyframeRecord, reference: Optional[VideoSequence],
+            record: _KeyframeRecord, reference: Optional[Frame],
             config: PipelineConfig) -> AnalyzerReport:
     """Report unit: full-reference when a reference frame exists, else no-reference."""
     sigma = record.decision.estimate.sigma
     if reference is not None:
         return build_report(
             frame_index=t,
-            reference=reference[t],
+            reference=reference,
             noisy=received,
             denoised=output,
             sigma=sigma,
@@ -264,16 +265,15 @@ _IN_FLIGHT = 8
 
 def _cohort(
     start: int,
-    frames: Sequence[Frame],
+    pairs: Sequence[Tuple[Frame, Optional[Frame]]],
     keyframes: Dict[int, Future],
     plan: WindowPlan,
     config: PipelineConfig,
-    reference: Optional[VideoSequence],
 ) -> Tuple[_KeyframeRecord, List[_Emitted]]:
     """Cohort unit: per frame of the cohort, its temporal window, then its report.
 
-    frames holds the received frames over plan.reach(start). keyframes maps
-    every keyframe index the windows reach to its keyframe unit's future.
+    pairs holds the (received, reference) frames over plan.reach(start);
+    keyframes maps every keyframe index the windows reach to its future.
 
     A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
     distinct first-level block of its windows once, when it starts; each
@@ -288,7 +288,7 @@ def _cohort(
 
     def window(t: int) -> List[Frame]:
         """Window t's frames; a position on a keyframe reads the keyframe's output."""
-        return [keyframes[i].result().output if i in keyframes else frames[i - first]
+        return [keyframes[i].result().output if i in keyframes else pairs[i - first][0]
                 for i in plan.window(t)]
 
     blocks: dict = {}  # first-level block forks shared by the cohort's windows
@@ -296,12 +296,12 @@ def _cohort(
     try:
         # forks that would only run when joined gain nothing by being made early,
         # and assembling a window early can wait on a keyframe still running
-        if denoise and reference is None and offered():
+        if denoise and pairs[0][1] is None and offered():
             for t in plan.cohort(start)[1:]:
                 fork_blocks(window(t), sigma, params, blocks)
         for t in plan.cohort(start):
             t0 = time.perf_counter()
-            received = frames[t - first]
+            received, reference = pairs[t - first]
             video_ms = None
             if t == start:
                 output, virtual = record.output, record.virtual_ms
@@ -317,7 +317,7 @@ def _cohort(
             span_ms = (t1 - t0) * 1e3
             if t == start:
                 span_ms += record.span_ms
-            emitted.append(_Emitted(output, report, video_ms, span_ms,
+            emitted.append(_Emitted(received, output, report, video_ms, span_ms,
                                     (time.perf_counter() - t1) * 1e3))
     finally:
         for _, fork in blocks.values():
@@ -353,15 +353,13 @@ def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
 class _Sender:
     """Simulated sender: capture noise, codec, channel, feedback application."""
 
-    def __init__(self, clean: VideoSequence, config: PipelineConfig):
-        self._clean = clean
+    def __init__(self, config: PipelineConfig):
         self._capture = NoiseRng(config.seed).derive(_CAPTURE_STREAM)
         self._noise_sigma = config.sender.noise_sigma
         self.config: SenderConfig = config.sender
         self.loss = fresh_loss_model(config)
         self._next_encode_at = 0
         self._prev: Optional[Frame] = None
-        self.received: List[Frame] = []  # every frame produced, for the result
         self.trace: List[SenderTraceEntry] = [self._entry(0)]
 
     def _entry(self, index: int) -> SenderTraceEntry:
@@ -378,9 +376,10 @@ class _Sender:
             self.config = updated
             self.trace.append(self._entry(at_index))
 
-    def produce(self, index: int) -> Frame:
+    def produce(self, index: int, clean: Frame) -> Tuple[Frame, Frame]:
+        """(received, clean): frame index as the receiver gets it, and its reference."""
         if index >= self._next_encode_at:
-            frame = self._clean[index]
+            frame = clean
             if self._noise_sigma > 0:
                 seed = int(self._capture.derive(index).seed)
                 frame = add_gaussian_noise(frame, self._noise_sigma, seed=seed)
@@ -390,44 +389,43 @@ class _Sender:
         else:
             received = self._prev  # frame dropped by the sender; repeat last
         self._prev = received
-        self.received.append(received)
-        return received
+        return received, clean
 
 
 def _execute(
     config: PipelineConfig,
-    frames: Iterable[Frame],
-    emit: Callable[[Frame, AnalyzerReport], None],
-    reference: Optional[VideoSequence],
+    pairs: Iterable[Tuple[Frame, Optional[Frame]]],
+    emit: Callable[[Frame, Frame, AnalyzerReport], None],
     on_feedback: Optional[Callable[[FeedbackMessage, int], None]],
 ) -> Tuple[List[FeedbackMessage], PipelineStats]:
-    """Drive the keyframe and cohort units over frames, read forward once, streaming.
+    """Drive the keyframe and cohort units over pairs, read forward once, streaming.
 
-    The plan has no end until frames runs out after n frames. A cohort is
-    submitted once the last frame it reads has arrived, so until then none of
-    its windows reaches the clip end; the rest are submitted under WindowPlan(n).
+    pairs yields (received, reference) frames, reference None for a
+    no-reference report. The plan has no end until pairs runs out after n
+    frames. A cohort is submitted once the last frame it reads has arrived,
+    so until then none of its windows reaches the clip end; the rest are
+    submitted under WindowPlan(n).
 
-    Each output frame and its report go to emit(output, report) in frame
-    order as their cohort finishes. A received frame and a keyframe future
-    are dropped once the last cohort that reads them has been submitted, and
-    at most _IN_FLIGHT cohorts are left uncollected, so the driver holds
-    O(cadence) frames whatever n is. Returns the feedback log and the run's
-    stats.
+    Each frame goes to emit(received, output, report) in frame order as its
+    cohort finishes. A pair and a keyframe future are dropped once the last
+    cohort that reads them has been submitted, and at most _IN_FLIGHT cohorts
+    are left uncollected, so the driver holds O(cadence) frames whatever n
+    is. Returns the feedback log and the run's stats.
 
-    With a reference, every feedback window's reports make a message;
-    on_feedback, when given, is invoked with (message, apply_index) at the
-    plan-derived apply point, before frame apply_index is read from frames.
+    With on_feedback, every feedback window's reports make a message, and
+    on_feedback(message, apply_index) is invoked at the plan-derived apply
+    point, before frame apply_index is read, so also at a point equal to n.
     """
-    plan = WindowPlan(sys.maxsize, config.cadence)
-    window = config.feedback_window
+    unbounded = plan = WindowPlan(sys.maxsize, config.cadence)
+    window = config.feedback_window if on_feedback else 0
     policy = FeedbackPolicy(sigma_threshold=config.threshold, budget_ms=config.budget_ms)
-    # each feedback message applies right after the last frame read by the
-    # cohort that holds its window's final frame; one at the end never applies
-    apply_points = [point for point in (plan.reach(plan.last_keyframe_at_or_before(w)).stop
-                                        for w in range(window - 1, len(reference), window))
-                    if point < len(reference)] if on_feedback and window > 0 else []
 
-    received: Dict[int, Frame] = {}
+    # feedback message k applies right after the last frame read by the
+    # cohort that holds its window's final frame
+    def apply_point(k: int) -> int:
+        return unbounded.reach(unbounded.last_keyframe_at_or_before((k + 1) * window - 1)).stop
+
+    arrived: Dict[int, Tuple[Frame, Optional[Frame]]] = {}
     keyframes: Dict[int, Future] = {}
     cohorts: deque = deque()  # cohort futures, in cohort order
     recent: deque = deque(maxlen=max(window, 1))  # the current feedback window's reports
@@ -448,43 +446,43 @@ def _execute(
         if record.decision.route is Route.DENOISE:
             denoised += len(emitted)
         for item in emitted:
-            emit(item.output, item.report)
+            emit(item.received, item.output, item.report)
             recent.append(item.report)
             if item.video_ms is not None:
                 video_ms.append(item.video_ms)
             analyze_ms.append(item.report_ms)
             latency_ms.append(item.span_ms + item.report_ms)  # keyframe + window + report
-            if window > 0 and reference is not None and len(latency_ms) % window == 0:
+            if window and len(latency_ms) % window == 0:
                 feedback_log.append(make_feedback(list(recent), policy))
 
     wall_start = time.perf_counter()
     with _unit_runner(config.execution) as submit:
         next_cohort = applied = 0
-        source = iter(frames)
+        source = iter(pairs)
         for t in itertools.count():
-            while applied < len(apply_points) and apply_points[applied] <= t:
+            while window and apply_point(applied) <= t:
                 while len(feedback_log) <= applied:
                     collect()
                 on_feedback(feedback_log[applied], t)
                 applied += 1
-            frame = next(source, None)
-            if frame is None:  # the source has ended after t frames
+            pair = next(source, None)
+            if pair is None:  # the source has ended after t frames
                 if t == 0:
                     raise ValueError("input sequence is empty")
                 plan = WindowPlan(t, config.cadence)
             else:
-                received[t] = frame
+                arrived[t] = pair
                 if plan.role(t) is FrameRole.KEYFRAME:
-                    keyframes[t] = submit(_keyframe, frame, config)
+                    keyframes[t] = submit(_keyframe, pair[0], config)
             while next_cohort < plan.n_frames and t + 1 >= plan.reach(next_cohort).stop:
                 reach = plan.reach(next_cohort)
-                cohorts.append(submit(_cohort, next_cohort, [received[i] for i in reach],
+                cohorts.append(submit(_cohort, next_cohort, [arrived[i] for i in reach],
                                       {k: keyframes[k] for k in reach if k in keyframes},
-                                      plan, config, reference))
+                                      plan, config))
                 next_cohort = plan.cohort(next_cohort).stop
                 # no later cohort reads below the next one's reach
                 for i in range(reach.start, next_cohort - 1):
-                    del received[i]
+                    del arrived[i]
                     keyframes.pop(i, None)
                 while len(cohorts) > _IN_FLIGHT:
                     collect()
@@ -492,7 +490,7 @@ def _execute(
             # cohort that finished meanwhile until the next submission
             while cohorts and cohorts[0].done():
                 collect()
-            if frame is None:
+            if pair is None:
                 break
         while cohorts:
             collect()
@@ -516,10 +514,6 @@ def _execute(
     return feedback_log, stats
 
 
-def _appending(outputs: List[Frame], reports: List[AnalyzerReport]) -> Callable:
-    return lambda frame, report: (outputs.append(frame), reports.append(report))
-
-
 def run_denoise(
     video: Iterable[Frame],
     config: PipelineConfig = PipelineConfig(),
@@ -533,45 +527,43 @@ def run_denoise(
     sink(frame, report) in frame order as they finish, and the run keeps
     neither: it returns (None, None, stats), and video needs no frame_rate.
     """
-    outputs: List[Frame] = []
-    reports: List[AnalyzerReport] = []
-    _, stats = _execute(
-        config=config,
-        frames=video,
-        emit=sink or _appending(outputs, reports),
-        reference=None,
-        on_feedback=None,
-    )
+    kept: List[tuple] = []
+    _, stats = _execute(config, pairs=((frame, None) for frame in video),
+                        emit=lambda _, *item: sink(*item) if sink else kept.append(item),
+                        on_feedback=None)
     if sink is not None:
         return None, None, stats
-    return VideoSequence(frames=tuple(outputs), frame_rate=video.frame_rate), reports, stats
+    outputs, reports = zip(*kept)
+    return VideoSequence(frames=outputs, frame_rate=video.frame_rate), list(reports), stats
 
 
 def run_simulate(
-    clean: VideoSequence,
+    clean: Iterable[Frame],
     config: PipelineConfig = PipelineConfig(),
+    sink: Optional[Callable[[Frame, Frame, AnalyzerReport], None]] = None,
 ) -> SimulationResult:
-    """Closed loop: sender/codec/channel, receiver pipeline, analyzer feedback."""
+    """Closed loop: sender/codec/channel, receiver pipeline, analyzer feedback.
+
+    clean is any iterable of frames with a frame_rate, read forward once as
+    the sender produces each frame. With a sink, each frame goes to
+    sink(received, denoised, report) in frame order as it finishes, and the
+    result holds None for those three; clean then needs no frame_rate.
+    """
     # the codec and the full-reference metrics import scipy on first use;
     # import it before _execute starts its clock, so no span pays for it
     import scipy.fft  # noqa: F401
     import scipy.ndimage  # noqa: F401
 
-    sender = _Sender(clean, config)
-    outputs: List[Frame] = []
-    reports: List[AnalyzerReport] = []
+    sender = _Sender(config)
+    kept: List[tuple] = []
     feedback_log, stats = _execute(
-        config=config,
-        frames=map(sender.produce, range(len(clean))),
-        emit=_appending(outputs, reports),
-        reference=clean,
-        on_feedback=sender.apply,
-    )
-    return SimulationResult(
-        received=clean.replace_frames(sender.received),
-        denoised=clean.replace_frames(outputs),
-        reports=reports,
-        feedback_log=feedback_log,
-        sender_trace=sender.trace,
-        stats=stats,
-    )
+        config, pairs=(sender.produce(t, frame) for t, frame in enumerate(clean)),
+        emit=sink or (lambda *item: kept.append(item)), on_feedback=sender.apply)
+    # a message applied at the clip's end changes no frame
+    trace = [entry for entry in sender.trace if entry.frame_index < stats.frame_count]
+    if sink is not None:
+        return SimulationResult(None, None, None, feedback_log, trace, stats)
+    received, denoised, reports = zip(*kept)
+    return SimulationResult(VideoSequence(received, clean.frame_rate),
+                            VideoSequence(denoised, clean.frame_rate),
+                            list(reports), feedback_log, trace, stats)

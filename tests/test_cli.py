@@ -18,19 +18,23 @@ from rtcdenoise import (
     add_gaussian_noise,
     add_speckle,
     dump_config,
+    feedback_to_json,
     make_sequence,
+    parse_config,
     parse_config_text,
     random_weights,
     read_y4m,
     read_y4m_file,
     report_to_json,
     run_denoise,
+    run_simulate,
     write_y4m,
     write_weights_file,
     write_y4m_file,
 )
 from rtcdenoise.cli import main
 from rtcdenoise.frameio import Y4MWriter
+import rtcdenoise.cli
 import rtcdenoise.pipeline
 
 import oracles
@@ -107,23 +111,51 @@ def test_simulate_deterministic_outputs(tmp_path, clean_clip):
     assert outs[0] == outs[1]
 
 
-def test_simulate_write_failure_keeps_the_old_output(tmp_path, clean_clip, monkeypatch):
-    denoised = tmp_path / "denoised.y4m"
-    denoised.write_bytes(b"old contents")
-    original = Y4MWriter.write
+@pytest.mark.parametrize("fault", ["clip", "report"])
+def test_simulate_write_failure_keeps_the_old_output(tmp_path, clean_clip, monkeypatch, fault):
+    # the three streamed outputs are written while the run goes on: a fault in
+    # any of them leaves every one as it was
+    flags = ["--out-received", "--out-denoised", "--report"]
+    for flag in flags:
+        (tmp_path / f"old{flag}").write_bytes(b"old contents")
+    owner, name = (Y4MWriter, "write") if fault == "clip" else (rtcdenoise.cli, "report_to_json")
+    original = getattr(owner, name)
     calls = []
 
-    def failing(self, frame):
+    def failing(*args):
         calls.append(None)
         if len(calls) > 2:
             raise RuntimeError("injected write fault")
-        return original(self, frame)
+        return original(*args)
 
-    monkeypatch.setattr(Y4MWriter, "write", failing)
+    monkeypatch.setattr(owner, name, failing)
     with pytest.raises(RuntimeError, match="injected write fault"):
-        main(["simulate", "--in", str(clean_clip), "--out-denoised", str(denoised)])
-    assert denoised.read_bytes() == b"old contents"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.y4m", "denoised.y4m"]
+        main(["simulate", "--in", str(clean_clip), *_output_args(tmp_path, flags, "old")])
+    assert [(tmp_path / f"old{flag}").read_bytes() for flag in flags] == [b"old contents"] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["clean.y4m"] + [f"old{flag}" for flag in flags])
+
+
+def test_two_outputs_naming_one_path_end_as_if_written_in_turn(tmp_path, clean_clip, capsys):
+    # the outputs are renamed in the order of their flags, so the later stays
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sender]\nnoise_sigma = 25\n")
+    result = run_simulate(read_y4m_file(clean_clip), parse_config(cfg))
+    denoised = io.BytesIO()
+    write_y4m(result.denoised, denoised)
+    reports = "".join(report_to_json(r) + "\n" for r in result.reports)
+    same = tmp_path / "same"
+    for flags, expected in [(["--out-received", "--out-denoised"], denoised.getvalue()),
+                            (["--out-denoised", "--report"], reports.encode()),
+                            (["--out-received", "--report"], reports.encode())]:
+        assert main(["simulate", "--in", str(clean_clip), "--config", str(cfg),
+                     *(arg for flag in flags for arg in (flag, str(same)))]) == 0
+        assert same.read_bytes() == expected, flags
+    _, noref, _ = run_denoise(read_y4m_file(clean_clip))
+    assert main(["denoise", "--in", str(clean_clip), "--out", str(same), "--report", str(same)]) == 0
+    assert same.read_text() == "".join(report_to_json(r) + "\n" for r in noref)
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.y4m", "run.cfg", "same"]
 
 
 # --- denoise -----------------------------------------------------------------
@@ -238,44 +270,78 @@ def test_detect_rejects_frames_below_3x3(tmp_path, shape, capsys):
     assert f"{shape[1]}x{shape[0]}" in err[0] and "at least 3 pixels" in err[0]
 
 
-def _assert_denoise_rejects(tmp_path, clip, problem, capsys, options=()):
-    """denoise exits 2 with one stderr line naming problem and writes no file."""
+# each subcommand's arguments, reading {clip}, and the flags of its regular-file
+# outputs (detect's histograms are per-frame files, written like its lines)
+_COMMANDS = {
+    "denoise": (["--in", "{clip}"], ["--out", "--report"]),
+    "simulate": (["--in", "{clip}"],
+                 ["--out-received", "--out-denoised", "--report", "--feedback", "--stats"]),
+    "metrics": (["--ref", "{clip}", "--test", "{clip}"], ["--json"]),
+    "inject": (["--in", "{clip}", "--noise", "gaussian:4"], ["--out"]),
+    "detect": (["--in", "{clip}"], []),
+}
+
+
+def _output_args(folder, flags, prefix="out"):
+    """Each output flag, followed by the path folder / f"{prefix}{flag}"."""
+    return [arg for flag in flags for arg in (flag, str(folder / f"{prefix}{flag}"))]
+
+
+def _run_checked(tmp_path, command, clip, capsys, options=(), detect_lines=False):
+    """(exit code, stderr) of command on clip, every output in tmp_path; checks a rejection.
+
+    A rejection (exit 2) prints one stderr line, no traceback and nothing on
+    stdout, and leaves no output file and no temporary in tmp_path. With
+    detect_lines, detect may have printed the lines of frames before a fault.
+    """
     before = set(tmp_path.iterdir())
-    out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
-    assert main(["denoise", "--in", str(clip), "--out", str(out), "--report", str(report),
-                 *options]) == 2
+    inputs, outputs = _COMMANDS[command]
+    code = main([command, *(arg.format(clip=clip) for arg in inputs), *options,
+                 *_output_args(tmp_path, outputs)])
     captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert captured.out == ""
-    assert len(err) == 1 and problem in err[0]
-    assert set(tmp_path.iterdir()) == before  # no --out, no --report, no temporary
+    if code == 2:
+        err = captured.err.splitlines()
+        if not (detect_lines and command == "detect"):
+            assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: "), captured.err
+        assert "Traceback" not in captured.err
+        assert set(tmp_path.iterdir()) == before  # no output and no temporary
+    return code, captured.err
+
+
+def _assert_rejects(tmp_path, command, clip, problem, capsys, options=()):
+    """command exits 2, its one stderr line naming problem, and leaves no file; returns the line."""
+    code, err = _run_checked(tmp_path, command, clip, capsys, options)
+    assert code == 2 and problem in err, err
+    return err.rstrip("\n")
 
 
 def test_denoise_rejects_frames_below_3x3(tmp_path, capsys):
     for shape in [(2, 2), (2, 8), (8, 2)]:
         tiny = tmp_path / "tiny.y4m"
         write_y4m_file(VideoSequence((Frame(y=np.zeros(shape, dtype=np.uint8)),) * 6), tiny)
-        _assert_denoise_rejects(
-            tmp_path, tiny,
+        _assert_rejects(
+            tmp_path, "denoise", tiny,
             f"frames are {shape[1]}x{shape[0]}; the noise estimates need at least 3 pixels",
             capsys)
 
 
-def _clip_bytes(n, **kwargs):
+def _clip_bytes(n, width=16, height=12, **kwargs):
     sink = io.BytesIO()
-    write_y4m(make_sequence(n, 16, 12, seed=9, **kwargs), sink)
+    write_y4m(make_sequence(n, width, height, seed=9, **kwargs), sink)
     return sink.getvalue()
 
 
+@pytest.mark.parametrize("command", ["denoise", "simulate"])
 @pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_denoise_rejects_a_truncated_last_frame(tmp_path, execution, capsys):
+def test_a_truncated_last_frame_is_rejected(tmp_path, execution, command, capsys):
     # the error comes while earlier cohorts are in flight; the run still
     # leaves no file and no pool thread behind
     clip = tmp_path / "cut.y4m"
-    clip.write_bytes(_clip_bytes(13, with_chroma=True)[:-5])
+    clip.write_bytes(_clip_bytes(13, 24, 20, with_chroma=True)[:-5])
     cfg = _config_file(tmp_path / "run.cfg", execution, cadence=2)
     threads = set(threading.enumerate())
-    _assert_denoise_rejects(tmp_path, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
+    _assert_rejects(tmp_path, command, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
     assert [t.name for t in set(threading.enumerate()) - threads
             if not t.name.startswith("rtcdenoise-helper")] == []
 
@@ -285,29 +351,35 @@ def test_denoise_rejects_a_bad_frame_marker_mid_clip(tmp_path, capsys):
     third = data.index(b"FRAME\n", data.index(b"FRAME\n", data.index(b"FRAME\n") + 1) + 1)
     clip = tmp_path / "marker.y4m"
     clip.write_bytes(data[:third] + b"FRAMX\n" + data[third + 6:])
-    _assert_denoise_rejects(tmp_path, clip, f"expected FRAME marker (byte offset {third})", capsys)
+    _assert_rejects(tmp_path, "denoise", clip, f"expected FRAME marker (byte offset {third})", capsys)
 
 
-_EVERY_COMMAND = [
-    ["denoise", "--in", "{clip}"],
-    ["simulate", "--in", "{clip}"],
-    ["metrics", "--ref", "{clip}", "--test", "{clip}"],
-    ["inject", "--in", "{clip}", "--noise", "gaussian:4", "--out", "{out}"],
-    ["detect", "--in", "{clip}"],
-]
+@pytest.mark.parametrize("command", ["denoise", "simulate"])
+@pytest.mark.parametrize("line", ["marker", "header"])
+def test_a_line_without_its_newline_is_not_read_on(tmp_path, command, line, capsys):
+    # a damaged FRAME marker or header followed by 16 MB with no newline: the
+    # reader gives up after a bounded line, not at the next newline
+    import scipy.fft  # noqa: F401  (as run_simulate does, outside the traced call)
+    import scipy.ndimage  # noqa: F401
+
+    header = _clip_bytes(1, 20, 18).split(b"\n")[0]
+    if line == "marker":
+        data, problem = header + b"\nFRAM", f"expected FRAME marker (byte offset {len(header) + 1})"
+    else:
+        data, problem = header + b" X" + bytes(1 << 16), "unterminated stream header (byte offset 65536)"
+    clip = tmp_path / "damaged.y4m"
+    clip.write_bytes(data + bytes(1 << 24))
+    peak = traced_peak(_assert_rejects, tmp_path, command, clip, problem, capsys)[1]
+    assert peak < 1 << 20, f"traced {peak} B"
 
 
-@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=lambda command: command[0])
+@pytest.mark.parametrize("command", list(_COMMANDS))
 @pytest.mark.parametrize("byte", [b"\x0b", b"\x1d", b"\r"], ids=["vt", "gs", "cr"])
 def test_a_line_breaking_colorspace_token_gives_one_error_line(tmp_path, command, byte, capsys):
     clip = tmp_path / "cs.y4m"
     clip.write_bytes(_clip_bytes(2).replace(b"Cmono", b"C4" + byte + b"20", 1))
-    assert main([arg.format(clip=clip, out=tmp_path / "out.y4m") for arg in command]) == 2
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert captured.out == "" and len(err) == 1
-    assert err[0].startswith("error: unsupported colorspace C'4")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cs.y4m"]
+    line = _assert_rejects(tmp_path, command, clip, "unsupported colorspace", capsys)
+    assert line.startswith("error: unsupported colorspace C'4")
 
 
 def test_non_finite_conv_weights_are_a_config_error(tmp_path, capsys):
@@ -319,15 +391,15 @@ def test_non_finite_conv_weights_are_a_config_error(tmp_path, capsys):
     cfg.write_text(f"[video_denoiser]\nmode = conv\nweights = {path}\n")
     clip = tmp_path / "in.y4m"
     _mixed_clip(clip, 4, True)
-    _assert_denoise_rejects(tmp_path, clip, "cannot load weights: layer 1 holds a non-finite weight",
-                            capsys, ["--config", str(cfg)])
+    _assert_rejects(tmp_path, "denoise", clip, "cannot load weights: layer 1 holds a non-finite weight",
+                    capsys, ["--config", str(cfg)])
 
 
 @pytest.mark.parametrize("rate", ["F0:1", "F-25:1", "F0"])
 def test_denoise_rejects_non_positive_frame_rate(tmp_path, rate, capsys):
     clip = tmp_path / "rate.y4m"
     clip.write_bytes(_clip_bytes(4).replace(b"F25:1", rate.encode(), 1))
-    _assert_denoise_rejects(tmp_path, clip, "frame rate must be positive", capsys)
+    _assert_rejects(tmp_path, "denoise", clip, "frame rate must be positive", capsys)
 
 
 @pytest.mark.parametrize("rate", ["F0:1", "F-25:1"])
@@ -434,15 +506,12 @@ def test_metrics_frame_size_mismatch_is_data_error(tmp_path, capsys):
     assert "64x48" in err[0] and "48x64" in err[0]
 
 
-@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("command", list(_COMMANDS))
 def test_header_only_input_is_data_error(tmp_path, command, capsys):
     empty = tmp_path / "empty.y4m"
     empty.write_bytes(b"YUV4MPEG2 W64 H48 F25:1 Ip A1:1 Cmono\n")
-    argv = [arg.format(clip=empty, out=tmp_path / "out.y4m") for arg in command]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "no frames" in err[0] and "empty.y4m" in err[0]
+    line = _assert_rejects(tmp_path, command, empty, "no frames", capsys)
+    assert "empty.y4m" in line
 
 
 @pytest.mark.parametrize("side", [8, 16])
@@ -543,8 +612,9 @@ def _mixed_clip(path, n, with_chroma, width=40, height=36):
     return noisy
 
 
-def _config_file(path, execution, cadence=5):
-    path.write_text(f"[pipeline]\nexecution = {execution}\n[video_denoiser]\ncadence = {cadence}\n")
+def _config_file(path, execution, cadence=5, extra=""):
+    path.write_text(f"[pipeline]\nexecution = {execution}\n[video_denoiser]\ncadence = {cadence}\n"
+                    + extra)
     return path
 
 
@@ -566,6 +636,39 @@ def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, execution, cadenc
     write_y4m(output, expected)
     assert out.read_bytes() == expected.getvalue()
     assert report.read_text() == "".join(report_to_json(r) + "\n" for r in reports)
+
+
+# feedback every 4 frames, at a budget that makes the sender lower its rate,
+# resolution or quality; at cadence 5 the first message applies at frame 7,
+# which on the 7-frame clip is its end
+_FEEDBACK = "[analyzer]\nfeedback_window = 4\nbudget_ms = 0.05\n[sender]\nnoise_sigma = 25\n"
+
+
+@pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
+@pytest.mark.parametrize("n", [1, 4, 7, 13])
+@pytest.mark.parametrize("cadence", [2, 3, 5])
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, execution, cadence, n, with_chroma,
+                                                      capsys):
+    clean = make_sequence(n, 40, 36, seed=n, motion=(1.0, 0.5), with_chroma=with_chroma)
+    write_y4m_file(clean, tmp_path / "in.y4m")
+    cfg = _config_file(tmp_path / "run.cfg", execution, cadence, _FEEDBACK)
+    flags = ("--out-received", "--out-denoised", "--report", "--feedback")
+    outs = {flag: tmp_path / f"out{flag}" for flag in flags}
+    assert main(["simulate", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
+                 *_output_args(tmp_path, flags)]) == 0
+
+    result = run_simulate(clean, parse_config(cfg))
+    assert capsys.readouterr().out.startswith(
+        f"frames={n} bypassed={result.stats.frames_bypassed} "
+        f"denoised={result.stats.frames_denoised} feedback={len(result.feedback_log)} ")
+    for flag, clip in (("--out-received", result.received), ("--out-denoised", result.denoised)):
+        expected = io.BytesIO()
+        write_y4m(clip, expected)
+        assert outs[flag].read_bytes() == expected.getvalue(), flag
+    assert outs["--report"].read_text() == "".join(report_to_json(r) + "\n" for r in result.reports)
+    assert outs["--feedback"].read_text() == "".join(
+        feedback_to_json(m) + "\n" for m in result.feedback_log)
 
 
 def test_run_denoise_sink_gets_every_frame_in_order_and_keeps_none(tmp_path):
@@ -720,26 +823,32 @@ def test_out_naming_an_open_descriptor_writes_through_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.y4m", "out.y4m"]
 
 
+def _long_clips(tmp_path, width, height):
+    """Clips of 100 and 400 frames repeating 26 (sigma 30 on 4 of every 16, else 4), by length."""
+    clean = make_sequence(26, width, height, seed=5, motion=(1.0, 0.5), with_chroma=True)
+    noisy = [add_gaussian_noise(f, 30.0 if (t // 4) % 4 == 1 else 4.0, seed=t)
+             for t, f in enumerate(clean)]
+    clips = {n: tmp_path / f"in{n}.y4m" for n in (26, 100, 400)}
+    for n, path in clips.items():
+        write_y4m_file(VideoSequence(tuple(noisy[t % len(noisy)] for t in range(n))), path)
+    return clips
+
+
 @pytest.mark.parametrize("source", ["file", "pipe"])
 @pytest.mark.parametrize("execution", ["sequential", "threaded"])
 def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, source, capsys):
     # at 320x240 a whole-clip run holds every input and output frame, about
     # 3x as much at 400 frames as at 100 (18.6 against 61.7 MB). The reader
-    # reads forward, a pipe as a file, so a streamed run peaks near 11-15 MB
-    # (sequential) and 20 MB (threaded): the frames in flight plus the two
-    # 4 MB output buffers. What still grows with length is small objects
+    # reads forward, a pipe as a file, so a streamed run peaks near 10 MB
+    # (sequential) and 15 MB (threaded): the frames in flight plus the two
+    # outputs' buffers of 16 frames each. What still grows with length is small objects
     # (per-frame timings, freed tuples the interpreter keeps for reuse), a
     # few hundred kB; with the threaded pool's timing the ratio read
     # 1.00-1.04. The pipe's writer thread reads the clip file 64 kB at a
     # time. The clips repeat 26 frames (sigma 30 on 4 of every 16, else 4) to
     # save time making them; the pipeline reads each frame afresh all the same.
     cfg = _config_file(tmp_path / "run.cfg", execution)
-    clean = make_sequence(26, 320, 240, seed=5, motion=(1.0, 0.5), with_chroma=True)
-    noisy = [add_gaussian_noise(f, 30.0 if (t // 4) % 4 == 1 else 4.0, seed=t)
-             for t, f in enumerate(clean)]
-    clips = {n: tmp_path / f"in{n}.y4m" for n in (100, 400)}
-    for n, path in clips.items():
-        write_y4m_file(VideoSequence(tuple(noisy[t % len(noisy)] for t in range(n))), path)
+    clips = _long_clips(tmp_path, 320, 240)
 
     def denoise(clip):
         return main(["denoise", "--in", clip, "--config", str(cfg),
@@ -760,6 +869,29 @@ def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, sour
     assert long <= 1.1 * short, f"traced peak {short} B at 100 frames, {long} B at 400"
 
 
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+def test_simulate_memory_does_not_grow_with_clip_length(tmp_path, execution, capsys):
+    # a whole-clip run holds every clean, received and denoised frame: at
+    # 160x120 it traced 9.3 MB at 100 frames and 25.4 MB at 400. Streamed,
+    # the run peaks near 4.5 MB (sequential) or 6 MB (threaded) either way,
+    # below the three 100-frame clips alone. What grows with length is small
+    # objects, about 0.2 MB over 300 frames. A first run imports scipy and
+    # fills the caches the metrics keep, so neither traced run pays for them.
+    cfg = _config_file(tmp_path / "run.cfg", execution)
+    clips = _long_clips(tmp_path, 160, 120)
+
+    def simulate(clip):
+        return main(["simulate", "--in", str(clip), "--config", str(cfg),
+                     *_output_args(tmp_path, ("--out-received", "--out-denoised", "--report"))])
+
+    assert simulate(clips[26]) == 0
+    (short_code, short), (long_code, long) = (traced_peak(simulate, clips[n]) for n in (100, 400))
+    capsys.readouterr()
+    assert short_code == long_code == 0
+    assert long <= 1.1 * short, f"traced peak {short} B at 100 frames, {long} B at 400"
+    assert short < 3 * 100 * 160 * 120 * 3 // 2, f"traced peak {short} B at 100 frames"
+
+
 def test_denoise_streams_a_pipe(tmp_path, capsys):
     data = _clip_bytes(7, with_chroma=True)
     out = tmp_path / "out.y4m"
@@ -769,3 +901,21 @@ def test_denoise_streams_a_pipe(tmp_path, capsys):
     expected = io.BytesIO()
     write_y4m(run_denoise(read_y4m(data))[0], expected)
     assert out.read_bytes() == expected.getvalue()
+
+
+def test_simulate_streams_a_pipe(tmp_path, capsys):
+    data = _clip_bytes(7, 24, 20, with_chroma=True)
+    cfg = _config_file(tmp_path / "run.cfg", "sequential", 3, _FEEDBACK)
+    (tmp_path / "in.y4m").write_bytes(data)
+    flags = ("--out-received", "--out-denoised", "--report", "--feedback")
+    outputs = {}
+    for source in ("file", "pipe"):
+        argv = ["simulate", "--config", str(cfg), *_output_args(tmp_path, flags, source)]
+        if source == "file":
+            assert main(argv + ["--in", str(tmp_path / "in.y4m")]) == 0
+        else:
+            with pipe_feeding(data, chunk=100) as fd:
+                assert main(argv + ["--in", f"/dev/fd/{fd}"]) == 0
+        outputs[source] = [(tmp_path / f"{source}{flag}").read_bytes() for flag in flags]
+    capsys.readouterr()
+    assert outputs["pipe"] == outputs["file"]

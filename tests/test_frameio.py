@@ -195,6 +195,19 @@ def test_reader_reads_a_raw_pipe_until_each_frame_is_whole():
         assert sequences_equal(read_y4m(raw), seq)
 
 
+def test_reader_holds_a_large_frame_once():
+    # a frame larger than the first read's buffer grows that buffer as its
+    # bytes arrive, not by joining parts; a 4100x4200 mono frame is 17.2 MB
+    import numpy as np
+
+    rows = np.arange(4100, dtype=np.uint8)[:, None]
+    data = b"YUV4MPEG2 W4200 H4100 Cmono\nFRAME\n" + np.broadcast_to(rows, (4100, 4200)).tobytes()
+    with io.BytesIO(data) as stream:
+        frame, peak = traced_peak(next, Y4MReader(stream))
+    assert (frame.y == rows).all()
+    assert peak < 1.2 * 4100 * 4200, f"traced {peak} B"
+
+
 def _roundtrip_bytes(seq: VideoSequence) -> bytes:
     sink = io.BytesIO()
     write_y4m(seq, sink)

@@ -559,6 +559,33 @@ def test_simulate_rerun_is_bit_identical(execution):
     _assert_same_result(run_simulate(clean, config), run_simulate(clean, config))
 
 
+@pytest.mark.parametrize("execution", ["sequential", "threaded"])
+@pytest.mark.parametrize("n, cadence", [(13, 3), (7, 5)])
+def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(execution, n, cadence):
+    # the sender lowers its rate, resolution or quality on each message; at
+    # cadence 5 the first one applies at frame 7, the 7-frame clip's end,
+    # where it changes no frame and so leaves no trace entry
+    clean = make_sequence(n, 40, 36, seed=n, motion=(1.0, 0.5), with_chroma=True)
+    config = PipelineConfig(
+        execution=execution, cadence=cadence, feedback_window=4, budget_ms=0.05,
+        sender=SenderConfig(noise_sigma=25.0),
+        loss=replace(PipelineConfig().loss, p_loss=0.1, seed=2),
+    )
+    whole = run_simulate(clean, config)
+    seen = []
+    # a bare iterator: with a sink, no frame_rate is read
+    streamed = run_simulate(iter(clean.frames), config, sink=lambda *item: seen.append(item))
+    assert streamed[:3] == (None, None, None)
+    assert streamed.feedback_log == whole.feedback_log and len(whole.feedback_log) == n // 4
+    assert streamed.sender_trace == whole.sender_trace
+    assert all(entry.frame_index < n for entry in whole.sender_trace)
+    assert streamed.stats.frame_count == n
+    assert [report for _, _, report in seen] == whole.reports
+    assert all(frames_equal(r, a) and frames_equal(d, b)
+               for (r, d, _), a, b in zip(seen, whole.received, whole.denoised))
+    assert len(seen) == n
+
+
 def test_sequential_and_threaded_agree():
     clean = make_sequence(15, 96, 64, seed=11)
     base = PipelineConfig(
