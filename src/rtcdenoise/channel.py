@@ -153,11 +153,26 @@ def add_speckle(frame: Frame, sigma_mult: float, seed: int = 0) -> Frame:
     return _add_normals(frame, seed, lambda x, noise: x * (1.0 + sigma_mult * noise))
 
 
+# Pixels per band of the block-DCT quantizer, in whole 8-row block rows. At
+# 480x360 a band is 64 rows, and a call traces 1.2 MB; 1 << 16 ran about as
+# fast (README "Chunk sizes") but traced 2.1 MB.
+_CODEC_PIXELS = 1 << 15
+# Output pixels per row band of the bilinear resize. An encode_decode of a
+# 480x360 frame at scale 3/4 traced 2.9 MB at this size and 3.5 MB at
+# 1 << 15 in the same time; the whole-plane resize traced 6.4 MB.
+_RESIZE_PIXELS = 1 << 14
+
+
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resample of a float64 plane."""
+    """Pixel-center-aligned bilinear resample of a plane, as float64.
+
+    Each band of _RESIZE_PIXELS output pixels reads only the input rows it
+    blends, so the call holds no temporary of the whole plane; every value is
+    the float64 formula's, as uint8 values convert to float64 exactly.
+    """
     in_h, in_w = plane.shape
     if (in_h, in_w) == (out_h, out_w):
-        return plane
+        return plane.astype(np.float64)
 
     def axis_coords(n_in: int, n_out: int):
         src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
@@ -168,9 +183,13 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     ylo, yhi, wy = axis_coords(in_h, out_h)
     xlo, xhi, wx = axis_coords(in_w, out_w)
-    top = plane[ylo][:, xlo] * (1 - wx) + plane[ylo][:, xhi] * wx
-    bot = plane[yhi][:, xlo] * (1 - wx) + plane[yhi][:, xhi] * wx
-    return top * (1 - wy[:, None]) + bot * wy[:, None]
+    out = np.empty((out_h, out_w), dtype=np.float64)
+    for r0, r1 in chunk_bounds(out_h, max(1, _RESIZE_PIXELS // out_w)):
+        top, bot = plane[ylo[r0:r1]], plane[yhi[r0:r1]]
+        top = top[:, xlo] * (1 - wx) + top[:, xhi] * wx
+        bot = bot[:, xlo] * (1 - wx) + bot[:, xhi] * wx
+        out[r0:r1] = top * (1 - wy[r0:r1, None]) + bot * wy[r0:r1, None]
+    return out
 
 
 def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
@@ -178,14 +197,7 @@ def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
     h, w = plane.shape
     small_h = max(1, round(h * scale))
     small_w = max(1, round(w * scale))
-    small = _bilinear_resize(plane.astype(np.float64), small_h, small_w)
-    return _bilinear_resize(small, h, w)
-
-
-# Pixels per band of the block-DCT quantizer, in whole 8-row block rows. At
-# 480x360 a band is 64 rows, and a call traces 1.2 MB; 1 << 16 ran about as
-# fast (README "Chunk sizes") but traced 2.1 MB.
-_CODEC_PIXELS = 1 << 15
+    return _bilinear_resize(_bilinear_resize(plane, small_h, small_w), h, w)
 
 
 def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
@@ -222,8 +234,10 @@ def encode_decode(frame: Frame, config: SenderConfig) -> Frame:
     """
     if config.resolution_scale == 1:
         return frame.with_luma(_block_dct_quantize(frame.y, config.q))
-    planes = [_scale_round_trip(p, config.resolution_scale) for p in frame.planes]
-    return Frame(_block_dct_quantize(planes[0], config.q), *(quantize_plane(p) for p in planes[1:]))
+    scale = config.resolution_scale
+    # one plane's float64 round trip at a time
+    luma = _block_dct_quantize(_scale_round_trip(frame.y, scale), config.q)
+    return Frame(luma, *(quantize_plane(_scale_round_trip(p, scale)) for p in frame.planes[1:]))
 
 
 def transmit(

@@ -33,14 +33,14 @@ from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
 
 # every NoiseRng normal has |n| <= sqrt(-2 ln 2**-53) < 8.6, so below this cap
-# a speckle value x * (1 + m * n) stays finite for any 8-bit x
-MAX_SPECKLE_MULT = 1e300
+# a noisy value x + s * n or x * (1 + m * n) stays finite for any 8-bit x
+MAX_NOISE_STRENGTH = 1e300
 
 # kind -> (injector, name of its value, largest accepted value)
 _INJECTORS = {
-    "gaussian": (add_gaussian_noise, "sigma", math.inf),
+    "gaussian": (add_gaussian_noise, "sigma", MAX_NOISE_STRENGTH),
     "saltpepper": (add_salt_pepper, "density", 1.0),
-    "speckle": (add_speckle, "sigma multiplier", MAX_SPECKLE_MULT),
+    "speckle": (add_speckle, "sigma multiplier", MAX_NOISE_STRENGTH),
 }
 
 

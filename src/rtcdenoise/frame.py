@@ -179,7 +179,9 @@ def quantize_plane(values: np.ndarray) -> np.ndarray:
     """Round and clamp a real-valued plane to uint8.
 
     Uses round-half-away-from-zero so that x.5 maps to x+1 for non-negative
-    values, independent of the banker's rounding used by numpy's round().
+    values, independent of the banker's rounding used by numpy's round():
+    x + 0.5 clamped to [0, 255] is at least 0, so the truncating uint8 cast
+    takes its floor.
     """
     values = np.asarray(values)
     out = np.empty(values.shape, dtype=np.uint8)
@@ -189,7 +191,6 @@ def quantize_plane(values: np.ndarray) -> np.ndarray:
     for c0, c1 in chunk_bounds(src.size):
         v = buf[: c1 - c0]
         np.add(src[c0:c1], 0.5, out=v, dtype=np.float64)
-        np.floor(v, out=v)
         np.clip(v, 0, PIXEL_MAX, out=v)
         np.copyto(dst[c0:c1], v, casting="unsafe")
     return out
@@ -204,8 +205,9 @@ def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]
     one size constant, kept beside it: ELEMENTWISE_PIXELS,
     image_denoiser._BILATERAL_PIXELS, image_denoiser._SMOOTH_PIXELS (the row
     bands of stage_smooth), metrics._BAND_PIXELS (the row bands of the
-    metric moments) and channel._CODEC_PIXELS (the bands of block rows of
-    the codec surrogate). Two costs set it: each numpy call hands the interpreter
+    metric moments), channel._CODEC_PIXELS (the bands of block rows of
+    the codec surrogate) and channel._RESIZE_PIXELS (the row bands of its
+    bilinear resize). Two costs set it: each numpy call hands the interpreter
     lock over, so under two threads longer runs (fewer calls) wait less; but
     longer runs need larger temporaries, which leave the core's cache and,
     past the allocator's mmap threshold, are page-faulted in afresh on each

@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
+from .frame import ELEMENTWISE_PIXELS, Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
 from .lanes import Fork, offered
-from .metrics import _GRADIENT_TABLE, _gaussian_taps, _gradient_index
+from .metrics import _gaussian_taps, _gradient_index, _gradient_run
 
 PASSTHROUGH_SIGMA = 0.5
 
@@ -78,30 +78,35 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 _BILATERAL_PIXELS = 1 << 17
 
 
+def _tap_weight(shifted, centre, spatial, inv_2sr, out: np.ndarray) -> np.ndarray:
+    """out = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order."""
+    np.subtract(shifted, centre, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, inv_2sr, out=out)
+    np.subtract(spatial, out, out=out)
+    return np.exp(out, out=out)
+
+
 def _bilateral_runs(padded, taps, inv_2sr, first, out, lo: int, hi: int) -> None:
     """stage_detail's output at flat positions lo..hi, one _BILATERAL_PIXELS run at a time."""
     wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, _BILATERAL_PIXELS)), np.float32)
     for r0, r1 in chunk_bounds(hi - lo, _BILATERAL_PIXELS):
         c0, c1 = lo + r0, lo + r1
         centre = padded[first + c0 : first + c1]
-        wgt = wgt_buf[: c1 - c0]
         weight_sum = weight_buf[: c1 - c0]
         value_sum = value_buf[: c1 - c0]
-        weight_sum.fill(0.0)
-        value_sum.fill(0.0)
-        for shift, spatial in taps:
+        # the first tap, a corner, starts both sums, as 0 + x == x
+        shifted = padded[first + taps[0][0] + c0 : first + taps[0][0] + c1]
+        _tap_weight(shifted, centre, taps[0][1], inv_2sr, weight_sum)
+        np.multiply(weight_sum, shifted, out=value_sum)
+        for shift, spatial in taps[1:]:
             if shift == 0:
                 # the centre tap has delta 0, so its weight is exp(0) = 1
                 weight_sum += 1.0
                 value_sum += centre
                 continue
             shifted = padded[first + shift + c0 : first + shift + c1]
-            # wgt = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order
-            np.subtract(shifted, centre, out=wgt)
-            np.multiply(wgt, wgt, out=wgt)
-            np.multiply(wgt, inv_2sr, out=wgt)
-            np.subtract(spatial, wgt, out=wgt)
-            np.exp(wgt, out=wgt)
+            wgt = _tap_weight(shifted, centre, spatial, inv_2sr, wgt_buf[: c1 - c0])
             weight_sum += wgt
             wgt *= shifted
             value_sum += wgt
@@ -239,8 +244,9 @@ def stage_fuse(
     detail = detail_out.y.ravel()
     smooth = smooth_out.y.ravel()
     out = np.empty(index.size, dtype=np.uint8)
+    g_run = np.empty(min(index.size, ELEMENTWISE_PIXELS), dtype=np.float64)
     for c0, c1 in chunk_bounds(index.size):
-        g_c = _GRADIENT_TABLE[index[c0:c1]]  # metrics.gradient_magnitude, one run at a time
+        g_c = _gradient_run(index[c0:c1], g_run)  # metrics.gradient_magnitude, one run at a time
         denom = g_c + tau
         weight = np.divide(g_c, denom, out=np.zeros_like(g_c), where=denom > 0)
         # weight * detail + (1 - weight) * smooth, in this order

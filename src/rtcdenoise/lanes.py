@@ -1,19 +1,24 @@
-"""Fork/join over two lanes: the calling thread and one process-wide helper pool.
+"""Fork/join over two lanes: the calling thread and one process-wide helper queue.
 
 Fork(fn, *args) offers fn(*args) to the helper; whichever lane claims it first
 computes it, once: join() runs it inline if no helper has started it, and
 otherwise waits for it. A lane only waits on a task another lane is running,
-so waits cannot deadlock. The helper pool is sized once, at import, with a
-worker per usable CPU beyond the caller's. Forks made on a worker (the
-helper's, or the threaded pipeline's, whose units fill the cores) are not
-offered: they run when joined.
+so waits cannot deadlock. A fork made with background=True is queued behind
+every other fork: a helper starts it only when no urgent fork is waiting, so
+work that may trail (a frame's report) fills the helper's idle time without
+delaying the work it idles beside. The helper threads, one per usable CPU
+beyond the caller's, start on first use. Forks made on a worker (a helper, or
+the threaded pipeline's, whose units fill the cores) are not offered: they
+run when joined.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import CancelledError
+from typing import Callable
 
 
 def usable_cpus() -> int:
@@ -29,8 +34,38 @@ def mark_worker() -> None:
     _WORKER.marked = True
 
 
+class _Helpers:
+    """The helper lanes' queue: urgent tasks in order, then background tasks in order."""
+
+    def __init__(self, threads: int):
+        self._threads = threads
+        self._started = 0
+        self._queued = threading.Condition()
+        self._urgent: deque = deque()
+        self._background: deque = deque()
+
+    def submit(self, run: Callable[[], None], background: bool = False) -> None:
+        """Queue run(), which must raise nothing, for the next free helper thread."""
+        with self._queued:
+            (self._background if background else self._urgent).append(run)
+            if self._started < self._threads:
+                self._started += 1
+                threading.Thread(target=self._serve, name=f"rtcdenoise-helper_{self._started}",
+                                 daemon=True).start()
+            self._queued.notify()
+
+    def _serve(self) -> None:
+        mark_worker()
+        while True:
+            with self._queued:
+                while not (self._urgent or self._background):
+                    self._queued.wait()
+                run = (self._urgent or self._background).popleft()
+            run()
+
+
 _HELPERS = usable_cpus() - 1
-_HELPER = ThreadPoolExecutor(_HELPERS, "rtcdenoise-helper", mark_worker) if _HELPERS else None
+_HELPER = _Helpers(_HELPERS) if _HELPERS else None
 
 
 def offered() -> bool:
@@ -44,13 +79,13 @@ class Fork:
     Leaving a with block on the fork cancels it, so no lane still runs it.
     """
 
-    def __init__(self, fn, *args):
+    def __init__(self, fn, *args, background: bool = False):
         self._task = (fn, args)
         self._claim = threading.Lock()
         self._done = threading.Event()
         self._value = self._error = None
         if offered():
-            _HELPER.submit(self._run)  # _run keeps every error, so its future holds none
+            _HELPER.submit(self._run, background)  # _run keeps every error
 
     def _run(self) -> None:
         if self._claim.acquire(blocking=False):  # else another lane has it
@@ -61,6 +96,10 @@ class Fork:
                 self._error = exc
             finally:
                 self._done.set()
+
+    def done(self) -> bool:
+        """Whether join() would return at once: the task has ended, or was cancelled."""
+        return self._done.is_set()
 
     def join(self):
         """The value, computed here unless a lane has started it; its error re-raised."""

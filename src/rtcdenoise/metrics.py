@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .frame import PIXEL_MAX, Frame, chunk_bounds
+from .frame import ELEMENTWISE_PIXELS, PIXEL_MAX, Frame, chunk_bounds
 from .lanes import Fork
 
 INFINITE = math.inf
@@ -324,12 +324,16 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     """2x2 means of a uint8 plane or of an earlier level, as float32.
 
     Level k holds multiples of 4**-k up to 255, 8 + 2k significant bits at
-    most, so float32 holds the float64 means exactly in half the memory.
+    most, so float32 holds the float64 means exactly in half the memory. A
+    2x2 sum needs 10 + 2k bits: uint16 holds level 0's and float32 every
+    other level's exactly, so adding in any order and then quartering gives
+    the float64 mean's value.
     """
     h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
-    out = np.empty((h2, w2), dtype=np.float32)
-    return plane[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3), dtype=np.float64,
-                                                                 out=out)
+    dtype = np.uint16 if plane.dtype == np.uint8 else np.float32
+    pairs = np.add(plane[0 : 2 * h2 : 2, : 2 * w2], plane[1 : 2 * h2 : 2, : 2 * w2], dtype=dtype)
+    sums = np.add(pairs[:, 0::2], pairs[:, 1::2])
+    return np.multiply(sums, 0.25, dtype=np.float32)
 
 
 def _ms_ssim(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
@@ -372,16 +376,16 @@ def _vif_information(var_a: np.ndarray, weak_ref: np.ndarray, var_b: np.ndarray,
     sv_sq = np.multiply(g, cov, out=cov)
     np.subtract(var_b, sv_sq, out=sv_sq)
 
-    g[weak_ref] = 0.0
-    sv_sq[weak_ref] = var_b[weak_ref]
+    np.copyto(g, 0.0, where=weak_ref)
+    np.copyto(sv_sq, var_b, where=weak_ref)
 
     weak_test = var_b < _VIF_EPS
-    g[weak_test] = 0.0
-    sv_sq[weak_test] = 0.0
+    np.copyto(g, 0.0, where=weak_test)
+    np.copyto(sv_sq, 0.0, where=weak_test)
 
     negative_gain = g < 0.0
-    sv_sq[negative_gain] = var_b[negative_gain]
-    g[negative_gain] = 0.0
+    np.copyto(sv_sq, var_b, where=negative_gain)
+    np.copyto(g, 0.0, where=negative_gain)
     np.maximum(sv_sq, _VIF_EPS, out=sv_sq)
     # log10(1 + g^2 var_a / (sv_sq + sigma_nsq)), in this order
     sv_sq += _VIF_SIGMA_NSQ
@@ -410,7 +414,7 @@ def _vifp(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
         for _, var_a, tests in _band_moments(reference, planes, taps, scratch):
             np.maximum(var_a, 0.0, out=var_a)
             weak_ref = var_a < _VIF_EPS  # no reference signal to carry
-            var_a[weak_ref] = 0.0
+            np.copyto(var_a, 0.0, where=weak_ref)
             # log10(1 + var_a / sigma_nsq), in this order
             den_term = np.divide(var_a, _VIF_SIGMA_NSQ, out=scratch.plane("term", var_a.shape))
             den_term += 1.0
@@ -505,6 +509,13 @@ def _gradient_index(plane: np.ndarray) -> np.ndarray:
     return index
 
 
+def _gradient_run(index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """gradient_magnitude's values at a run of _gradient_index's, in out's first index.size."""
+    # np.take into out skips fancy indexing's new array; mode="clip" skips
+    # the bounds check and its buffered copy, and no index exceeds the table
+    return np.take(_GRADIENT_TABLE, index, out=out[: index.size], mode="clip")
+
+
 def gradient_magnitude(plane: np.ndarray) -> np.ndarray:
     """Central-difference gradient magnitude of a uint8 plane, edges replicated.
 
@@ -522,11 +533,12 @@ def detail_retention(ref: Frame, test: Frame) -> float:
     index_ref = _gradient_index(ref.y).ravel()
     index_test = _gradient_index(test.y).ravel()
     score = _PairwiseSum(index_ref.size)
+    runs = np.empty((3, min(index_ref.size, ELEMENTWISE_PIXELS)), dtype=np.float64)
     for c0, c1 in chunk_bounds(index_ref.size):
-        g_ref = _GRADIENT_TABLE[index_ref[c0:c1]]
-        g_test = _GRADIENT_TABLE[index_test[c0:c1]]
+        g_ref = _gradient_run(index_ref[c0:c1], runs[0])
+        g_test = _gradient_run(index_test[c0:c1], runs[1])
         # (2 g_ref g_test + C) / (g_ref^2 + g_test^2 + C), in this order
-        s = np.multiply(2.0, g_ref)
+        s = np.multiply(2.0, g_ref, out=runs[2][: c1 - c0])
         s *= g_test
         s += _RETENTION_C
         g_ref *= g_ref

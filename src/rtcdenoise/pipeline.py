@@ -16,8 +16,10 @@ frame on at once, so a run holds O(cadence) frames however long the clip
 (see _execute). The execution mode only decides how a unit runs:
 `sequential` runs it inline and forks work to the helper lane (lanes.Fork; a
 no-reference cohort forks its first-level temporal blocks when it starts,
-see _cohort), `threaded` runs it on a thread pool sized to the CPUs the
-process may use, where forks run on the worker that joins them. Either way
+and each temporal frame's report as a background fork that trails the frame
+until the driver collects the cohort, see _cohort), `threaded` runs it on a
+thread pool sized to the CPUs the process may use, where forks run on the
+worker that joins them. Either way
 the units do the exact same arithmetic, so both modes produce bit-identical
 videos, reports, and feedback logs, and an exception raised in a unit or a
 fork reaches the caller.
@@ -46,7 +48,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .analyzer import (
     AnalyzerReport,
@@ -69,7 +72,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import mark_worker, offered, usable_cpus
+from .lanes import Fork, mark_worker, offered, usable_cpus
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -182,10 +185,14 @@ class _KeyframeRecord:
 class _Emitted:
     received: Frame
     output: Frame
-    report: AnalyzerReport
+    report: Union[Tuple[AnalyzerReport, float], Fork]  # _report's value, or a Fork trailing the frame
     video_ms: Optional[float]  # measured, temporal DENOISE frames only
     span_ms: float             # measured window span (keyframe span on keyframes)
-    report_ms: float           # measured report span
+
+
+def _trailing(emitted: List[_Emitted]) -> List[Fork]:
+    """The report forks that trail a cohort's frames."""
+    return [item.report for item in emitted if isinstance(item.report, Fork)]
 
 
 def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
@@ -226,11 +233,12 @@ def _keyframe(frame: Frame, config: PipelineConfig) -> _KeyframeRecord:
 
 def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
             record: _KeyframeRecord, reference: Optional[Frame],
-            config: PipelineConfig) -> AnalyzerReport:
-    """Report unit: full-reference when a reference frame exists, else no-reference."""
+            config: PipelineConfig) -> Tuple[AnalyzerReport, float]:
+    """Report unit and the ms it took: full-reference with a reference frame, else no-reference."""
+    t0 = time.perf_counter()
     sigma = record.decision.estimate.sigma
     if reference is not None:
-        return build_report(
+        report = build_report(
             frame_index=t,
             reference=reference,
             noisy=received,
@@ -240,24 +248,26 @@ def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
             budget_ms=config.budget_ms,
             weights=config.analyzer_weights,
         )
-    if record.decision.route is Route.DENOISE:
-        sigma_after, runtime_ms = estimate_sigma(output), virtual_ms
     else:
-        # bypass: no work performed, so neither a sigma drop nor a runtime is claimed
-        sigma_after, runtime_ms = sigma, 0.0
-    return build_report_noref(
-        frame_index=t,
-        noisy=received,
-        denoised=output,
-        sigma_before=sigma,
-        sigma_after=sigma_after,
-        runtime_ms=runtime_ms,
-        budget_ms=config.budget_ms,
-        weights=config.analyzer_weights,
-    )
+        if record.decision.route is Route.DENOISE:
+            sigma_after, runtime_ms = estimate_sigma(output), virtual_ms
+        else:
+            # bypass: no work performed, so neither a sigma drop nor a runtime is claimed
+            sigma_after, runtime_ms = sigma, 0.0
+        report = build_report_noref(
+            frame_index=t,
+            noisy=received,
+            denoised=output,
+            sigma_before=sigma,
+            sigma_after=sigma_after,
+            runtime_ms=runtime_ms,
+            budget_ms=config.budget_ms,
+            weights=config.analyzer_weights,
+        )
+    return report, (time.perf_counter() - t0) * 1e3
 
 
-# Cohorts the driver leaves uncollected. With fewer, threaded pool workers
+# Cohorts the threaded driver leaves uncollected. With fewer, pool workers
 # idle while the driver writes out the oldest cohort and reads the next
 # frames (a bypassed cohort takes a few ms); each holds a few frames.
 _IN_FLIGHT = 8
@@ -278,13 +288,20 @@ def _cohort(
     A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
     distinct first-level block of its windows once, when it starts; each
     window then joins its blocks and runs its second-level block in frame
-    order. A full-reference report keeps both lanes busy, so those windows
-    run in order.
+    order. Each temporal frame's report is then a background fork, made once
+    its window is done, which the helper takes only when no block waits: the
+    reports trail their frames, and the driver joins them when it collects
+    the cohort (see _execute). The keyframe's own report, on the latency
+    path of the cohort's first frame, runs here. A full-reference report
+    keeps both lanes busy, so those windows and reports run in order.
     """
     record = keyframes[start].result()
     denoise = record.decision.route is Route.DENOISE
     first = plan.reach(start).start
     sigma, params = record.sigma_work, config.block
+    # forks that would only run when joined gain nothing by being made early,
+    # and assembling a window early can wait on a keyframe still running
+    forking = denoise and pairs[0][1] is None and offered()
 
     def window(t: int) -> List[Frame]:
         """Window t's frames; a position on a keyframe reads the keyframe's output."""
@@ -294,9 +311,7 @@ def _cohort(
     blocks: dict = {}  # first-level block forks shared by the cohort's windows
     emitted: List[_Emitted] = []
     try:
-        # forks that would only run when joined gain nothing by being made early,
-        # and assembling a window early can wait on a keyframe still running
-        if denoise and pairs[0][1] is None and offered():
+        if forking:
             for t in plan.cohort(start)[1:]:
                 fork_blocks(window(t), sigma, params, blocks)
         for t in plan.cohort(start):
@@ -312,17 +327,33 @@ def _cohort(
                 virtual = _virtual_window_ms(received.width * received.height, sigma, config)
             else:
                 output, virtual = received, 0.0
-            t1 = time.perf_counter()
-            report = _report(t, received, output, virtual, record, reference, config)
-            span_ms = (t1 - t0) * 1e3
+            span_ms = (time.perf_counter() - t0) * 1e3
             if t == start:
                 span_ms += record.span_ms
-            emitted.append(_Emitted(received, output, report, video_ms, span_ms,
-                                    (time.perf_counter() - t1) * 1e3))
+            task = (t, received, output, virtual, record, reference, config)
+            report = (Fork(_report, *task, background=True) if forking and t != start
+                      else _report(*task))
+            emitted.append(_Emitted(received, output, report, video_ms, span_ms))
+    except BaseException:
+        for fork in _trailing(emitted):
+            fork.cancel()
+        raise
     finally:
         for _, fork in blocks.values():
             fork.cancel()
     return record, emitted
+
+
+@contextmanager
+def _cancelling_trailing(cohorts: deque) -> Iterator[None]:
+    """On leaving, cancel the reports that trail the done cohorts left uncollected after a raise."""
+    try:
+        yield
+    finally:
+        for future in cohorts:
+            if future.done() and not future.cancelled() and future.exception() is None:
+                for fork in _trailing(future.result()[1]):
+                    fork.cancel()
 
 
 def _run_inline(unit: Callable, *args) -> Future:
@@ -406,11 +437,16 @@ def _execute(
     so until then none of its windows reaches the clip end; the rest are
     submitted under WindowPlan(n).
 
-    Each frame goes to emit(received, output, report) in frame order as its
-    cohort finishes. A pair and a keyframe future are dropped once the last
-    cohort that reads them has been submitted, and at most _IN_FLIGHT cohorts
-    are left uncollected, so the driver holds O(cadence) frames whatever n
-    is. Returns the feedback log and the run's stats.
+    Each frame goes to emit(received, output, report) in frame order when its
+    cohort is collected, which joins the reports that trail its frames. A
+    cohort is collected before a later one is submitted once _IN_FLIGHT are
+    left uncollected (threaded mode) or at once (sequential mode, which
+    runs a cohort as it is submitted, so its reports trail it through the
+    next keyframe unit and no further); at the source's end; or between
+    frames once it and its reports are done. A pair and a keyframe future
+    are dropped once the last cohort that reads them has been submitted, so
+    the driver holds O(cadence) frames whatever n is. A run that raises
+    leaves no report running. Returns the feedback log and the run's stats.
 
     With on_feedback, every feedback window's reports make a message, and
     on_feedback(message, apply_index) is invoked at the plan-derived apply
@@ -437,26 +473,35 @@ def _execute(
     analyze_ms: List[float] = []
     denoised = 0
 
+    def ready() -> bool:
+        """Whether the oldest cohort and the reports that trail it are done."""
+        return cohorts[0].done() and all(fork.done() for fork in _trailing(cohorts[0].result()[1]))
+
     def collect() -> None:
         nonlocal denoised
-        record, emitted = cohorts.popleft().result()
+        record, emitted = cohorts[0].result()
+        # a report that raises leaves the cohort in cohorts, whose other reports the run cancels
+        reports = [item.report.join() if isinstance(item.report, Fork) else item.report
+                   for item in emitted]
+        cohorts.popleft()
         detect_ms.append(record.detect_ms)
         if record.image_ms is not None:
             image_ms.append(record.image_ms)
         if record.decision.route is Route.DENOISE:
             denoised += len(emitted)
-        for item in emitted:
-            emit(item.received, item.output, item.report)
-            recent.append(item.report)
+        for item, (report, report_ms) in zip(emitted, reports):
+            emit(item.received, item.output, report)
+            recent.append(report)
             if item.video_ms is not None:
                 video_ms.append(item.video_ms)
-            analyze_ms.append(item.report_ms)
-            latency_ms.append(item.span_ms + item.report_ms)  # keyframe + window + report
+            analyze_ms.append(report_ms)
+            latency_ms.append(item.span_ms + report_ms)  # keyframe + window + report
             if window and len(latency_ms) % window == 0:
                 feedback_log.append(make_feedback(list(recent), policy))
 
+    in_flight = 1 if config.execution == "sequential" else _IN_FLIGHT
     wall_start = time.perf_counter()
-    with _unit_runner(config.execution) as submit:
+    with _unit_runner(config.execution) as submit, _cancelling_trailing(cohorts):
         next_cohort = applied = 0
         source = iter(pairs)
         for t in itertools.count():
@@ -475,6 +520,8 @@ def _execute(
                 if plan.role(t) is FrameRole.KEYFRAME:
                     keyframes[t] = submit(_keyframe, pair[0], config)
             while next_cohort < plan.n_frames and t + 1 >= plan.reach(next_cohort).stop:
+                while len(cohorts) >= in_flight:
+                    collect()
                 reach = plan.reach(next_cohort)
                 cohorts.append(submit(_cohort, next_cohort, [arrived[i] for i in reach],
                                       {k: keyframes[k] for k in reach if k in keyframes},
@@ -484,11 +531,9 @@ def _execute(
                 for i in range(reach.start, next_cohort - 1):
                     del arrived[i]
                     keyframes.pop(i, None)
-                while len(cohorts) > _IN_FLIGHT:
-                    collect()
             # after every frame: a source that blocks must not hold back a
             # cohort that finished meanwhile until the next submission
-            while cohorts and cohorts[0].done():
+            while cohorts and ready():
                 collect()
             if pair is None:
                 break

@@ -29,6 +29,10 @@ from .rng import NoiseRng
 DEFAULT_CADENCE = 5
 _WEIGHT_MAGIC = b"CWB1"
 _LAYER_SHAPES = ((4, 16), (16, 16), (16, 1))
+# Largest weight magnitude a CWB1 file may hold: on 8-bit frames, whose sigma
+# estimates stay below 1e3, a block's activations then stay below 1e27, finite
+# in float32.
+MAX_CONV_WEIGHT = 1e6
 _SPATIAL_PARAMS = CascadeParams(window_radius=1)
 # Bounds on k_temporal: a block's weight exponent scales with 1/(2 (k s)^2) for
 # an effective sigma s in [0.5, about 852], which stays finite and non-zero in
@@ -187,6 +191,8 @@ def read_weights(source) -> ConvWeightSet:
         flat = np.frombuffer(payload, dtype="<f4", count=k_count + out_ch, offset=pos).astype(np.float32)
         if not np.isfinite(flat).all():
             raise ValueError(f"layer {layer} holds a non-finite weight")
+        if np.abs(flat).max() > MAX_CONV_WEIGHT:
+            raise ValueError(f"layer {layer} holds a weight above {MAX_CONV_WEIGHT:g} in magnitude")
         kernels.append(flat[:k_count].reshape(out_ch, in_ch, 3, 3))
         biases.append(flat[k_count:])
         pos = end
@@ -258,21 +264,23 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     neg_inv = -np.float32(1.0 / (2.0 * (params.k_temporal * sigma_eff) ** 2))
     a, b, c = (f.y.ravel() for f in (f_a, f_b, f_c))
     out = np.empty(b.size, dtype=np.uint8)
-    # in runs, so blocks on two lanes hold no frame-sized temporaries
+    # in runs, so blocks on two lanes hold no frame-sized temporaries; a and b
+    # are copied to float32 once, and w_c reuses b's copy. Three run arrays,
+    # allocated per run: one block of all three raised peak RSS by 2 MB.
     for c0, c1 in chunk_bounds(b.size, _BILATERAL_PIXELS):
-        a_c, b_c, c_c = a[c0:c1], b[c0:c1], c[c0:c1]
+        blend, b_c, c_c = a[c0:c1].astype(np.float32), b[c0:c1].astype(np.float32), c[c0:c1]
         # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
-        w_a = np.subtract(a_c, b_c, dtype=np.float32)
+        w_a = np.subtract(blend, b_c)
         w_a *= w_a
         w_a *= neg_inv
         np.exp(w_a, out=w_a)
-        w_c = np.subtract(c_c, b_c, dtype=np.float32)
+        # (w_a a + b + w_c c) / (w_a + 1 + w_c), in this order, in float32
+        blend *= w_a
+        blend += b_c
+        w_c = np.subtract(c_c, b_c, out=b_c)  # b is read for the last time
         w_c *= w_c
         w_c *= neg_inv
         np.exp(w_c, out=w_c)
-        # (w_a a + b + w_c c) / (w_a + 1 + w_c), in this order, in float32
-        blend = np.multiply(w_a, a_c)
-        blend += b_c
         w_a += 1.0
         w_a += w_c
         w_c *= c_c

@@ -10,7 +10,9 @@ All metric functions take plain 2-D float64 arrays in [0, 255].
 `denoise_stream` is the window-assembly reference the pipeline must match.
 `add_gaussian_noise` and `add_speckle` are the injectors' whole-plane
 formulas, one `NoiseRng.normals` block per frame, and `block_dct_quantize`
-is the codec's block-DCT round trip in one transform of the whole plane. `bilateral`, `fuse` and
+is the codec's block-DCT round trip in one transform of the whole plane;
+`scale_round_trip` is its bilinear round trip on whole float64 planes, and
+`quantize` rounds one value at a time. `bilateral`, `fuse` and
 `classical_block` are per-pixel loops in the kernels' float32/float64
 operation order, so the kernels must equal them bit for bit. `correlate_nearest`,
 `smooth` and `median3x3` are the scipy filters the package's numpy kernels
@@ -180,6 +182,41 @@ def block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
     coeffs = np.round(dctn(blocks, axes=(-2, -1), norm="ortho") / q) * q
     recon = idctn(coeffs, axes=(-2, -1), norm="ortho").swapaxes(1, 2).reshape(ph, pw)[:h, :w]
     return np.clip(np.floor(recon + 0.5), 0, 255).astype(np.uint8)
+
+
+def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    in_h, in_w = plane.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return plane
+
+    def axis_coords(n_in: int, n_out: int):
+        src = np.clip((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5,
+                      0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.intp)
+        return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+    ylo, yhi, wy = axis_coords(in_h, out_h)
+    xlo, xhi, wx = axis_coords(in_w, out_w)
+    top = plane[ylo][:, xlo] * (1 - wx) + plane[ylo][:, xhi] * wx
+    bot = plane[yhi][:, xlo] * (1 - wx) + plane[yhi][:, xhi] * wx
+    return top * (1 - wy[:, None]) + bot * wy[:, None]
+
+
+def scale_round_trip(plane: np.ndarray, scale) -> np.ndarray:
+    """Pixel-centre bilinear resample of the whole float64 plane to round(side * scale) and back."""
+    h, w = plane.shape
+    small = _bilinear_resize(plane.astype(np.float64), max(1, round(h * scale)),
+                             max(1, round(w * scale)))
+    return _bilinear_resize(small, h, w)
+
+
+def quantize(values: np.ndarray) -> np.ndarray:
+    """frame.quantize_plane one value at a time: floor(x + 0.5), clamped to [0, 255]."""
+    def one(x: float) -> int:
+        v = float(x) + 0.5
+        return 0 if v < 1.0 else 255 if v >= 255.0 else math.floor(v)
+
+    return np.array([one(x) for x in np.ravel(values)], dtype=np.uint8).reshape(np.shape(values))
 
 
 def schedule_reference(n_frames: int, cadence: int):

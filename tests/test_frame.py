@@ -8,6 +8,8 @@ from rtcdenoise.frame import chroma_shape
 
 from util import frames_equal
 
+import oracles
+
 
 def _luma(h=8, w=8, value=128):
     return np.full((h, w), value, dtype=np.uint8)
@@ -69,6 +71,16 @@ def test_quantize_plane_rounding_and_clamping():
     out = quantize_plane(values)
     assert out.dtype == np.uint8
     assert out.tolist() == [[0, 0, 0, 1, 1, 255, 255, 255]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_quantize_plane_equals_the_per_value_oracle(dtype):
+    rng = np.random.default_rng(5)
+    edges = [-np.inf, -1.0, -0.5, -0.4999, -0.0, 0.0, 0.4999, 0.5, 1.5, 2.5, 254.4999, 254.5,
+             254.9, 255.0, 255.49, 255.5, 255.99, 256.0, 300.0, 3e38, np.inf]
+    values = np.concatenate([np.array(edges), rng.uniform(-40, 300, 40_000),
+                             np.floor(rng.uniform(-10, 270, 30_000)) + 0.5]).astype(dtype)
+    assert np.array_equal(quantize_plane(values), oracles.quantize(values))
 
 
 def test_from_luma_and_with_luma_carry_chroma():

@@ -1,17 +1,33 @@
-"""Any bytes in, one line out: seeded Y4M mutations through every subcommand.
+"""Any bytes in, one line out: seeded mutations of every input a run reads.
 
 Each case feeds one mutated clip to one subcommand, which writes every
 regular-file output it has into a directory of its own. The run must exit 0,
 or exit 2 with exactly one stderr line, no traceback, and no output file or
 temporary left behind; only detect may have printed on stdout, a line for each
-frame before the fault. The seed and the case count are fixed.
+frame before the fault. CWB1 weight files reach denoise through --config in
+the same way, and --noise KIND:VALUE strings reach inject, where a bad one is
+a usage error (exit 1) with the same one line. The seeds and the case counts
+are fixed; the tests run with warnings as errors, so no numpy warning escapes.
 """
 
 import io
+import math
 import random
+import struct
 import time
+import zlib
 
-from rtcdenoise import make_sequence, write_y4m
+import numpy as np
+
+from rtcdenoise import (
+    ConvWeightSet,
+    add_gaussian_noise,
+    make_sequence,
+    random_weights,
+    write_weights,
+    write_y4m,
+)
+from rtcdenoise.cli import main
 
 from test_cli import _COMMANDS, _run_checked
 
@@ -83,3 +99,103 @@ def test_mutated_clips_exit_0_or_2_with_one_error_line(tmp_path, capsys):
             codes[code] += 1
     assert min(codes.values()) >= 150, codes  # both outcomes are well exercised
     assert time.perf_counter() - start < 10.0
+
+
+_WEIGHT_CASES = 120
+
+
+def _with_crc(payload: bytes) -> bytes:
+    return b"CWB1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def _weight_file(rng) -> bytes:
+    """A CWB1 file of seeded weights, mutated; most keep a valid checksum."""
+    weights = random_weights(seed=rng.randrange(100))
+    kind = rng.choice(["truncate", "flip", "value", "scale", "shape", "trail", "magic", "none"])
+    if kind == "scale":  # every weight, to within or beyond the cap
+        factor = np.float32(10.0 ** rng.randint(-3, 8))
+        weights = ConvWeightSet(tuple(k * factor for k in weights.kernels),
+                                tuple(b * factor for b in weights.biases))
+    sink = io.BytesIO()
+    write_weights(weights, sink)
+    payload = bytearray(sink.getvalue()[4:-4])
+    if kind == "truncate":
+        return (b"CWB1" + payload)[:rng.randrange(4 + len(payload) + 4)]
+    if kind == "flip":  # the checksum no longer matches
+        data = bytearray(_with_crc(bytes(payload)))
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(data)
+    if kind == "value":  # one float32 of a tensor
+        at = 8 + 4 * rng.randrange((len(payload) - 8) // 4)
+        value = rng.choice([math.nan, math.inf, -math.inf, 3.4e38, -1e7, 1e6, 1e-45, 0.0])
+        struct.pack_into("<f", payload, at, value)
+    elif kind == "shape":
+        struct.pack_into("<I", payload, 4 * rng.randrange(2), rng.choice([0, 1, 3, 17, 2 ** 32 - 1]))
+    elif kind == "trail":
+        payload += rng.randbytes(rng.randint(1, 9))
+    elif kind == "magic":
+        return b"CWB2" + _with_crc(bytes(payload))[4:]
+    return _with_crc(bytes(payload))
+
+
+def test_mutated_weight_files_exit_0_or_2_with_one_error_line(tmp_path, capsys):
+    rng = random.Random(2027)
+    clip = tmp_path / "clip.y4m"
+    clean = make_sequence(3, 16, 12, seed=1)
+    with open(clip, "wb") as sink:
+        write_y4m(type(clean)(tuple(add_gaussian_noise(f, 30.0, seed=t) for t, f in enumerate(clean))),
+                  sink)
+    start = time.perf_counter()
+    codes = {0: 0, 2: 0}
+    for case in range(_WEIGHT_CASES):
+        weights = tmp_path / f"weights{case}.cwb"
+        weights.write_bytes(_weight_file(rng))
+        config = tmp_path / f"run{case}.cfg"
+        config.write_text(f"[video_denoiser]\nmode = conv\nweights = {weights}\n")
+        folder = tmp_path / f"{case}"
+        folder.mkdir()
+        code, err = _run_checked(folder, "denoise", clip, capsys, ["--config", str(config)])
+        assert code in codes, (case, err)
+        codes[code] += 1
+    assert min(codes.values()) >= 20, codes  # both outcomes are well exercised
+    assert time.perf_counter() - start < 5.0
+
+
+_NOISE_CASES = 400
+_NOISE_KINDS = ["gaussian", "saltpepper", "speckle"]
+_BAD_KINDS = ["", "Gaussian", "gauss", "salt", "speckle:x", "-gaussian"]
+_NOISE_VALUES = ["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "1e-400", "-0", "0", "", " 4",
+                 "4 ", "0x10", "1_0", "4,5", "1/2", "--", "٣", "4\n", "\x00", "1e300", "1.0000001e300",
+                 "1e308", "1.79e308"]
+
+
+def _noise_text(rng) -> str:
+    kind = rng.choice(_NOISE_KINDS if rng.random() < 0.8 else _BAD_KINDS)
+    if rng.random() < 0.3:
+        value = rng.choice(_NOISE_VALUES)
+    else:  # a number over 628 decades, in one of Python's spellings
+        number = rng.choice([-1, 1, 1, 1]) * 10.0 ** rng.uniform(-320, 308)
+        value = rng.choice([repr, "{:e}".format, "{:g}".format, "{:.0f}".format])(number)
+    return kind + (":" if rng.random() < 0.8 else rng.choice(["", "::", " : "])) + value
+
+
+def test_noise_specs_exit_0_or_1_with_one_error_line(tmp_path, capsys):
+    rng = random.Random(2028)
+    clip = tmp_path / "clip.y4m"
+    with open(clip, "wb") as sink:
+        write_y4m(make_sequence(2, 8, 6, seed=2, with_chroma=True), sink)
+    start = time.perf_counter()
+    codes = {0: 0, 1: 0}
+    for case in range(_NOISE_CASES):
+        text = _noise_text(rng)
+        out = tmp_path / f"out{case}.y4m"
+        code = main(["inject", "--in", str(clip), "--noise", text, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code in codes, (text, captured.err)
+        codes[code] += 1
+        assert "Traceback" not in captured.err
+        if code:
+            assert len(captured.err.splitlines()) == 1 and captured.out == "", (text, captured.err)
+        assert out.exists() == (code == 0), text
+    assert min(codes.values()) >= 100, codes  # both outcomes are well exercised
+    assert time.perf_counter() - start < 5.0

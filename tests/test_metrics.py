@@ -309,6 +309,16 @@ def _report_frames(natural_frames):
     return ref, [add_gaussian_noise(ref, 25.0, seed=4), stage_smooth(ref, 30.0)]
 
 
+@pytest.mark.parametrize("shape", [(360, 480), (37, 53), (3, 2)])
+def test_downsample_equals_float64_two_by_two_means(shape):
+    plane = np.random.default_rng(shape[1]).integers(0, 256, shape, dtype=np.uint8)
+    expected = plane.astype(np.float64)
+    for _ in range(5):  # MS-SSIM's levels, and beyond
+        plane, expected = metrics._downsample2(plane), oracles._halve(expected)
+        assert plane.dtype == np.float32
+        assert np.array_equal(plane.astype(np.float64), expected)
+
+
 def test_concurrent_full_reference_scores_equal_serial(metric_pairs):
     jobs = [(ref, [test, ref]) for ref, test in metric_pairs[:4]]
     serial = [metrics.full_reference_scores(ref, tests) for ref, tests in jobs]

@@ -159,12 +159,14 @@ def test_run_denoise_matches_stream_oracle(cadence, n):
 # --- failures -----------------------------------------------------------------------
 
 # Tasks, each looked up through the module that calls it: the keyframe
-# smooth's rows (one half forked), a forked first-level temporal block and the
-# window the cohort computes on its own thread.
+# smooth's rows (one half forked), a forked first-level temporal block, the
+# window the cohort computes on its own thread, and a frame's report (a
+# background fork that trails a temporal frame).
 FORKED_TASKS = [
     (rtcdenoise.image_denoiser, "_smooth_rows"),
     (rtcdenoise.video_denoiser, "denoise_block"),
     (rtcdenoise.pipeline, "denoise_window"),
+    (rtcdenoise.pipeline, "_report"),
 ]
 
 
@@ -257,6 +259,47 @@ def test_caller_error_leaves_no_forked_task_running(forked, failing, monkeypatch
     assert not after_raise
 
 
+def test_a_fault_while_reports_trail_leaves_no_report_running(monkeypatch):
+    _, noisy = _noisy_sequence(16, 25.0, seed=18)
+    keyframe, report = rtcdenoise.pipeline._keyframe, rtcdenoise.pipeline._report
+    lock = threading.Lock()
+    running = [0]
+    after_raise = []
+    raised = threading.Event()
+    keyframes = []
+
+    def slow_report(*args):
+        with lock:
+            running[0] += 1
+            if raised.is_set():
+                after_raise.append(None)
+        try:
+            time.sleep(0.02)  # cohort 0's reports still trail at keyframe 10
+            return report(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def failing_keyframe(frame, config):
+        keyframes.append(None)
+        if len(keyframes) == 3:  # keyframe 10, under which cohort 0's reports trail
+            raise RuntimeError("injected keyframe fault")
+        return keyframe(frame, config)
+
+    monkeypatch.setattr(rtcdenoise.pipeline, "_report", slow_report)
+    monkeypatch.setattr(rtcdenoise.pipeline, "_keyframe", failing_keyframe)
+    with pytest.raises(RuntimeError, match="injected keyframe fault"):
+        try:
+            run_denoise(noisy)
+        finally:
+            with lock:
+                running_at_raise = running[0]
+            raised.set()
+    assert running_at_raise == 0
+    time.sleep(0.3)
+    assert not after_raise
+
+
 def test_smooth_error_on_the_caller_leaves_no_half_running(monkeypatch):
     _, noisy = _noisy_sequence(6, 25.0, seed=18)
     original = rtcdenoise.image_denoiser._smooth_rows
@@ -319,8 +362,37 @@ def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch
     _, _, stats = run_denoise(noisy)
     assert stats.frames_denoised == 12
     offered = {fn.__name__ for fn in submitted}
-    assert {"denoise_block", "_smooth_rows", "_bilateral_runs"} <= offered
+    assert {"denoise_block", "_smooth_rows", "_bilateral_runs", "_report"} <= offered
     assert "denoise_window" not in offered
+    # full-reference reports already fill both lanes, so none is forked
+    submitted.clear()
+    run_simulate(make_sequence(12, 96, 64, seed=17), PipelineConfig(sender=SenderConfig(noise_sigma=25.0)))
+    assert "_report" not in {fn.__name__ for fn in submitted}
+
+
+def test_sequential_reports_trail_their_cohort_until_the_next_one_starts(monkeypatch):
+    if lanes._HELPER is None:
+        pytest.skip("one usable CPU: nothing is offered to a helper")
+    _, noisy = _noisy_sequence(23, 25.0, seed=19)
+    cohort = rtcdenoise.pipeline._cohort
+    trailing = []  # the report forks of every cohort run so far
+    unfinished = []  # how many of them were not done as each cohort started
+
+    def recording(start, *args):
+        unfinished.append(sum(not fork.done() for fork in trailing))
+        record, emitted = cohort(start, *args)
+        trailing.extend(item.report for item in emitted if isinstance(item.report, lanes.Fork))
+        return record, emitted
+
+    monkeypatch.setattr(rtcdenoise.pipeline, "_cohort", recording)
+    out, reports, stats = run_denoise(noisy)
+    # every temporal frame's report trails it; each keyframe's runs in its cohort
+    assert len(trailing) == 23 - len(schedule_windows(23).keyframe_indices)
+    assert unfinished == [0] * 5
+    assert all(fork.done() for fork in trailing)
+    assert len(stats.analyze_ms) == 23 and all(ms > 0 for ms in stats.analyze_ms)
+    expected = run_denoise(noisy, PipelineConfig(execution="threaded"))
+    assert sequences_equal(out, expected[0]) and reports == expected[1]
 
 
 # --- a window on its own --------------------------------------------------------------

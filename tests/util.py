@@ -5,6 +5,7 @@ from __future__ import annotations
 import fcntl
 import io
 import os
+import queue
 import struct
 import termios
 import threading
@@ -63,19 +64,21 @@ def helpers_blocked():
     """Keep every helper worker busy inside the block, so callers claim every fork."""
     gate = threading.Event()
     running = threading.Semaphore(0)
+    released: queue.Queue = queue.Queue()  # what each blocker's wait on the gate returned
 
     def hold():
         running.release()
-        return gate.wait(30)
+        released.put(gate.wait(30))
 
-    blockers = [lanes._HELPER.submit(hold) for _ in range(lanes._HELPERS)]
+    for _ in range(lanes._HELPERS):
+        lanes._HELPER.submit(hold)
     try:
-        for _ in blockers:
+        for _ in range(lanes._HELPERS):
             assert running.acquire(timeout=10), "a helper worker never started"
         yield
     finally:
         gate.set()
-        assert all(blocker.result(timeout=10) is True for blocker in blockers)
+        assert all(released.get(timeout=10) is True for _ in range(lanes._HELPERS))
 
 
 def _unread(fd: int) -> int:
