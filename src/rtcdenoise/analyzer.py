@@ -126,8 +126,13 @@ def build_report(
 
     The reference side of every metric is computed once for both frames; a
     denoised frame that is the noisy one (a bypassed frame) is scored once.
+    The detail retention of the denoised frame is one more piece of
+    full_reference_scores, so it is shared out over the two lanes with the
+    metrics.
     """
-    scores = full_reference_scores(reference, [noisy] if denoised is noisy else [noisy, denoised])
+    *scores, retention = full_reference_scores(
+        reference, [noisy] if denoised is noisy else [noisy, denoised],
+        extra=lambda: detail_retention(reference, denoised))
     noisy_scores, denoised_scores = scores[0], scores[-1]
     delta_psnr = _delta(denoised_scores.psnr, noisy_scores.psnr)
     delta_ssim = denoised_scores.ssim - noisy_scores.ssim
@@ -142,7 +147,7 @@ def build_report(
         ms_ssim_denoised=denoised_scores.ms_ssim,
         vifp_noisy=noisy_scores.vifp,
         vifp_denoised=denoised_scores.vifp,
-        detail_retention=detail_retention(reference, denoised),
+        detail_retention=retention,
         delta_psnr=delta_psnr,
         delta_ssim=delta_ssim,
         delta_sigma=None,

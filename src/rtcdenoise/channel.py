@@ -26,6 +26,8 @@ import numpy as np
 
 from .analyzer import Recommendation
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
+from .image_denoiser import _in_halves
+from .lanes import offered
 from .rng import NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
@@ -33,6 +35,9 @@ MAX_FRAMERATE_DIVISOR = 4
 _Q_STEP = Range(1, 64)  # the quantizer steps q, q_min and q_max may take
 _PROBABILITY = Range(0, 1)
 _BLOCK = 8
+# every NoiseRng normal has |n| <= sqrt(-2 ln 2**-53) < 8.6, so below this cap
+# a noisy value x + s * n or x * (1 + m * n) stays finite for any 8-bit x
+MAX_NOISE_STRENGTH = 1e300
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,8 @@ class SenderConfig:
     framerate_divisor: int = ranged(1, Range(1, MAX_FRAMERATE_DIVISOR))
     q_min: int = ranged(4, _Q_STEP)
     q_max: int = ranged(48, _Q_STEP)
-    noise_sigma: float = ranged(0.0, Range(0))  # capture noise added before encoding
+    # capture noise added before encoding
+    noise_sigma: float = ranged(0.0, Range(0, MAX_NOISE_STRENGTH))
 
     def __post_init__(self):
         check_ranges(self)
@@ -101,19 +107,27 @@ class LossModel:
         return lost
 
 
+def _normal_runs(luma: np.ndarray, rng: NoiseRng, combine, out: np.ndarray,
+                 lo: int, hi: int) -> None:
+    """_add_normals' values at flat positions lo..hi into out, one frame.chunk_bounds run at a time."""
+    for c0, c1 in chunk_bounds(hi - lo):
+        c0, c1 = lo + c0, lo + c1
+        noise = rng.normal_run(luma.size, c0, c1)
+        out[c0:c1] = quantize_plane(combine(luma[c0:c1].astype(np.float64), noise))
+
+
 def _add_normals(frame: Frame, seed: int, combine) -> Frame:
     """Luma quantize(combine(luma, normals)), one frame.chunk_bounds run at a time.
 
     The normals are NoiseRng(seed).normals(pixels) in raster order, drawn run
     by run, so the frame equals the whole-plane formula bit for bit without
-    frame-sized float64 temporaries.
+    frame-sized float64 temporaries. Where a helper lane takes forks
+    (lanes.offered), it draws the second half of the runs.
     """
     rng = NoiseRng(seed=seed)
     luma = frame.y.reshape(-1)
     out = np.empty(luma.size, dtype=np.uint8)
-    for c0, c1 in chunk_bounds(luma.size):
-        noise = rng.normal_run(luma.size, c0, c1)
-        out[c0:c1] = quantize_plane(combine(luma[c0:c1].astype(np.float64), noise))
+    _in_halves(_normal_runs, luma.size, luma, rng, combine, out)
     return frame.with_luma(out.reshape(frame.y.shape))
 
 
@@ -200,19 +214,15 @@ def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
     return _bilinear_resize(_bilinear_resize(plane, small_h, small_w), h, w)
 
 
-def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
-    """uint8 of the 8x8 orthonormal block-DCT round trip with step-q coefficients.
-
-    The plane is edge-padded to whole blocks and transformed a band of block
-    rows at a time; each block's values depend on that block alone, so they
-    equal those of transforming the whole padded plane.
-    """
+def _dct_block_rows(plane: np.ndarray, q: int, band_rows: int, out: np.ndarray,
+                    b0: int, b1: int) -> None:
+    """_block_dct_quantize's block rows b0..b1 into out, band_rows pixel rows at a time."""
     from scipy.fft import dctn, idctn  # on first use: the receiver's path needs no scipy
 
     h, w = plane.shape
-    out = np.empty((h, w), dtype=np.uint8)
-    band_rows = max(_BLOCK, _CODEC_PIXELS // w // _BLOCK * _BLOCK)
-    for r0, r1 in chunk_bounds(h, band_rows):
+    top = b0 * _BLOCK
+    for r0, r1 in chunk_bounds(min(b1 * _BLOCK, h) - top, band_rows):
+        r0, r1 = top + r0, top + r1
         band = np.pad(plane[r0:r1], ((0, (r0 - r1) % _BLOCK), (0, (-w) % _BLOCK)), mode="edge")
         bh, bw = band.shape
         blocks = band.reshape(bh // _BLOCK, _BLOCK, bw // _BLOCK, _BLOCK).swapaxes(1, 2)
@@ -222,6 +232,22 @@ def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
         coeffs *= q
         recon = idctn(coeffs, axes=(-2, -1), norm="ortho")
         out[r0:r1] = quantize_plane(recon.swapaxes(1, 2).reshape(bh, bw)[: r1 - r0, :w])
+
+
+def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
+    """uint8 of the 8x8 orthonormal block-DCT round trip with step-q coefficients.
+
+    The plane is edge-padded to whole blocks and transformed a band of block
+    rows at a time; each block's values depend on that block alone, so they
+    equal those of transforming the whole padded plane. Where a helper lane
+    takes forks, it transforms the second half of the block rows, and the
+    bands are half as tall, so the two bands in flight take one band's memory.
+    """
+    h, w = plane.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    band_pixels = _CODEC_PIXELS // 2 if offered() else _CODEC_PIXELS
+    band_rows = max(_BLOCK, band_pixels // w // _BLOCK * _BLOCK)
+    _in_halves(_dct_block_rows, -(-h // _BLOCK), plane, q, band_rows, out)
     return out
 
 

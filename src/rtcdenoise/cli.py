@@ -21,7 +21,7 @@ from itertools import zip_longest
 from typing import Callable, Iterator, List, Optional
 
 from .analyzer import _jsonable, feedback_to_json, report_to_json
-from .channel import add_gaussian_noise, add_salt_pepper, add_speckle
+from .channel import MAX_NOISE_STRENGTH, add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
 from .detector import MIN_DETECT_SIDE, analyze_frame
 from .frame import FormatError, Frame
@@ -31,10 +31,6 @@ from .frameio import read_y4m_file, write_y4m_file  # noqa: F401
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
 from .rng import NoiseRng
-
-# every NoiseRng normal has |n| <= sqrt(-2 ln 2**-53) < 8.6, so below this cap
-# a noisy value x + s * n or x * (1 + m * n) stays finite for any 8-bit x
-MAX_NOISE_STRENGTH = 1e300
 
 # kind -> (injector, name of its value, largest accepted value)
 _INJECTORS = {

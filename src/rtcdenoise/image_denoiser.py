@@ -7,7 +7,8 @@ gradient magnitude of the detail output, so edges keep the bilateral result
 and flat regions take the blur. denoise_keyframe runs the detail stage, then
 the smooth stage, then fuses. When a helper lane takes forks (lanes.Fork),
 each of the two stages forks half of its work to it (stage_detail half of
-its runs, stage_smooth half of its rows) while the caller does the other half.
+its runs, stage_smooth half of its rows) while the caller does the other half
+(_in_halves, which the sender's noise and codec share).
 
 Every stage is numpy alone, so the receiver never loads scipy. The blur
 still gives scipy.ndimage.correlate1d's values to the bit (stage_smooth).
@@ -26,7 +27,7 @@ import numpy as np
 
 from .frame import ELEMENTWISE_PIXELS, Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
 from .lanes import Fork, offered
-from .metrics import _gaussian_taps, _gradient_index, _gradient_run
+from .metrics import _gaussian_taps, _gradient_index, _gradient_run, _symmetric_taps
 
 PASSTHROUGH_SIGMA = 0.5
 
@@ -76,6 +77,20 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 # The temporal blend of denoise_block (16 calls per run) shares the size: two
 # blends on two threads took 2.9-3.0 ms at 1 << 15, 2.3-2.4 here, 2.1-2.2 whole.
 _BILATERAL_PIXELS = 1 << 17
+
+
+def _in_halves(fn, n: int, *args) -> None:
+    """fn(*args, 0, n), with fn(*args, n // 2, n) forked where a helper lane takes forks.
+
+    fn(*args, lo, hi) must write its part of the result alone. Elsewhere it
+    runs as one call: two halves in a row cost threaded mode 5% of its fps.
+    """
+    if offered():
+        with Fork(fn, *args, n // 2, n) as half:
+            fn(*args, 0, n // 2)
+            half.join()
+    else:
+        fn(*args, 0, n)
 
 
 def _tap_weight(shifted, centre, spatial, inv_2sr, out: np.ndarray) -> np.ndarray:
@@ -139,12 +154,8 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
         for dx in range(-r, r + 1)
     ]
     out = np.empty(h * pw, dtype=np.uint8)
-    if offered():  # a helper filters the second half; each position reads padded alone
-        with Fork(_bilateral_runs, padded, taps, inv_2sr, first, out, n // 2, n) as half:
-            _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n // 2)
-            half.join()
-    else:  # two halves in a row cost threaded mode 5% of its fps
-        _bilateral_runs(padded, taps, inv_2sr, first, out, 0, n)
+    # a helper filters the second half; each position reads padded alone
+    _in_halves(_bilateral_runs, n, padded, taps, inv_2sr, first, out)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 
@@ -155,24 +166,6 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
 # two lanes 18.7 ms (16.6 here). Its buffers (about 1.7 MB at 480 wide) stay
 # in a 2 MB L2: whole-plane passes took 5.9 and 17.0 ms.
 _SMOOTH_PIXELS = 1 << 16
-
-
-def _symmetric_taps(shifted, kernel: np.ndarray, out: np.ndarray, sums: np.ndarray,
-                    pair: np.ndarray) -> None:
-    """out = sum over j of kernel[reach + j] * shifted(j), for a symmetric kernel.
-
-    The sum runs in scipy.ndimage.correlate1d's order for symmetric weights:
-    the centre tap first, then each pair from the outermost inward,
-    (x[-j] + x[+j]) * w[j] in float64, so its values equal correlate1d's to
-    the bit. A pair of uint8 values sums exactly in uint16 sums; pair may be
-    sums.
-    """
-    reach = len(kernel) // 2
-    np.multiply(shifted(0), kernel[reach], out=out)
-    for j in range(reach, 0, -1):
-        np.add(shifted(-j), shifted(j), out=sums, dtype=sums.dtype)
-        np.multiply(sums, kernel[reach + j], out=pair)
-        out += pair
 
 
 def _smooth_rows(padded: np.ndarray, kernel: np.ndarray, w: int, out: np.ndarray,
@@ -217,12 +210,8 @@ def stage_smooth(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     pw = w + 2 * reach
     padded = np.pad(frame.y, reach, mode="edge").ravel()
     out = np.empty(h * pw, dtype=np.uint8)
-    if offered():  # a helper filters the lower half; each band reads padded alone
-        with Fork(_smooth_rows, padded, kernel, w, out, h // 2, h) as half:
-            _smooth_rows(padded, kernel, w, out, 0, h // 2)
-            half.join()
-    else:
-        _smooth_rows(padded, kernel, w, out, 0, h)
+    # a helper filters the lower half; each band reads padded alone
+    _in_halves(_smooth_rows, h, padded, kernel, w, out)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 

@@ -9,12 +9,16 @@ windows of size 17/9/5/3, Gaussian scale-mixture stabilization rules, and a
 1e-10 floor in divisions and logarithms.
 
 A full-reference report scores the received and the denoised frame against
-one reference, in two independent families: PSNR with MS-SSIM (SSIM is the
-mean of luminance * cs at MS-SSIM level 0, so it needs no filtering of its
-own), and VIFp. full_reference_scores runs the families at the same time:
-the calling thread scores the first while VIFp is forked to the other lane
-(lanes.Fork), and the filters release the interpreter lock. The standalone
-functions run the same code with one test frame and give the same bits.
+one reference. full_reference_scores cuts the work into independent pieces,
+each with an exact partial result: PSNR; MS-SSIM level 0 (SSIM is the mean
+of luminance * cs there, so it needs no filtering of its own) and levels 1
+on; VIFp scale 1 and scales 2 on; and a caller's extra piece (build_report's
+detail retention). It forks them all (lanes.Fork) so that the helper lane
+takes them from one end of the list and the calling thread from the other,
+and the filters release the interpreter lock, so the two lanes do about
+equal work whatever each piece costs. MS-SSIM multiplies and
+VIFp sums the per-level results in level order, so the standalone functions,
+which run the same code on one lane with one test frame, give the same bits.
 
 Every MS-SSIM level and VIFp scale runs band-major: for each row band of
 window positions, the reference's windowed mean and variance are filtered
@@ -46,7 +50,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from contextlib import ExitStack
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +190,7 @@ class _Scratch:
 
     An array past the allocator's mmap threshold is page-faulted in afresh on
     each allocation (see frame.chunk_bounds), so one scratch set serves a
-    whole metric family.
+    whole piece of a report (see full_reference_scores).
     """
 
     def __init__(self):
@@ -199,9 +204,8 @@ class _Scratch:
         return flat[:size].reshape(shape)
 
 
-def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: str,
-                  step: int = 1) -> np.ndarray:
-    """Separable correlation at every step-th fully-covered window position, both axes.
+def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
+    """Separable correlation at every fully-covered window position, both axes.
 
     The second pass filters only the rows the crop keeps, each row on its own,
     so the values are those of filtering the whole plane and cropping. The
@@ -213,9 +217,9 @@ def _filter_valid(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch, name: 
     h, w = plane.shape
     r = (len(taps) - 1) // 2
     rows = correlate1d(plane, taps, axis=0, output=scratch.plane("rows", plane.shape),
-                       mode="constant")[r : h - r : step]
+                       mode="constant")[r : h - r]
     out = correlate1d(rows, taps, axis=1, output=scratch.plane(name, rows.shape), mode="constant")
-    return out[:, r : w - r : step]
+    return out[:, r : w - r]
 
 
 def _band_moments(reference: np.ndarray, planes: list, taps: np.ndarray, scratch: _Scratch):
@@ -259,14 +263,49 @@ def _product(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> np.ndarray:
     return np.multiply(a, b, out=scratch.plane("product", a.shape), dtype=np.float64)
 
 
+def _symmetric_taps(shifted, kernel: np.ndarray, out: np.ndarray, sums: np.ndarray,
+                    pair: np.ndarray) -> None:
+    """out = sum over j of kernel[reach + j] * shifted(j), for a symmetric kernel.
+
+    The sum runs in scipy.ndimage.correlate1d's order for symmetric weights:
+    the centre tap first, then each pair from the outermost inward,
+    (x[-j] + x[+j]) * w[j] in float64, so its values equal correlate1d's to
+    the bit. A pair of uint8 values sums exactly in uint16 sums; pair may be
+    sums.
+    """
+    reach = len(kernel) // 2
+    np.multiply(shifted(0), kernel[reach], out=out)
+    for j in range(reach, 0, -1):
+        np.add(shifted(-j), shifted(j), out=sums, dtype=sums.dtype)
+        np.multiply(sums, kernel[reach + j], out=pair)
+        out += pair
+
+
 def _filter_halve(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """_filter_valid(plane, taps)[::2, ::2], filtered one even-aligned row band at a time."""
+    """_filter_valid(plane, taps)[::2, ::2], filtered one even-aligned row band at a time.
+
+    The vertical pass filters only the rows the halving keeps (_symmetric_taps,
+    correlate1d's order, each pair summed in float64 or exactly in uint16),
+    and correlate1d the horizontal pass, so the values are those of filtering
+    the whole plane and cropping.
+    """
+    from scipy.ndimage import correlate1d  # on first use: see the module docstring
+
     reach = len(taps) - 1
-    rows = plane.shape[0] - reach
-    out = np.empty(((rows + 1) // 2, (plane.shape[1] - reach + 1) // 2), dtype=np.float64)
-    for r0, r1 in _row_bands(rows, plane.shape[1], step=2):
-        out[r0 // 2 : (r1 + 1) // 2] = _filter_valid(plane[r0 : r1 + reach], taps, scratch,
-                                                     "mu_a", step=2)
+    r = reach // 2
+    rows, w = plane.shape[0] - reach, plane.shape[1]
+    out = np.empty(((rows + 1) // 2, (w - reach + 1) // 2), dtype=np.float64)
+    for r0, r1 in _row_bands(rows, w, step=2):
+        kept = (r1 - r0 + 1) // 2
+        first = r0 + r  # the band's first kept row of window centres
+        vertical = scratch.plane("rows", (kept, w))
+        pair = scratch.plane("pair", (kept, w))
+        sums = scratch.plane("sums16", (kept, w), np.uint16) if plane.dtype == np.uint8 else pair
+        _symmetric_taps(lambda j: plane[first + j : first + j + 2 * kept : 2], taps, vertical,
+                        sums, pair)
+        filtered = correlate1d(vertical, taps, axis=1, output=scratch.plane("mu_a", (kept, w)),
+                               mode="constant")
+        out[r0 // 2 : r0 // 2 + kept] = filtered[:, r : w - r : 2]
     return out
 
 
@@ -336,30 +375,44 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     return np.multiply(sums, 0.25, dtype=np.float32)
 
 
-def _ms_ssim(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
-    """(MS-SSIM, SSIM) of each test plane; SSIM is level 0's mean of luminance * cs."""
+def _ms_ssim_levels(reference: np.ndarray, planes: list, first: int,
+                    stop: int = len(MS_SSIM_WEIGHTS)) -> list:
+    """Each test plane's (mean cs, mean luminance * cs) at MS-SSIM levels first..stop.
+
+    The frame has five levels, or as many as fit an 11-pixel window. The
+    levels between the first and the last read only the cs mean, and the
+    last only luminance * cs; a mean not read is None.
+    """
     levels = 0
     dim = min(reference.shape)
     while dim >= _SSIM_WINDOW and levels < len(MS_SSIM_WEIGHTS):
         levels += 1
         dim //= 2
-    weights = np.array(MS_SSIM_WEIGHTS[:levels], dtype=np.float64)
-    weights /= weights.sum()
-    scores = [1.0] * len(planes)
-    for level in range(levels):
+    scratch = _Scratch()
+    means = []
+    for level in range(min(stop, levels)):
         if level:
             reference = _downsample2(reference)
             planes = [_downsample2(plane) for plane in planes]
-        last = level == levels - 1
-        # the levels between the first and the last read only the cs mean
-        means = _ssim_level(reference, planes, scratch, not last, level == 0 or last)
-        if level == 0:
-            ssim_values = [ssim_value for _, ssim_value in means]
-        for i, (cs, ssim_value) in enumerate(means):
+        if level >= first:
+            last = level == levels - 1
+            means.append(_ssim_level(reference, planes, scratch, not last, level == 0 or last))
+    return means
+
+
+def _ms_ssim_scores(means: list) -> list:
+    """(MS-SSIM, SSIM) of each test plane from every level's means, multiplied in level order."""
+    weights = np.array(MS_SSIM_WEIGHTS[: len(means)], dtype=np.float64)
+    weights /= weights.sum()
+    scores = [1.0] * len(means[0])
+    for level, level_means in enumerate(means):
+        last = level == len(means) - 1
+        for i, (cs, ssim_value) in enumerate(level_means):
             # negative means are possible on adversarial inputs; clamp before
             # the fractional power, which is undefined for negative bases
             scores[i] *= max(ssim_value if last else cs, 0.0) ** weights[level]
-    return [(float(score), ssim_value) for score, ssim_value in zip(scores, ssim_values)]
+    # SSIM is level 0's mean of luminance * cs
+    return [(float(score), ssim_value) for score, (_, ssim_value) in zip(scores, means[0])]
 
 
 def _vif_information(var_a: np.ndarray, weak_ref: np.ndarray, var_b: np.ndarray,
@@ -396,11 +449,16 @@ def _vif_information(var_a: np.ndarray, weak_ref: np.ndarray, var_b: np.ndarray,
     return np.log10(info, out=info)
 
 
-def _vifp(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
-    """VIFp of each test plane over the scales the frame size allows (none below 17 px)."""
-    num = [0.0] * len(planes)
-    den = 0.0
-    for scale, taps in enumerate(_VIF_TAPS, start=1):
+def _vif_scales(reference: np.ndarray, planes: list, first: int,
+                stop: int = len(_VIF_TAPS) + 1) -> list:
+    """(information sum of each test plane, denominator sum) at VIFp scales first..stop.
+
+    Scales count from 1, and stop where the frame has become smaller than
+    the scale's window.
+    """
+    scratch = _Scratch()
+    sums = []
+    for scale, taps in enumerate(_VIF_TAPS[: stop - 1], start=1):
         if scale > 1:
             if min(reference.shape) < len(taps):
                 break
@@ -408,6 +466,8 @@ def _vifp(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
             planes = [_filter_halve(plane, taps, scratch) for plane in planes]
         if min(reference.shape) < len(taps):
             break
+        if scale < first:
+            continue
         n = _valid_size(reference, taps)
         den_sum = _PairwiseSum(n)
         info_sums = [_PairwiseSum(n) for _ in planes]
@@ -421,8 +481,17 @@ def _vifp(reference: np.ndarray, planes: list, scratch: _Scratch) -> list:
             den_sum.add(np.log10(den_term, out=den_term))
             for info_sum, (_, var_b, cov) in zip(info_sums, tests):
                 info_sum.add(_vif_information(var_a, weak_ref, var_b, cov, scratch))
-        num = [value + info_sum.total() for value, info_sum in zip(num, info_sums)]
-        den += den_sum.total()
+        sums.append(([info_sum.total() for info_sum in info_sums], den_sum.total()))
+    return sums
+
+
+def _vif_values(scale_sums: list) -> list:
+    """VIFp of each test plane: its information over the denominator, each summed in scale order."""
+    num = [0.0] * len(scale_sums[0][0])
+    den = 0.0
+    for info, den_total in scale_sums:
+        num = [value + total for value, total in zip(num, info)]
+        den += den_total
     return [value / max(den, _VIF_EPS) for value in num]
 
 
@@ -443,14 +512,14 @@ def ms_ssim(ref: Frame, test: Frame) -> float:
     """Multi-scale SSIM; scale count adapts to frame size (5 max)."""
     a, b = _luma_pair(ref, test)
     _require_side(a, _SSIM_WINDOW)
-    return _ms_ssim(a, [b], _Scratch())[0][0]
+    return _ms_ssim_scores(_ms_ssim_levels(a, [b], 0))[0][0]
 
 
 def vifp(ref: Frame, test: Frame) -> float:
     """Pixel-domain visual information fidelity over 4 scales."""
     a, b = _luma_pair(ref, test)
     _require_side(a, MIN_METRIC_SIDE)
-    return _vifp(a, [b], _Scratch())[0]
+    return _vif_values(_vif_scales(a, [b], 1))[0]
 
 
 class FullReferenceScores(NamedTuple):
@@ -462,28 +531,42 @@ class FullReferenceScores(NamedTuple):
     vifp: float
 
 
-def full_reference_scores(reference: Frame, tests: Sequence[Frame]) -> list:
+def full_reference_scores(reference: Frame, tests: Sequence[Frame],
+                          extra: Optional[Callable[[], object]] = None) -> list:
     """PSNR, SSIM, MS-SSIM and VIFp of each test frame against one reference.
 
     Each band's reference moments are computed once and serve every test
-    frame. VIFp is forked (lanes.Fork) while the calling thread scores PSNR
-    and MS-SSIM; if no helper has started it by then (it may be busy with
-    other work), the caller runs it. Nothing is kept across calls, and no
-    helper task of the call is left running when it returns or raises.
+    frame. The work is cut into independent pieces, each with an exact
+    partial result: PSNR, MS-SSIM level 0 and levels 1 on, VIFp scale 1 and
+    scales 2 on, and extra() if given, whose value follows the scores in
+    the returned list. Every piece is forked (lanes.Fork) in list order, so
+    the helper claims them from the front while the caller joins them from
+    the back and runs each one no lane has started: the lanes meet wherever
+    the costs put that point, and the caller then waits at most for the one
+    piece the helper is finishing. The two largest, VIFp scale 1 and MS-SSIM
+    level 0, are at the ends, so each starts one lane, and the small ones
+    meet in the middle. MS-SSIM multiplies and VIFp sums its per-level
+    results in level order, so every score equals its standalone function's
+    bit for bit. Nothing is kept across calls, and no piece of the call is
+    left running when it returns or raises.
     """
     for test in tests:
         _check_dimensions(reference, test)
     a = reference.y
     _require_side(a, MIN_METRIC_SIDE)
     planes = [test.y for test in tests]
-    with Fork(_vifp, a, planes, _Scratch()) as vifp_task:
-        psnr_values = _psnr(a, planes)
-        ms_ssim_pairs = _ms_ssim(a, planes, _Scratch())
-        vifp_values = vifp_task.join()
-    return [
-        FullReferenceScores(p, s, m, v)
-        for p, (m, s), v in zip(psnr_values, ms_ssim_pairs, vifp_values)
-    ]
+    pieces = [(_vif_scales, a, planes, 1, 2), (_ms_ssim_levels, a, planes, 1),
+              *([(extra,)] if extra else []),
+              (_psnr, a, planes), (_vif_scales, a, planes, 2), (_ms_ssim_levels, a, planes, 0, 1)]
+    with ExitStack() as stack:
+        forks = [stack.enter_context(Fork(*piece)) for piece in pieces]
+        values = [fork.join() for fork in reversed(forks)][::-1]
+    vif_first, ms_rest, *extra_value, psnr_values, vif_rest, ms_first = values
+    ms_ssim_pairs = _ms_ssim_scores(ms_first + ms_rest)
+    vifp_values = _vif_values(vif_first + vif_rest)
+    scores = [FullReferenceScores(p, s, m, v)
+              for p, (m, s), v in zip(psnr_values, ms_ssim_pairs, vifp_values)]
+    return scores + extra_value
 
 
 # hypot of every pair of half-integer central differences, indexed by

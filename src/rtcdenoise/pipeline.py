@@ -19,7 +19,8 @@ no-reference cohort forks its first-level temporal blocks when it starts,
 and each temporal frame's report as a background fork that trails the frame
 until the driver collects the cohort, see _cohort), `threaded` runs it on a
 thread pool sized to the CPUs the process may use, where forks run on the
-worker that joins them. Either way
+worker that joins them, as do those of the driver thread (run_simulate's
+sender halves its noise and codec only in `sequential` mode). Either way
 the units do the exact same arithmetic, so both modes produce bit-identical
 videos, reports, and feedback logs, and an exception raised in a unit or a
 fork reaches the caller.
@@ -72,7 +73,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import Fork, mark_worker, offered, usable_cpus
+from .lanes import _WORKER, Fork, mark_worker, offered, usable_cpus
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -373,11 +374,15 @@ def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
         yield _run_inline
         return
     # one worker per usable CPU: more workers only contend for the same cores,
-    # so the units' forks run on the worker that joins them
+    # so the units' forks run on the worker that joins them, and so do the
+    # driver's own (the sender's halves)
     pool = ThreadPoolExecutor(max_workers=usable_cpus(), initializer=mark_worker)
+    marked = getattr(_WORKER, "marked", False)
+    mark_worker()
     try:
         yield pool.submit
     finally:
+        _WORKER.marked = marked
         pool.shutdown(wait=True, cancel_futures=True)
 
 

@@ -28,6 +28,7 @@ from rtcdenoise import (
 )
 
 import oracles
+from util import helpers_blocked, helpers_claim_every_fork, on_marked_worker
 
 
 def _report(delta_psnr=1.0, delta_sigma=None, sigma=25.0, runtime_ms=10.0, index=0):
@@ -163,10 +164,13 @@ def _report_case(name):
     return (ref, *_noisy_pair(ref, 20.0, w))
 
 
-@pytest.mark.parametrize("case", [
+REPORT_CASES = [
     "natural", "flat-reference", "half-flat-reference", "flat-test", "inverted-test",
     "identical", "denoised-is-noisy", "17x17", "24x31", "45x90",
-])
+]
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
 def test_build_report_equals_separable_reference_exactly(case):
     """Shared reference-side moments must not change a single bit of a report."""
     ref, noisy, denoised = _report_case(case)
@@ -177,6 +181,28 @@ def test_build_report_equals_separable_reference_exactly(case):
     assert report == expected
     if case == "identical":
         assert report.psnr_noisy == math.inf and report.delta_psnr == 0.0
+
+
+def _placed(placement, fn, *args):
+    """fn(*args) with the report's pieces placed: all on the caller, all forked ones on
+    the helper, or on a worker, which forks nothing."""
+    if placement == "helper-blocked":
+        with helpers_blocked():
+            return fn(*args)
+    if placement == "helper-claims-all":
+        with helpers_claim_every_fork():
+            return fn(*args)
+    return on_marked_worker(fn, *args)
+
+
+@pytest.mark.parametrize("placement", ["helper-blocked", "helper-claims-all", "worker"])
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_build_report_equals_separable_reference_in_every_placement(case, placement):
+    """Whichever lane scores each piece of a report, the report keeps every bit."""
+    ref, noisy, denoised = _report_case(case)
+    report = _placed(placement, build_report, 5, ref, noisy, denoised, 12.5, 9.0)
+    assert report == oracles.full_reference_report(
+        5, ref, noisy, denoised, 12.5, 9.0, DEFAULT_BUDGET_MS, DEFAULT_WEIGHTS)
 
 
 def test_build_report_noref_uses_sigma_proxy(report_inputs):

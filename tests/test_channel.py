@@ -24,7 +24,7 @@ from rtcdenoise import channel
 from rtcdenoise.channel import _scale_round_trip
 from rtcdenoise.frame import quantize_plane
 
-from util import frames_equal, traced_peak
+from util import frames_equal, helpers_claim_every_fork, on_marked_worker, traced_peak
 
 import oracles
 
@@ -48,6 +48,12 @@ def test_sender_config_defaults_and_validation():
         SenderConfig(noise_sigma=-1)
     with pytest.raises(ValueError):
         SenderConfig(q_min=0)
+
+
+def test_sender_config_caps_noise_sigma_where_noise_stays_finite():
+    assert SenderConfig(noise_sigma=channel.MAX_NOISE_STRENGTH).noise_sigma == 1e300
+    with pytest.raises(ValueError, match=r"noise_sigma: must be in \[0, 1e\+300\], got 1e\+308"):
+        SenderConfig(noise_sigma=1e308)
 
 
 def test_scale_ladder_contents():
@@ -153,6 +159,29 @@ def test_scaled_encode_decode_traces_half_the_whole_plane_round_trip_peak(scale)
     decoded, peak = traced_peak(encode_decode, frame, config)
     assert frames_equal(decoded, expected)
     assert peak <= WHOLE_PLANE_ROUND_TRIP_PEAK / 2, f"traced peak {peak} B"
+
+
+# the noise's runs and the codec's block rows split unevenly over the two
+# lanes: 172,800 pixels and 45 block rows; 1,961 and 5; 5 and 1
+SENDER_SHAPES = [(360, 480), (37, 53), (1, 5)]
+
+
+@pytest.mark.parametrize("shape", SENDER_SHAPES)
+def test_sender_halves_equal_single_lane_results(shape):
+    frame = make_frame(shape[1], shape[0], seed=shape[1], with_chroma=True)
+
+    def sender(frame):
+        noisy = add_gaussian_noise(frame, 25.0, seed=3)
+        return [noisy, add_speckle(frame, 0.3, seed=4)] + [
+            encode_decode(noisy, SenderConfig(q=8, resolution_scale=scale)) for scale in SCALE_LADDER]
+
+    single = on_marked_worker(sender, frame)  # a worker forks nothing: one lane
+    assert frames_equal(single[0], oracles.add_gaussian_noise(frame, 25.0, seed=3))
+    assert np.array_equal(single[-1].y, oracles.block_dct_quantize(single[0].y, 8))
+    with helpers_claim_every_fork():
+        on_helper = sender(frame)
+    for outputs in (sender(frame), on_helper):
+        assert all(frames_equal(a, b) for a, b in zip(outputs, single))
 
 
 def test_encode_decode_downscale_loses_detail():

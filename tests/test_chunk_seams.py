@@ -159,6 +159,19 @@ def test_metrics_across_band_seams_equal_separable_reference(monkeypatch, size):
     assert [tuple(s) for s in full_reference_scores(ref, tests)] == expected
 
 
+@pytest.mark.parametrize("size", BAND_SIZES)
+def test_filter_halve_across_band_seams_equals_whole_plane_filter(monkeypatch, size):
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+    rng = np.random.default_rng(size)
+    for shape in ((47, 53), (18, 17)):
+        levels = rng.integers(0, 256, shape)
+        for plane in (levels.astype(np.uint8), levels + rng.random(shape)):
+            for taps in metrics._VIF_TAPS[1:]:
+                expected = metrics._filter_valid(plane, taps, metrics._Scratch(), "whole")[::2, ::2]
+                assert np.array_equal(metrics._filter_halve(plane, taps, metrics._Scratch()),
+                                      expected), (shape, plane.dtype, len(taps))
+
+
 # --- the bands of the codec ----------------------------------------------------
 
 

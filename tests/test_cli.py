@@ -38,7 +38,7 @@ import rtcdenoise.cli
 import rtcdenoise.pipeline
 
 import oracles
-from util import frames_equal, pipe_feeding, sequences_equal, traced_peak
+from util import frames_equal, on_marked_worker, pipe_feeding, sequences_equal, traced_peak
 
 
 @pytest.fixture()
@@ -232,6 +232,33 @@ def test_inject_speckle_at_cap_stays_finite(tmp_path, capsys):
         assert main(["inject", "--in", str(dark), "--noise", "speckle:1e300", "--out", str(out)]) == 0
     capsys.readouterr()
     assert read_y4m_file(out)[0].y[0, 0] == 0
+
+
+@pytest.mark.parametrize("shape", [(360, 480), (37, 53), (1, 5)])
+def test_inject_equals_its_single_lane_output(tmp_path, shape, capsys):
+    clip = tmp_path / "clip.y4m"
+    write_y4m_file(make_sequence(2, shape[1], shape[0], seed=shape[1], with_chroma=True), clip)
+
+    def inject(out):
+        args = ["inject", "--in", str(clip), "--noise", "gaussian:25", "--noise", "speckle:0.2",
+                "--seed", "5", "--out", str(out)]
+        return main(args)
+
+    assert on_marked_worker(inject, tmp_path / "single.y4m") == 0  # a worker forks nothing
+    assert inject(tmp_path / "split.y4m") == 0
+    capsys.readouterr()
+    assert (tmp_path / "split.y4m").read_bytes() == (tmp_path / "single.y4m").read_bytes()
+
+
+def test_simulate_rejects_noise_sigma_past_its_cap(tmp_path, clean_clip, capsys):
+    cfg = tmp_path / "sender.cfg"
+    cfg.write_text("[sender]\nnoise_sigma = 1e308\n")
+    report = tmp_path / "r.jsonl"
+    assert main(["simulate", "--in", str(clean_clip), "--config", str(cfg),
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:2: sender.noise_sigma: must be in [0, 1e+300], got 1e+308"]
+    assert not report.exists()
 
 
 def test_inject_accepts_full_density(clean_clip, tmp_path, capsys):

@@ -206,7 +206,7 @@ def test_comments_blanks_and_whitespace_tolerated():
         ("[pipeline]\nthreshold = nan\n", "pipeline.threshold: must be in [0, inf), got nan", 2),
         ("[video_denoiser]\nk_temporal = nan\n", "video_denoiser.k_temporal: must be in [1e-06, 1000], got nan", 2),
         ("[image_denoiser]\nfusion_tau = nan\n", "image_denoiser.fusion_tau: must be in [0, inf), got nan", 2),
-        ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be in [0, inf), got inf", 2),
+        ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be in [0, 1e+300], got inf", 2),
         ("[loss]\n\np_loss = -inf\n", "loss.p_loss: must be in [0, 1], got -inf", 3),
         ("[analyzer]\nbudget_ms = 1e999\n", "analyzer.budget_ms: must be in (0, inf), got inf", 2),
     ],

@@ -17,7 +17,7 @@ from rtcdenoise import (
     stage_smooth,
 )
 from rtcdenoise.metrics import gradient_magnitude
-from rtcdenoise import image_denoiser
+from rtcdenoise import metrics
 from rtcdenoise.image_denoiser import MAX_CASCADE_SIGMA, MAX_WINDOW_RADIUS, MIN_CASCADE_SIGMA
 
 import oracles
@@ -182,8 +182,8 @@ def test_stage_smooth_equals_scipy_whole_plane_filter(length):
                        (rng.uniform(0.0, 255.0, 301), np.empty(301))):
         padded = np.pad(line, reach, mode="edge")
         out = np.empty(301)
-        image_denoiser._symmetric_taps(lambda j: padded[reach + j : reach + j + 301], kernel, out,
-                                       sums, np.empty(301))
+        metrics._symmetric_taps(lambda j: padded[reach + j : reach + j + 301], kernel, out,
+                                sums, np.empty(301))
         assert np.array_equal(out, oracles.correlate_nearest(line, kernel)), line.dtype
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -19,12 +20,12 @@ from rtcdenoise import (
     stage_smooth,
     vifp,
 )
-from rtcdenoise import lanes, metrics
+from rtcdenoise import analyzer, lanes, metrics
 from rtcdenoise.analyzer import build_report
 from rtcdenoise.metrics import gradient_magnitude
 
 import oracles
-from util import helpers_blocked, traced_peak
+from util import helpers_blocked, helpers_claim_every_fork, traced_peak
 
 
 def _const(value, h=32, w=32):
@@ -309,6 +310,26 @@ def _report_frames(natural_frames):
     return ref, [add_gaussian_noise(ref, 25.0, seed=4), stage_smooth(ref, 30.0)]
 
 
+def _halving_inputs(shape, seed):
+    """A plane of each dtype VIFp halves or might: uint8, uint16, float32 and float64."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 256, shape)
+    fraction = rng.random(shape)
+    return [levels.astype(np.uint8), (levels * 257).astype(np.uint16),
+            (levels + fraction).astype(np.float32), levels + fraction]
+
+
+@pytest.mark.parametrize("shape", [(360, 480), (37, 53), (18, 17), (9, 26), (25, 9)])
+def test_filter_halve_equals_whole_plane_filter_cropped(shape):
+    for plane in _halving_inputs(shape, sum(shape)):
+        for taps in metrics._VIF_TAPS[1:]:
+            if min(shape) < len(taps):
+                continue
+            expected = metrics._filter_valid(plane, taps, metrics._Scratch(), "whole")[::2, ::2]
+            got = metrics._filter_halve(plane, taps, metrics._Scratch())
+            assert got.shape == expected.shape and np.array_equal(got, expected), (plane.dtype, len(taps))
+
+
 @pytest.mark.parametrize("shape", [(360, 480), (37, 53), (3, 2)])
 def test_downsample_equals_float64_two_by_two_means(shape):
     plane = np.random.default_rng(shape[1]).integers(0, 256, shape, dtype=np.uint8)
@@ -379,44 +400,97 @@ def test_build_report_traces_a_third_of_the_whole_frame_peak():
     assert peak <= WHOLE_FRAME_REPORT_PEAK / 3, f"traced peak {peak} B"
 
 
+# each piece of a full-reference report, named by the function it calls and
+# the first level or scale it scores; the first is the helper's first claim
+REPORT_PIECES = ("vifp scales 1", "ms-ssim levels 1", "retention", "psnr", "vifp scales 2",
+                 "ms-ssim levels 0")
+
+
+class _PieceWatch:
+    """Wraps each piece of a report: counts the pieces running, and those started after a raise.
+
+    before(piece, on_helper) runs as each piece starts, on its lane.
+    """
+
+    def __init__(self, monkeypatch, before):
+        self.running = 0
+        self.started_after_raise = 0
+        self.raised = threading.Event()
+        self._lock = threading.Lock()
+        self._before = before
+        sites = ((metrics, "_psnr", lambda args: "psnr"),
+                 (metrics, "_vif_scales", lambda args: f"vifp scales {args[2]}"),
+                 (metrics, "_ms_ssim_levels", lambda args: f"ms-ssim levels {args[2]}"),
+                 (analyzer, "detail_retention", lambda args: "retention"))
+        for module, name, piece in sites:
+            monkeypatch.setattr(module, name, self._wrap(getattr(module, name), piece))
+
+    def _wrap(self, fn, piece):
+        def watched(*args):
+            with self._lock:
+                self.running += 1
+                self.started_after_raise += self.raised.is_set()
+            try:
+                on_helper = threading.current_thread().name.startswith("rtcdenoise-helper")
+                self._before(piece(args), on_helper)
+                return fn(*args)
+            finally:
+                with self._lock:
+                    self.running -= 1
+        return watched
+
+    def raises(self, run, match):
+        """run() must raise RuntimeError(match) with no piece running then, and none started after."""
+        with pytest.raises(RuntimeError, match=match):
+            try:
+                run()
+            finally:
+                with self._lock:
+                    running_at_raise = self.running
+                self.raised.set()
+        assert running_at_raise == 0
+        time.sleep(0.1)
+        assert self.started_after_raise == 0
+
+
 def test_helper_error_reaches_build_report_caller(natural_frames, monkeypatch):
     ref, (noisy, denoised) = _report_frames(natural_frames)
+    # a fault in any piece, wherever it runs: on either lane, all on the
+    # caller, or every forked piece on the helper
+    for placed in (contextlib.nullcontext, helpers_blocked, helpers_claim_every_fork):
+        for failing in REPORT_PIECES:
+            def before(piece, on_helper):
+                if piece == failing:
+                    raise RuntimeError(f"injected fault in {piece}")
 
-    def failing_information(*args):
-        raise RuntimeError("injected VIFp fault")
-
-    monkeypatch.setattr(metrics, "_vif_information", failing_information)
-    for _ in range(3):  # the helper or the caller may run VIFp; both must raise
-        with pytest.raises(RuntimeError, match="injected VIFp fault"):
-            build_report(0, ref, noisy, denoised, 25.0, 10.0)
+            watch = _PieceWatch(monkeypatch, before)
+            with placed():
+                watch.raises(lambda: build_report(0, ref, noisy, denoised, 25.0, 10.0),
+                             f"injected fault in {failing}")
+            monkeypatch.undo()
 
 
 def test_caller_error_leaves_no_helper_task_running(natural_frames, monkeypatch):
-    ref, tests = _report_frames(natural_frames)
-    started = threading.Event()
-    finished = []
-    original_information = metrics._vif_information
+    if lanes._HELPER is None:
+        pytest.skip("one usable CPU: every piece runs on the caller")
+    ref, (noisy, denoised) = _report_frames(natural_frames)
+    # the helper's first piece runs until the caller is about to raise, so
+    # the caller scores every other piece, and the helper is inside a piece
+    # when the caller's piece raises
+    for failing in REPORT_PIECES[1:]:
+        inside, failed = threading.Event(), threading.Event()
 
-    def slow_information(*args):
-        if not started.is_set():
-            started.set()
-            time.sleep(0.3)
-        finished.append(original_information(*args))
-        return finished[-1]
+        def before(piece, on_helper):
+            if on_helper:
+                inside.set()
+                assert failed.wait(timeout=10)
+                time.sleep(0.05)  # still running as the caller raises
+            elif piece == failing:
+                assert inside.wait(timeout=10)
+                failed.set()
+                raise RuntimeError(f"injected fault in {piece}")
 
-    monkeypatch.setattr(metrics, "_vif_information", slow_information)
-    metrics.full_reference_scores(ref, tests)
-    steps = len(finished)  # one per band, scale and test frame
-    started.clear()
-    finished.clear()
-
-    def failing_ms_ssim(reference, planes, scratch):
-        # the helper is now running VIFp; on a single CPU there is no helper
-        assert lanes._HELPER is None or started.wait(timeout=10)
-        raise RuntimeError("injected MS-SSIM fault")
-
-    monkeypatch.setattr(metrics, "_ms_ssim", failing_ms_ssim)
-    with pytest.raises(RuntimeError, match="injected MS-SSIM fault"):
-        metrics.full_reference_scores(ref, tests)
-    # the running task finished before the error was raised; one never started stays so
-    assert len(finished) == (steps if lanes._HELPER is not None else 0)
+        watch = _PieceWatch(monkeypatch, before)
+        watch.raises(lambda: build_report(0, ref, noisy, denoised, 25.0, 10.0),
+                     f"injected fault in {failing}")
+        monkeypatch.undo()

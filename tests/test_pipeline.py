@@ -352,6 +352,15 @@ def test_threaded_run_submits_nothing_to_the_helper(monkeypatch):
     assert submitted == []
     run_denoise(noisy, PipelineConfig())
     assert len(submitted) > 0 or lanes._HELPER is None  # the sequential run forks
+    # nor does the driver thread, which runs the sender: its noise and codec
+    # halves would oversubscribe the full pool
+    submitted.clear()
+    clean = make_sequence(12, 96, 64, seed=17)
+    sender = SenderConfig(noise_sigma=25.0)
+    run_simulate(clean, PipelineConfig(sender=sender, execution="threaded"))
+    assert submitted == []
+    run_simulate(clean, PipelineConfig(sender=sender))  # the driver thread forks again
+    assert len(submitted) > 0 or lanes._HELPER is None
 
 
 def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch):
@@ -364,10 +373,13 @@ def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch
     offered = {fn.__name__ for fn in submitted}
     assert {"denoise_block", "_smooth_rows", "_bilateral_runs", "_report"} <= offered
     assert "denoise_window" not in offered
-    # full-reference reports already fill both lanes, so none is forked
+    # a full-reference report shares its own pieces out over both lanes, and
+    # the sender halves its noise and codec, so no report is forked whole
     submitted.clear()
     run_simulate(make_sequence(12, 96, 64, seed=17), PipelineConfig(sender=SenderConfig(noise_sigma=25.0)))
-    assert "_report" not in {fn.__name__ for fn in submitted}
+    offered = {fn.__name__ for fn in submitted}
+    assert {"_psnr", "_ms_ssim_levels", "_vif_scales", "_normal_runs", "_dct_block_rows"} <= offered
+    assert "_report" not in offered
 
 
 def test_sequential_reports_trail_their_cohort_until_the_next_one_starts(monkeypatch):

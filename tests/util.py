@@ -81,6 +81,55 @@ def helpers_blocked():
         assert all(released.get(timeout=10) is True for _ in range(lanes._HELPERS))
 
 
+@contextmanager
+def helpers_claim_every_fork(timeout: float = 30.0):
+    """Inside the block, join() on a fork offered to the helper waits until a helper has claimed it.
+
+    So every offered fork runs on a helper, whichever lane would have reached
+    it first; forks that are not offered (made on a worker) still run when
+    joined.
+    """
+    init, join = lanes.Fork.__init__, lanes.Fork.join
+
+    def offering_init(self, *args, **kwargs):
+        self.offered = lanes.offered()
+        init(self, *args, **kwargs)
+
+    def claimed_join(self):
+        deadline = time.monotonic() + timeout
+        while getattr(self, "offered", False) and not self._claim.locked():
+            assert time.monotonic() < deadline, "no helper claimed an offered fork"
+            time.sleep(1e-4)
+        return join(self)
+
+    lanes.Fork.__init__, lanes.Fork.join = offering_init, claimed_join
+    try:
+        yield
+    finally:
+        lanes.Fork.__init__, lanes.Fork.join = init, join
+
+
+def on_marked_worker(fn, *args):
+    """fn(*args) on a fresh thread marked as a worker (lanes.mark_worker), so it forks nothing."""
+    outcome = []
+
+    def run():
+        lanes.mark_worker()
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the worker thread did not finish"
+    value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value
+
+
 def _unread(fd: int) -> int:
     """Bytes waiting in the pipe that fd is an end of."""
     return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
