@@ -141,7 +141,7 @@ def _replacing(path: Optional[str], mode: str = "w", buffering: int = _OUT_BUFFE
         yield None
         return
     # a large buffer: each write that reaches the file gives up the
-    # interpreter lock, and taking it back can wait behind pool workers
+    # interpreter lock, and taking it back can wait behind the helper lane
     options = dict(buffering=buffering, encoding=None if "b" in mode else "utf-8")
     try:
         old = os.stat(path)

@@ -7,6 +7,9 @@ is checked against the Range its target field declares (frame.ranged) at its
 own line; a rule between fields names the first line of its section. A config
 produced by dump_config() parses back to an identical configuration.
 
+[pipeline] execution = sequential | threaded is accepted and ignored: the
+pipeline has one driver, and files written for an older version still parse.
+
 The [loss] seed is a sub-stream id, not an absolute seed: the pipeline mixes
 it with [pipeline] seed, so one seed knob reproduces an entire run.
 """
@@ -27,7 +30,6 @@ from .image_denoiser import CascadeParams
 from .rng import NoiseRng
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
-EXECUTION_MODES = ("sequential", "threaded")
 _CAPTURE_STREAM = 1  # rng substream tags under [pipeline] seed
 _LOSS_STREAM = 2
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
@@ -46,7 +48,6 @@ class ConfigError(ValueError):
 class PipelineConfig:
     threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range(0))
     seed: int = 0
-    execution: str = "sequential"
     cascade: CascadeParams = field(default_factory=CascadeParams)
     cadence: int = ranged(DEFAULT_CADENCE, Range(2))
     block: BlockParams = field(default_factory=BlockParams)
@@ -59,8 +60,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
         if len(self.analyzer_weights) != 3:
             raise ValueError("analyzer weights must be three non-negative numbers")
 
@@ -92,14 +91,14 @@ def _one_of(choices: dict, fold=lambda raw: raw):
 
 class _Key(NamedTuple):
     """One config key. target names the PipelineConfig field it sets, through a
-    sub-config or a tuple index ("cascade.window_radius", "analyzer_weights[0]");
-    cast parses the text to that field's type, whose Range parse_config_text
-    checks next; show renders the field for dump_config, and a None result
-    omits the line."""
+    sub-config or a tuple index ("cascade.window_radius", "analyzer_weights[0]"),
+    or is None for a key that is checked and ignored; cast parses the text to
+    that field's type, whose Range parse_config_text checks next; show renders
+    the field for dump_config, and a None result omits the line."""
 
     section: str
     key: str
-    target: str
+    target: Optional[str]
     cast: Callable[[str], Any]
     show: Callable[[Any], Any] = lambda value: value
 
@@ -112,7 +111,7 @@ _parse_bool = _one_of({"true": True, "yes": True, "on": True, "1": True,
 _KEYS = (
     _Key("pipeline", "threshold", "threshold", float),
     _Key("pipeline", "seed", "seed", int),
-    _Key("pipeline", "execution", "execution", _one_of({mode: mode for mode in EXECUTION_MODES})),
+    _Key("pipeline", "execution", None, _one_of({"sequential": None, "threaded": None})),
     _Key("image_denoiser", "bilateral_spatial_sigma", "cascade.bilateral_spatial_sigma", float),
     _Key("image_denoiser", "bilateral_range_factor", "cascade.bilateral_range_factor", float),
     _Key("image_denoiser", "gaussian_sigma_divisor", "cascade.gaussian_sigma_divisor", float),
@@ -198,12 +197,14 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     for section, entries in staged.items():
         for key, (raw, lineno) in entries.items():
             row = _SCHEMA[section][key]
-            part, name, index = _split(row.target)
             label = f"{section}.{key}"
             try:
                 value = row.cast(raw)
             except ValueError as exc:
                 raise ConfigError(source, lineno, f"{label}: {exc}") from exc
+            if row.target is None:
+                continue
+            part, name, index = _split(row.target)
             try:
                 check_range(label, value, range_of(getattr(defaults, part) if part else defaults, name))
             except ValueError as exc:
@@ -228,15 +229,23 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             fields[part] = replace(getattr(defaults, part), **values)
         except ValueError as exc:
             # a cross-field check: point at the first key this file sets in the section
-            section = next(row.section for row in _KEYS if row.target.startswith(part + "."))
+            section = next(row.section for row in _KEYS if (row.target or "").startswith(part + "."))
             first_line = next(iter(staged[section].values()))[1]
             raise ConfigError(source, first_line, f"[{section}]: {exc}") from exc
     return replace(defaults, **fields)
 
 
 def parse_config(path) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    """parse_config_text of the UTF-8 file at path; other bytes are a ConfigError at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; number the lines as _scan does
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(str(path), line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from exc
+    return parse_config_text(text, source=str(path))
 
 
 def dump_config(config: PipelineConfig) -> str:
@@ -254,6 +263,8 @@ def dump_config(config: PipelineConfig) -> str:
     for section, rows in _SCHEMA.items():
         lines.append(f"[{section}]")
         for row in rows.values():
+            if row.target is None:
+                continue
             part, name, index = _split(row.target)
             value = getattr(getattr(config, part) if part else config, name)
             shown = row.show(value if index is None else value[index])

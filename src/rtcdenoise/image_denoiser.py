@@ -82,8 +82,9 @@ _BILATERAL_PIXELS = 1 << 17
 def _in_halves(fn, n: int, *args) -> None:
     """fn(*args, 0, n), with fn(*args, n // 2, n) forked where a helper lane takes forks.
 
-    fn(*args, lo, hi) must write its part of the result alone. Elsewhere it
-    runs as one call: two halves in a row cost threaded mode 5% of its fps.
+    fn(*args, lo, hi) must write its part of the result alone. Elsewhere (on
+    a helper thread, or with no helper) it runs as one call: two halves in a
+    row on one lane with every core busy cost 5% of the fps.
     """
     if offered():
         with Fork(fn, *args, n // 2, n) as half:

@@ -7,9 +7,8 @@ so waits cannot deadlock. A fork made with background=True is queued behind
 every other fork: a helper starts it only when no urgent fork is waiting, so
 work that may trail (a frame's report) fills the helper's idle time without
 delaying the work it idles beside. The helper threads, one per usable CPU
-beyond the caller's, start on first use. Forks made on a worker (a helper, or
-the threaded pipeline's, whose units fill the cores) are not offered: they
-run when joined.
+beyond the caller's, start on first use. Forks made on a helper thread are
+not offered: they run when joined.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_WORKER = threading.local()  # .marked on helper and threaded pipeline workers
-
-
-def mark_worker() -> None:
-    """Pool initializer: forks made on this thread are not offered to the helper."""
-    _WORKER.marked = True
+_ON_HELPER = threading.local()  # .marked on the helper threads
 
 
 class _Helpers:
@@ -55,7 +49,7 @@ class _Helpers:
             self._queued.notify()
 
     def _serve(self) -> None:
-        mark_worker()
+        _ON_HELPER.marked = True  # forks made here run when joined
         while True:
             with self._queued:
                 while not (self._urgent or self._background):
@@ -70,7 +64,7 @@ _HELPER = _Helpers(_HELPERS) if _HELPERS else None
 
 def offered() -> bool:
     """Whether a fork made on this thread is offered to the helper, or only runs when joined."""
-    return _HELPER is not None and not getattr(_WORKER, "marked", False)
+    return _HELPER is not None and not getattr(_ON_HELPER, "marked", False)
 
 
 class Fork:

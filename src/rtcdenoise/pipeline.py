@@ -10,33 +10,29 @@ output (denoised or passed through, whatever its own cohort decided).
 The work splits into pure units: a keyframe unit (detect, fork, keyframe
 cascade) per keyframe, and a cohort unit per cohort (for each frame, its
 temporal window, then its report). One driver loop reads each frame, beside
-its reference, forward once; it submits each unit once every frame it reads
-has arrived, and collects the results in order as they finish, handing each
-frame on at once, so a run holds O(cadence) frames however long the clip
-(see _execute). The execution mode only decides how a unit runs:
-`sequential` runs it inline and forks work to the helper lane (lanes.Fork; a
-no-reference cohort forks its first-level temporal blocks when it starts,
-and each temporal frame's report as a background fork that trails the frame
-until the driver collects the cohort, see _cohort), `threaded` runs it on a
-thread pool sized to the CPUs the process may use, where forks run on the
-worker that joins them, as do those of the driver thread (run_simulate's
-sender halves its noise and codec only in `sequential` mode). Either way
-the units do the exact same arithmetic, so both modes produce bit-identical
-videos, reports, and feedback logs, and an exception raised in a unit or a
-fork reaches the caller.
+its reference, forward once; it runs each unit on the calling thread once
+every frame it reads has arrived, and hands each frame on in order once its
+cohort and the reports that trail it are done, so a run holds O(cadence)
+frames however long the clip (see _execute). A unit forks work to the helper
+lane (lanes.Fork): a no-reference cohort forks its first-level temporal
+blocks when it starts, and each temporal frame's report as a background fork
+that trails the frame until the driver collects the cohort (see _cohort).
+Whichever lane runs a fork does the exact same arithmetic, so videos,
+reports, and feedback logs are bit-identical however the forks fall, and an
+exception raised in a unit or a fork reaches the caller.
 
 Determinism versus timing: reports and the feedback policy carry a *modeled*
 runtime (a fixed cost in nanoseconds per pixel per unit of work, calibrated
 once against a desktop core), because measured wall time can never be
-bit-identical across runs or execution modes. Bypassed frames report zero
-runtime and zero sigma delta by definition: no work was performed. Measured
-wall-clock latencies are reported separately in PipelineStats, which carries
-no cross-run determinism promise.
+bit-identical across runs. Bypassed frames report zero runtime and zero
+sigma delta by definition: no work was performed. Measured wall-clock
+latencies are reported separately in PipelineStats, which carries no
+cross-run determinism promise.
 
 Feedback timing is likewise plan-derived: the message aggregating the window
 that ends at frame w becomes visible to the sender right after the last frame
-w's cohort reads, so the sender applies it at the same frame position in both
-execution modes.
+w's cohort reads, so the sender applies it at the same frame position however
+the work is placed on the lanes.
 """
 
 from __future__ import annotations
@@ -45,12 +41,9 @@ import itertools
 import sys
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .analyzer import (
     AnalyzerReport,
@@ -73,7 +66,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import _WORKER, Fork, mark_worker, offered, usable_cpus
+from .lanes import Fork, offered
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -268,23 +261,17 @@ def _report(t: int, received: Frame, output: Frame, virtual_ms: float,
     return report, (time.perf_counter() - t0) * 1e3
 
 
-# Cohorts the threaded driver leaves uncollected. With fewer, pool workers
-# idle while the driver writes out the oldest cohort and reads the next
-# frames (a bypassed cohort takes a few ms); each holds a few frames.
-_IN_FLIGHT = 8
-
-
 def _cohort(
     start: int,
     pairs: Sequence[Tuple[Frame, Optional[Frame]]],
-    keyframes: Dict[int, Future],
+    keyframes: Dict[int, _KeyframeRecord],
     plan: WindowPlan,
     config: PipelineConfig,
 ) -> Tuple[_KeyframeRecord, List[_Emitted]]:
     """Cohort unit: per frame of the cohort, its temporal window, then its report.
 
     pairs holds the (received, reference) frames over plan.reach(start);
-    keyframes maps every keyframe index the windows reach to its future.
+    keyframes maps every keyframe index the windows reach to its record.
 
     A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
     distinct first-level block of its windows once, when it starts; each
@@ -296,17 +283,16 @@ def _cohort(
     path of the cohort's first frame, runs here. A full-reference report
     keeps both lanes busy, so those windows and reports run in order.
     """
-    record = keyframes[start].result()
+    record = keyframes[start]
     denoise = record.decision.route is Route.DENOISE
     first = plan.reach(start).start
     sigma, params = record.sigma_work, config.block
-    # forks that would only run when joined gain nothing by being made early,
-    # and assembling a window early can wait on a keyframe still running
+    # forks that would only run when joined gain nothing by being made early
     forking = denoise and pairs[0][1] is None and offered()
 
     def window(t: int) -> List[Frame]:
         """Window t's frames; a position on a keyframe reads the keyframe's output."""
-        return [keyframes[i].result().output if i in keyframes else pairs[i - first][0]
+        return [keyframes[i].output if i in keyframes else pairs[i - first][0]
                 for i in plan.window(t)]
 
     blocks: dict = {}  # first-level block forks shared by the cohort's windows
@@ -343,47 +329,6 @@ def _cohort(
         for _, fork in blocks.values():
             fork.cancel()
     return record, emitted
-
-
-@contextmanager
-def _cancelling_trailing(cohorts: deque) -> Iterator[None]:
-    """On leaving, cancel the reports that trail the done cohorts left uncollected after a raise."""
-    try:
-        yield
-    finally:
-        for future in cohorts:
-            if future.done() and not future.cancelled() and future.exception() is None:
-                for fork in _trailing(future.result()[1]):
-                    fork.cancel()
-
-
-def _run_inline(unit: Callable, *args) -> Future:
-    future: Future = Future()
-    future.set_result(unit(*args))
-    return future
-
-
-@contextmanager
-def _unit_runner(execution: str) -> Iterator[Callable[..., Future]]:
-    """Yield submit(unit, *args) -> Future for the execution mode.
-
-    The pool runs units in submission order, and a unit waits only on units
-    submitted before it, so the waits cannot deadlock.
-    """
-    if execution == "sequential":
-        yield _run_inline
-        return
-    # one worker per usable CPU: more workers only contend for the same cores,
-    # so the units' forks run on the worker that joins them, and so do the
-    # driver's own (the sender's halves)
-    pool = ThreadPoolExecutor(max_workers=usable_cpus(), initializer=mark_worker)
-    marked = getattr(_WORKER, "marked", False)
-    mark_worker()
-    try:
-        yield pool.submit
-    finally:
-        _WORKER.marked = marked
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _Sender:
@@ -438,20 +383,18 @@ def _execute(
 
     pairs yields (received, reference) frames, reference None for a
     no-reference report. The plan has no end until pairs runs out after n
-    frames. A cohort is submitted once the last frame it reads has arrived,
-    so until then none of its windows reaches the clip end; the rest are
-    submitted under WindowPlan(n).
+    frames. A cohort runs once the last frame it reads has arrived, so until
+    then none of its windows reaches the clip end; the rest run under
+    WindowPlan(n).
 
     Each frame goes to emit(received, output, report) in frame order when its
     cohort is collected, which joins the reports that trail its frames. A
-    cohort is collected before a later one is submitted once _IN_FLIGHT are
-    left uncollected (threaded mode) or at once (sequential mode, which
-    runs a cohort as it is submitted, so its reports trail it through the
-    next keyframe unit and no further); at the source's end; or between
-    frames once it and its reports are done. A pair and a keyframe future
-    are dropped once the last cohort that reads them has been submitted, so
-    the driver holds O(cadence) frames whatever n is. A run that raises
-    leaves no report running. Returns the feedback log and the run's stats.
+    cohort is collected before the next one runs, so its reports trail it
+    through the next keyframe unit and no further; at the source's end; or
+    between frames once its reports are done. A pair and a keyframe record
+    are dropped once the last cohort that reads them has run, so the driver
+    holds O(cadence) frames whatever n is. A run that raises leaves no report
+    running. Returns the feedback log and the run's stats.
 
     With on_feedback, every feedback window's reports make a message, and
     on_feedback(message, apply_index) is invoked at the plan-derived apply
@@ -467,8 +410,8 @@ def _execute(
         return unbounded.reach(unbounded.last_keyframe_at_or_before((k + 1) * window - 1)).stop
 
     arrived: Dict[int, Tuple[Frame, Optional[Frame]]] = {}
-    keyframes: Dict[int, Future] = {}
-    cohorts: deque = deque()  # cohort futures, in cohort order
+    keyframes: Dict[int, _KeyframeRecord] = {}
+    pending: Optional[Tuple[_KeyframeRecord, List[_Emitted]]] = None  # the cohort not yet collected
     recent: deque = deque(maxlen=max(window, 1))  # the current feedback window's reports
     feedback_log: List[FeedbackMessage] = []
     latency_ms: List[float] = []
@@ -478,17 +421,13 @@ def _execute(
     analyze_ms: List[float] = []
     denoised = 0
 
-    def ready() -> bool:
-        """Whether the oldest cohort and the reports that trail it are done."""
-        return cohorts[0].done() and all(fork.done() for fork in _trailing(cohorts[0].result()[1]))
-
     def collect() -> None:
-        nonlocal denoised
-        record, emitted = cohorts[0].result()
-        # a report that raises leaves the cohort in cohorts, whose other reports the run cancels
+        nonlocal denoised, pending
+        record, emitted = pending
+        # a report that raises leaves the cohort pending, and the run cancels its other reports
         reports = [item.report.join() if isinstance(item.report, Fork) else item.report
                    for item in emitted]
-        cohorts.popleft()
+        pending = None
         detect_ms.append(record.detect_ms)
         if record.image_ms is not None:
             image_ms.append(record.image_ms)
@@ -504,14 +443,13 @@ def _execute(
             if window and len(latency_ms) % window == 0:
                 feedback_log.append(make_feedback(list(recent), policy))
 
-    in_flight = 1 if config.execution == "sequential" else _IN_FLIGHT
     wall_start = time.perf_counter()
-    with _unit_runner(config.execution) as submit, _cancelling_trailing(cohorts):
+    try:
         next_cohort = applied = 0
         source = iter(pairs)
         for t in itertools.count():
             while window and apply_point(applied) <= t:
-                while len(feedback_log) <= applied:
+                if len(feedback_log) <= applied:
                     collect()
                 on_feedback(feedback_log[applied], t)
                 applied += 1
@@ -523,27 +461,30 @@ def _execute(
             else:
                 arrived[t] = pair
                 if plan.role(t) is FrameRole.KEYFRAME:
-                    keyframes[t] = submit(_keyframe, pair[0], config)
+                    keyframes[t] = _keyframe(pair[0], config)
             while next_cohort < plan.n_frames and t + 1 >= plan.reach(next_cohort).stop:
-                while len(cohorts) >= in_flight:
+                if pending is not None:
                     collect()
                 reach = plan.reach(next_cohort)
-                cohorts.append(submit(_cohort, next_cohort, [arrived[i] for i in reach],
-                                      {k: keyframes[k] for k in reach if k in keyframes},
-                                      plan, config))
+                pending = _cohort(next_cohort, [arrived[i] for i in reach],
+                                  {k: keyframes[k] for k in reach if k in keyframes}, plan, config)
                 next_cohort = plan.cohort(next_cohort).stop
                 # no later cohort reads below the next one's reach
                 for i in range(reach.start, next_cohort - 1):
                     del arrived[i]
                     keyframes.pop(i, None)
             # after every frame: a source that blocks must not hold back a
-            # cohort that finished meanwhile until the next submission
-            while cohorts and ready():
+            # cohort whose reports finished meanwhile until the next one runs
+            if pending is not None and all(fork.done() for fork in _trailing(pending[1])):
                 collect()
             if pair is None:
                 break
-        while cohorts:
+        if pending is not None:
             collect()
+    finally:
+        if pending is not None:  # a raise left the reports that trail it running
+            for fork in _trailing(pending[1]):
+                fork.cancel()
     n = plan.n_frames
     wall_ms = (time.perf_counter() - wall_start) * 1e3
 

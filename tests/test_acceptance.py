@@ -6,7 +6,6 @@ project acceptance checklist (1..9).
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +46,8 @@ from rtcdenoise import (
 )
 
 import oracles
-from util import frames_equal, mean_abs_frame_diff, sequences_equal
+from util import (frames_equal, helpers_blocked, helpers_claim_every_fork, mean_abs_frame_diff,
+                  sequences_equal)
 
 SIGMA_BAND = (20.0, 30.0, 40.0, 50.0)
 
@@ -275,9 +275,9 @@ def test_criterion_6_feedback_loop():
     )
 
 
-# -- 7. determinism and mode equivalence ----------------------------------------------
+# -- 7. determinism wherever the forks run ---------------------------------------------
 
-def test_criterion_7_mode_equivalence():
+def test_criterion_7_placement_equivalence():
     scenarios = [
         # clean channel, sender capture noise
         (101, LossModel(), SenderConfig(noise_sigma=25.0)),
@@ -292,14 +292,17 @@ def test_criterion_7_mode_equivalence():
     for seed, loss, sender in scenarios:
         clean = make_sequence(15, 96, 64, seed=seed, motion=(1.0, 0.0))
         base = PipelineConfig(seed=seed, feedback_window=5, sender=sender, loss=loss)
-        seq = run_simulate(clean, base)
-        thr = run_simulate(clean, replace(base, execution="threaded"))
-        assert sequences_equal(seq.received, thr.received)
-        assert sequences_equal(seq.denoised, thr.denoised)
-        assert seq.reports == thr.reports
-        assert seq.feedback_log == thr.feedback_log
-        assert seq.sender_trace == thr.sender_trace
-    _pass(7, "3 scenarios bit-identical across execution modes")
+        free = run_simulate(clean, base)
+        # every fork on the helper, then every fork on the caller
+        for placement in (helpers_claim_every_fork, helpers_blocked):
+            with placement():
+                other = run_simulate(clean, base)
+            assert sequences_equal(free.received, other.received)
+            assert sequences_equal(free.denoised, other.denoised)
+            assert free.reports == other.reports
+            assert free.feedback_log == other.feedback_log
+            assert free.sender_trace == other.sender_trace
+    _pass(7, "3 scenarios bit-identical with the forks on either lane")
 
 
 # -- 8. throughput -----------------------------------------------------------------
@@ -307,7 +310,7 @@ def test_criterion_7_mode_equivalence():
 def test_criterion_8_throughput():
     clean = make_sequence(30, 480, 360, seed=81)
     noisy = _noisy(clean, 25.0)
-    _, _, stats = run_denoise(noisy, PipelineConfig(execution="sequential"))
+    _, _, stats = run_denoise(noisy)
     assert stats.frames_denoised == 30  # the expensive path, not bypass
     assert stats.achieved_fps >= 25.0, f"{stats.achieved_fps:.1f} fps"
     # per-stage latency is recorded so regressions stay visible

@@ -28,7 +28,7 @@ from rtcdenoise import (
 )
 
 import oracles
-from util import helpers_blocked, helpers_claim_every_fork, on_marked_worker
+from util import helpers_blocked, helpers_claim_every_fork, on_single_lane
 
 
 def _report(delta_psnr=1.0, delta_sigma=None, sigma=25.0, runtime_ms=10.0, index=0):
@@ -185,14 +185,15 @@ def test_build_report_equals_separable_reference_exactly(case):
 
 def _placed(placement, fn, *args):
     """fn(*args) with the report's pieces placed: all on the caller, all forked ones on
-    the helper, or on a worker, which forks nothing."""
+    the helper, or on one lane ("worker": a thread marked as the helpers are), which
+    forks nothing."""
     if placement == "helper-blocked":
         with helpers_blocked():
             return fn(*args)
     if placement == "helper-claims-all":
         with helpers_claim_every_fork():
             return fn(*args)
-    return on_marked_worker(fn, *args)
+    return on_single_lane(fn, *args)
 
 
 @pytest.mark.parametrize("placement", ["helper-blocked", "helper-claims-all", "worker"])

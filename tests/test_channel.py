@@ -24,7 +24,7 @@ from rtcdenoise import channel
 from rtcdenoise.channel import _scale_round_trip
 from rtcdenoise.frame import quantize_plane
 
-from util import frames_equal, helpers_claim_every_fork, on_marked_worker, traced_peak
+from util import frames_equal, helpers_claim_every_fork, on_single_lane, traced_peak
 
 import oracles
 
@@ -175,7 +175,7 @@ def test_sender_halves_equal_single_lane_results(shape):
         return [noisy, add_speckle(frame, 0.3, seed=4)] + [
             encode_decode(noisy, SenderConfig(q=8, resolution_scale=scale)) for scale in SCALE_LADDER]
 
-    single = on_marked_worker(sender, frame)  # a worker forks nothing: one lane
+    single = on_single_lane(sender, frame)
     assert frames_equal(single[0], oracles.add_gaussian_noise(frame, 25.0, seed=3))
     assert np.array_equal(single[-1].y, oracles.block_dct_quantize(single[0].y, 8))
     with helpers_claim_every_fork():

@@ -39,7 +39,7 @@ from rtcdenoise import channel, image_denoiser, metrics
 from rtcdenoise.metrics import full_reference_scores
 
 import oracles
-from util import sequences_equal
+from util import helpers_blocked, helpers_claim_every_fork, sequences_equal
 
 SMALL_SIZES = (1, 7, 61)
 
@@ -188,10 +188,10 @@ def test_block_dct_across_band_seams_equals_whole_plane_transform(monkeypatch, s
                                   oracles.block_dct_quantize(luma, q))
 
 
-# --- both execution modes, every family cut small -------------------------------
+# --- forks on either lane, every family cut small ------------------------------
 
 
-def test_modes_agree_with_every_family_across_seams(monkeypatch):
+def test_placements_agree_with_every_family_across_seams(monkeypatch):
     clean = make_sequence(16, 48, 32, seed=27, motion=(1.0, 0.0), with_chroma=True)
     # sigma switches inside cohorts, so both routes run
     noisy = VideoSequence(tuple(add_gaussian_noise(f, 30.0 if (t // 7) % 2 else 4.0, seed=t)
@@ -203,7 +203,10 @@ def test_modes_agree_with_every_family_across_seams(monkeypatch):
     monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", 127)
     monkeypatch.setattr(image_denoiser, "_SMOOTH_PIXELS", 97)
     monkeypatch.setattr(metrics, "_BAND_PIXELS", 97)
-    runs = [run_denoise(noisy, PipelineConfig(execution=mode)) for mode in ("sequential", "threaded")]
+    runs = [run_denoise(noisy)]
+    for placement in (helpers_claim_every_fork, helpers_blocked):
+        with placement():
+            runs.append(run_denoise(noisy))
     stats = reference[2]
     assert 0 < stats.frames_bypassed < len(noisy)
     for output, reports, _ in runs:

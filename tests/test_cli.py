@@ -38,7 +38,7 @@ import rtcdenoise.cli
 import rtcdenoise.pipeline
 
 import oracles
-from util import frames_equal, on_marked_worker, pipe_feeding, sequences_equal, traced_peak
+from util import frames_equal, on_single_lane, pipe_feeding, sequences_equal, traced_peak
 
 
 @pytest.fixture()
@@ -244,7 +244,7 @@ def test_inject_equals_its_single_lane_output(tmp_path, shape, capsys):
                 "--seed", "5", "--out", str(out)]
         return main(args)
 
-    assert on_marked_worker(inject, tmp_path / "single.y4m") == 0  # a worker forks nothing
+    assert on_single_lane(inject, tmp_path / "single.y4m") == 0
     assert inject(tmp_path / "split.y4m") == 0
     capsys.readouterr()
     assert (tmp_path / "split.y4m").read_bytes() == (tmp_path / "single.y4m").read_bytes()
@@ -360,13 +360,12 @@ def _clip_bytes(n, width=16, height=12, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["denoise", "simulate"])
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_a_truncated_last_frame_is_rejected(tmp_path, execution, command, capsys):
-    # the error comes while earlier cohorts are in flight; the run still
-    # leaves no file and no pool thread behind
+def test_a_truncated_last_frame_is_rejected(tmp_path, command, capsys):
+    # the error comes while an earlier cohort's reports trail; the run still
+    # leaves no file and no thread but the helpers behind
     clip = tmp_path / "cut.y4m"
     clip.write_bytes(_clip_bytes(13, 24, 20, with_chroma=True)[:-5])
-    cfg = _config_file(tmp_path / "run.cfg", execution, cadence=2)
+    cfg = _config_file(tmp_path / "run.cfg", cadence=2)
     threads = set(threading.enumerate())
     _assert_rejects(tmp_path, command, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
     assert [t.name for t in set(threading.enumerate()) - threads
@@ -628,6 +627,16 @@ def test_out_of_range_window_radius_or_k_temporal_is_data_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["denoise", "simulate"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_a_config_that_is_not_utf8_names_the_line_of_its_first_bad_byte(
+        tmp_path, clean_clip, command, newline, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(newline.join([b"[pipeline]", b"seed = 1", b"execution = a\x85b", b"x = \xff", b""]))
+    line = _assert_rejects(tmp_path, command, clean_clip, "not UTF-8", capsys, ["--config", str(cfg)])
+    assert line == f"error: {cfg}:3: not UTF-8 text: byte 0x85"
+
+
 # --- streaming -------------------------------------------------------------------
 
 def _mixed_clip(path, n, with_chroma, width=40, height=36):
@@ -639,30 +648,51 @@ def _mixed_clip(path, n, with_chroma, width=40, height=36):
     return noisy
 
 
-def _config_file(path, execution, cadence=5, extra=""):
-    path.write_text(f"[pipeline]\nexecution = {execution}\n[video_denoiser]\ncadence = {cadence}\n"
-                    + extra)
+def _config_file(path, cadence=5, extra=""):
+    path.write_text(f"[video_denoiser]\ncadence = {cadence}\n" + extra)
     return path
 
 
 @pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
 @pytest.mark.parametrize("n", [1, 4, 7, 13])
 @pytest.mark.parametrize("cadence", [2, 3, 5])
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, execution, cadence, n, with_chroma,
-                                                     capsys):
+def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, cadence, n, with_chroma, capsys):
     noisy = _mixed_clip(tmp_path / "in.y4m", n, with_chroma)
-    cfg = _config_file(tmp_path / "run.cfg", execution, cadence)
+    cfg = _config_file(tmp_path / "run.cfg", cadence)
     out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
     assert main(["denoise", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
                  "--out", str(out), "--report", str(report)]) == 0
     assert capsys.readouterr().out.startswith(f"frames={n} ")
 
-    output, reports, _ = run_denoise(noisy, PipelineConfig(execution=execution, cadence=cadence))
+    output, reports, _ = run_denoise(noisy, PipelineConfig(cadence=cadence))
     expected = io.BytesIO()
     write_y4m(output, expected)
     assert out.read_bytes() == expected.getvalue()
     assert report.read_text() == "".join(report_to_json(r) + "\n" for r in reports)
+
+
+def test_the_execution_key_is_accepted_and_ignored(tmp_path, capsys):
+    # it chose between two drivers once; files that set it still run, on the one driver
+    clip = tmp_path / "in.y4m"
+    _mixed_clip(clip, 13, True)
+    outputs = {}
+    for name, line in [("unset", ""), ("sequential", "execution = sequential\n"),
+                       ("threaded", "execution = threaded\n")]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"[pipeline]\nseed = 3\n{line}[video_denoiser]\ncadence = 3\n")
+        out, report = tmp_path / f"{name}.y4m", tmp_path / f"{name}.jsonl"
+        assert main(["denoise", "--in", str(clip), "--config", str(cfg),
+                     "--out", str(out), "--report", str(report)]) == 0
+        outputs[name] = (out.read_bytes(), report.read_bytes())
+        config = parse_config(cfg)
+        assert parse_config_text(dump_config(config)) == config == parse_config(tmp_path / "unset.cfg")
+    capsys.readouterr()
+    assert outputs["sequential"] == outputs["unset"] == outputs["threaded"]
+    turbo = tmp_path / "turbo.cfg"
+    turbo.write_text("[pipeline]\nexecution = turbo\n")
+    line = _assert_rejects(tmp_path, "denoise", clip, "pipeline.execution", capsys,
+                           ["--config", str(turbo)])
+    assert line == f"error: {turbo}:2: pipeline.execution: expected one of sequential, threaded, got 'turbo'"
 
 
 # feedback every 4 frames, at a budget that makes the sender lower its rate,
@@ -674,12 +704,10 @@ _FEEDBACK = "[analyzer]\nfeedback_window = 4\nbudget_ms = 0.05\n[sender]\nnoise_
 @pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
 @pytest.mark.parametrize("n", [1, 4, 7, 13])
 @pytest.mark.parametrize("cadence", [2, 3, 5])
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, execution, cadence, n, with_chroma,
-                                                      capsys):
+def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, cadence, n, with_chroma, capsys):
     clean = make_sequence(n, 40, 36, seed=n, motion=(1.0, 0.5), with_chroma=with_chroma)
     write_y4m_file(clean, tmp_path / "in.y4m")
-    cfg = _config_file(tmp_path / "run.cfg", execution, cadence, _FEEDBACK)
+    cfg = _config_file(tmp_path / "run.cfg", cadence, _FEEDBACK)
     flags = ("--out-received", "--out-denoised", "--report", "--feedback")
     outs = {flag: tmp_path / f"out{flag}" for flag in flags}
     assert main(["simulate", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
@@ -700,15 +728,14 @@ def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, execution, caden
 
 def test_run_denoise_sink_gets_every_frame_in_order_and_keeps_none(tmp_path):
     noisy = _mixed_clip(tmp_path / "in.y4m", 13, True)
-    for execution in ("sequential", "threaded"):
-        config = PipelineConfig(execution=execution, cadence=3)
-        output, reports, stats = run_denoise(noisy, config)
-        seen = []
-        streamed = run_denoise(noisy, config, sink=lambda frame, report: seen.append((frame, report)))
-        assert streamed[:2] == (None, None)
-        assert streamed[2].frame_count == 13 and streamed[2].frames_denoised == stats.frames_denoised
-        assert [r for _, r in seen] == reports
-        assert all(frames_equal(f, g) for (f, _), g in zip(seen, output))
+    config = PipelineConfig(cadence=3)
+    output, reports, stats = run_denoise(noisy, config)
+    seen = []
+    streamed = run_denoise(noisy, config, sink=lambda frame, report: seen.append((frame, report)))
+    assert streamed[:2] == (None, None)
+    assert streamed[2].frame_count == 13 and streamed[2].frames_denoised == stats.frames_denoised
+    assert [r for _, r in seen] == reports
+    assert all(frames_equal(f, g) for (f, _), g in zip(seen, output))
 
 
 def test_denoise_out_may_name_its_input(tmp_path, capsys):
@@ -759,13 +786,11 @@ def test_failing_run_leaves_no_output_file(tmp_path, monkeypatch, capsys):
     original = rtcdenoise.pipeline.build_report_noref
     monkeypatch.setattr(rtcdenoise.pipeline, "build_report_noref", failing)
     out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
-    for execution in ("sequential", "threaded"):
-        calls.clear()
-        cfg = _config_file(tmp_path / "run.cfg", execution, cadence=2)
-        with pytest.raises(RuntimeError, match="injected fault"):
-            main(["denoise", "--in", str(clip), "--config", str(cfg),
-                  "--out", str(out), "--report", str(report)])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.y4m", "run.cfg"]
+    cfg = _config_file(tmp_path / "run.cfg", cadence=2)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        main(["denoise", "--in", str(clip), "--config", str(cfg),
+              "--out", str(out), "--report", str(report)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.y4m", "run.cfg"]
     capsys.readouterr()
 
 
@@ -862,24 +887,20 @@ def _long_clips(tmp_path, width, height):
 
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, source, capsys):
+def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, source, capsys):
     # at 320x240 a whole-clip run holds every input and output frame, about
     # 3x as much at 400 frames as at 100 (18.6 against 61.7 MB). The reader
-    # reads forward, a pipe as a file, so a streamed run peaks near 10 MB
-    # (sequential) and 15 MB (threaded): the frames in flight plus the two
-    # outputs' buffers of 16 frames each. What still grows with length is small objects
-    # (per-frame timings, freed tuples the interpreter keeps for reuse), a
-    # few hundred kB; with the threaded pool's timing the ratio read
-    # 1.00-1.04. The pipe's writer thread reads the clip file 64 kB at a
+    # reads forward, a pipe as a file, so a streamed run peaks near 10 MB:
+    # the frames in flight plus the two outputs' buffers of 16 frames each.
+    # What still grows with length is small objects (per-frame timings, freed
+    # tuples the interpreter keeps for reuse), a few hundred kB; the ratio
+    # read 1.02-1.05. The pipe's writer thread reads the clip file 64 kB at a
     # time. The clips repeat 26 frames (sigma 30 on 4 of every 16, else 4) to
     # save time making them; the pipeline reads each frame afresh all the same.
-    cfg = _config_file(tmp_path / "run.cfg", execution)
     clips = _long_clips(tmp_path, 320, 240)
 
     def denoise(clip):
-        return main(["denoise", "--in", clip, "--config", str(cfg),
-                     "--out", str(tmp_path / "out.y4m"),
+        return main(["denoise", "--in", clip, "--out", str(tmp_path / "out.y4m"),
                      "--report", str(tmp_path / "report.jsonl")])
 
     def peak(n):
@@ -896,19 +917,17 @@ def test_denoise_memory_does_not_grow_with_clip_length(tmp_path, execution, sour
     assert long <= 1.1 * short, f"traced peak {short} B at 100 frames, {long} B at 400"
 
 
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_simulate_memory_does_not_grow_with_clip_length(tmp_path, execution, capsys):
+def test_simulate_memory_does_not_grow_with_clip_length(tmp_path, capsys):
     # a whole-clip run holds every clean, received and denoised frame: at
     # 160x120 it traced 9.3 MB at 100 frames and 25.4 MB at 400. Streamed,
-    # the run peaks near 4.5 MB (sequential) or 6 MB (threaded) either way,
-    # below the three 100-frame clips alone. What grows with length is small
+    # the run peaks near 4.7 MB either way, below the three 100-frame clips
+    # alone. What grows with length is small
     # objects, about 0.2 MB over 300 frames. A first run imports scipy and
     # fills the caches the metrics keep, so neither traced run pays for them.
-    cfg = _config_file(tmp_path / "run.cfg", execution)
     clips = _long_clips(tmp_path, 160, 120)
 
     def simulate(clip):
-        return main(["simulate", "--in", str(clip), "--config", str(cfg),
+        return main(["simulate", "--in", str(clip),
                      *_output_args(tmp_path, ("--out-received", "--out-denoised", "--report"))])
 
     assert simulate(clips[26]) == 0
@@ -932,7 +951,7 @@ def test_denoise_streams_a_pipe(tmp_path, capsys):
 
 def test_simulate_streams_a_pipe(tmp_path, capsys):
     data = _clip_bytes(7, 24, 20, with_chroma=True)
-    cfg = _config_file(tmp_path / "run.cfg", "sequential", 3, _FEEDBACK)
+    cfg = _config_file(tmp_path / "run.cfg", 3, _FEEDBACK)
     (tmp_path / "in.y4m").write_bytes(data)
     flags = ("--out-received", "--out-denoised", "--report", "--feedback")
     outputs = {}

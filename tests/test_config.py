@@ -79,12 +79,12 @@ seed = 7
 
 
 # the exact bytes of dump_config(parse_config_text(FULL_SAMPLE)): a numeric
-# fusion_tau, a fractional scale, a false boolean and the gilbert-elliott model
+# fusion_tau, a fractional scale, a false boolean and the gilbert-elliott
+# model; the ignored execution key is not written
 FULL_SAMPLE_DUMP = """\
 [pipeline]
 threshold = 18.5
 seed = 42
-execution = threaded
 
 [image_denoiser]
 bilateral_spatial_sigma = 1.5
@@ -142,7 +142,6 @@ def test_empty_text_gives_defaults():
     config = parse_config_text("")
     assert config == PipelineConfig()
     assert config.threshold == 20.0
-    assert config.execution == "sequential"
     assert config.cadence == 5
     assert config.sender.q == 16
     assert config.loss.p_loss == 0.0
@@ -152,7 +151,6 @@ def test_full_sample_sets_every_key():
     config = parse_config_text(FULL_SAMPLE)
     assert config.threshold == 18.5
     assert config.seed == 42
-    assert config.execution == "threaded"
     assert config.cascade.bilateral_spatial_sigma == 1.5
     assert config.cascade.bilateral_range_factor == 2.5
     assert config.cascade.gaussian_sigma_divisor == 18.0
@@ -275,6 +273,8 @@ def _ranged_keys():
     """(row, Range) for every config key whose target field declares a Range."""
     defaults = PipelineConfig()
     for row in _KEYS:
+        if row.target is None:
+            continue
         part, name, _ = _split(row.target)
         valid = range_of(getattr(defaults, part) if part else defaults, name)
         if valid is not None:
@@ -506,8 +506,8 @@ def test_dump_config_refuses_a_weights_path_without_its_weights(tmp_path, with_f
 def test_pipeline_config_direct_validation():
     with pytest.raises(ValueError):
         PipelineConfig(threshold=-1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(execution="parallel")
+    with pytest.raises(TypeError):  # one driver: the field is gone
+        PipelineConfig(execution="threaded")
     with pytest.raises(ValueError):
         PipelineConfig(cadence=1)
     with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ regular-file output it has into a directory of its own. The run must exit 0,
 or exit 2 with exactly one stderr line, no traceback, and no output file or
 temporary left behind; only detect may have printed on stdout, a line for each
 frame before the fault. CWB1 weight files reach denoise through --config in
-the same way, and --noise KIND:VALUE strings reach inject, where a bad one is
-a usage error (exit 1) with the same one line. The seeds and the case counts
+the same way, config files mutated byte by byte reach denoise and simulate,
+and --noise KIND:VALUE strings reach inject, where a bad one is a usage
+error (exit 1) with the same one line. The seeds and the case counts
 are fixed; the tests run with warnings as errors, so no numpy warning escapes.
 """
 
@@ -21,7 +22,9 @@ import numpy as np
 
 from rtcdenoise import (
     ConvWeightSet,
+    PipelineConfig,
     add_gaussian_noise,
+    dump_config,
     make_sequence,
     random_weights,
     write_weights,
@@ -159,6 +162,57 @@ def test_mutated_weight_files_exit_0_or_2_with_one_error_line(tmp_path, capsys):
         codes[code] += 1
     assert min(codes.values()) >= 20, codes  # both outcomes are well exercised
     assert time.perf_counter() - start < 5.0
+
+
+_CONFIG_CASES = 100  # config files; each goes through denoise and simulate
+# bytes that are not ASCII: lone continuation and lead bytes, a UTF-16
+# surrogate, a BOM, a line separator, and two that decode to digits or letters
+_NON_ASCII = [b"\x85", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\xe2\x80\xa8",
+              "\u0663".encode(), "\u00e9".encode()]
+
+
+def _config_bytes(rng) -> bytes:
+    """dump_config's text for a seeded config, with one to three byte-level mutations."""
+    config = PipelineConfig(seed=rng.randrange(100), cadence=rng.randint(2, 5),
+                            feedback_window=rng.choice([0, 2]))
+    data = bytearray(dump_config(config).encode("utf-8"))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["flip", "truncate", "control", "non-ascii", "crlf"])
+        at = rng.randrange(len(data) + 1)
+        if kind == "flip" and at < len(data):
+            data[at] ^= 1 << rng.randrange(8)
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "control":
+            data[at:at] = bytes([rng.choice([*range(32), 127])])
+        elif kind == "non-ascii":
+            data[at:at] = rng.choice(_NON_ASCII)
+        elif kind == "crlf":
+            data = bytearray(data.replace(b"\n", b"\r\n"))
+    return bytes(data)
+
+
+def test_mutated_config_files_exit_0_or_2_with_one_error_line(tmp_path, capsys):
+    rng = random.Random(2029)
+    clip = tmp_path / "clip.y4m"
+    clean = make_sequence(3, 24, 20, seed=3)
+    with open(clip, "wb") as sink:
+        write_y4m(type(clean)(tuple(add_gaussian_noise(f, 30.0, seed=t) for t, f in enumerate(clean))),
+                  sink)
+    start = time.perf_counter()
+    codes = {0: 0, 2: 0}
+    for case in range(_CONFIG_CASES):
+        data = _config_bytes(rng)
+        config = tmp_path / f"run{case}.cfg"
+        config.write_bytes(data)
+        for command in ("denoise", "simulate"):
+            folder = tmp_path / f"{case}-{command}"
+            folder.mkdir()
+            code, err = _run_checked(folder, command, clip, capsys, ["--config", str(config)])
+            assert code in codes, (case, command, data, err)
+            codes[code] += 1
+    assert min(codes.values()) >= 20, codes  # both outcomes are well exercised
+    assert time.perf_counter() - start < 10.0
 
 
 _NOISE_CASES = 400

@@ -34,7 +34,7 @@ import rtcdenoise.video_denoiser
 from rtcdenoise import lanes
 import oracles
 from oracles import denoise_stream
-from util import frames_equal, helpers_blocked, sequences_equal
+from util import frames_equal, helpers_blocked, helpers_claim_every_fork, sequences_equal
 
 
 def _noisy_sequence(n, sigma, seed=0, width=96, height=64, **kwargs):
@@ -171,8 +171,7 @@ FORKED_TASKS = [
 
 
 @pytest.mark.parametrize("module, name", FORKED_TASKS, ids=[name for _, name in FORKED_TASKS])
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_stage_failure_raises_instead_of_hanging(execution, module, name, monkeypatch):
+def test_stage_failure_raises_instead_of_hanging(module, name, monkeypatch):
     _, noisy = _noisy_sequence(40, 25.0, seed=15)
     original = getattr(module, name)
     lock = threading.Lock()
@@ -201,7 +200,7 @@ def test_stage_failure_raises_instead_of_hanging(execution, module, name, monkey
 
     def run():
         try:
-            run_denoise(noisy, PipelineConfig(execution=execution))
+            run_denoise(noisy)
         except Exception as exc:
             with lock:
                 raised.append((exc, running[0]))
@@ -345,25 +344,7 @@ def _recording_helper(monkeypatch):
     return submitted
 
 
-def test_threaded_run_submits_nothing_to_the_helper(monkeypatch):
-    _, noisy = _noisy_sequence(12, 25.0, seed=17)
-    submitted = _recording_helper(monkeypatch)
-    run_denoise(noisy, PipelineConfig(execution="threaded"))
-    assert submitted == []
-    run_denoise(noisy, PipelineConfig())
-    assert len(submitted) > 0 or lanes._HELPER is None  # the sequential run forks
-    # nor does the driver thread, which runs the sender: its noise and codec
-    # halves would oversubscribe the full pool
-    submitted.clear()
-    clean = make_sequence(12, 96, 64, seed=17)
-    sender = SenderConfig(noise_sigma=25.0)
-    run_simulate(clean, PipelineConfig(sender=sender, execution="threaded"))
-    assert submitted == []
-    run_simulate(clean, PipelineConfig(sender=sender))  # the driver thread forks again
-    assert len(submitted) > 0 or lanes._HELPER is None
-
-
-def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch):
+def test_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch):
     if lanes._HELPER is None:
         pytest.skip("one usable CPU: nothing is offered to a helper")
     _, noisy = _noisy_sequence(12, 25.0, seed=17)
@@ -382,7 +363,7 @@ def test_sequential_run_forks_blocks_and_kernel_halves_but_no_window(monkeypatch
     assert "_report" not in offered
 
 
-def test_sequential_reports_trail_their_cohort_until_the_next_one_starts(monkeypatch):
+def test_reports_trail_their_cohort_until_the_next_one_starts(monkeypatch):
     if lanes._HELPER is None:
         pytest.skip("one usable CPU: nothing is offered to a helper")
     _, noisy = _noisy_sequence(23, 25.0, seed=19)
@@ -403,7 +384,8 @@ def test_sequential_reports_trail_their_cohort_until_the_next_one_starts(monkeyp
     assert unfinished == [0] * 5
     assert all(fork.done() for fork in trailing)
     assert len(stats.analyze_ms) == 23 and all(ms > 0 for ms in stats.analyze_ms)
-    expected = run_denoise(noisy, PipelineConfig(execution="threaded"))
+    with helpers_blocked():
+        expected = run_denoise(noisy)
     assert sequences_equal(out, expected[0]) and reports == expected[1]
 
 
@@ -498,11 +480,11 @@ def _run_counted(run):
 
 
 def _schedules(config, run):
-    """run(config) under sequential, threaded, helpers blocked and a tiny switch interval."""
-    results = {
-        "sequential": _run_counted(lambda: run(config)),
-        "threaded": _run_counted(lambda: run(replace(config, execution="threaded"))),
-    }
+    """run(config) as it falls, with the helper claiming every fork, with the
+    helpers blocked (the caller claims every fork) and under a tiny switch interval."""
+    results = {"free": _run_counted(lambda: run(config))}
+    with helpers_claim_every_fork():
+        results["claimed"] = _run_counted(lambda: run(config))
     with helpers_blocked():
         results["reclaimed"] = _run_counted(lambda: run(config))
     interval = sys.getswitchinterval()
@@ -528,7 +510,7 @@ def _expected_blocks(plan, reports):
 def test_schedules_give_identical_denoise_results(cadence, n):
     noisy = _mixed_c420(n, seed=31)
     results = _schedules(PipelineConfig(cadence=cadence), lambda c: run_denoise(noisy, c))
-    (out, reports, stats), counts = results["sequential"]
+    (out, reports, stats), counts = results["free"]
     assert 0 < stats.frames_bypassed < n
     assert counts["denoise_block"] == _expected_blocks(schedule_windows(n, cadence), reports)
     for schedule, ((other_out, other_reports, _), other_counts) in results.items():
@@ -546,10 +528,10 @@ def test_schedules_give_identical_simulate_results(cadence, n):
         loss=replace(PipelineConfig().loss, p_loss=0.05, seed=5),
     )
     results = _schedules(config, lambda c: run_simulate(clip, c))
-    sequential, counts = results["sequential"]
-    assert 0 < sequential.stats.frames_bypassed < n
+    free, counts = results["free"]
+    assert 0 < free.stats.frames_bypassed < n
     for schedule, (result, other_counts) in results.items():
-        _assert_same_result(result, sequential)
+        _assert_same_result(result, free)
         assert other_counts == counts, schedule
 
 
@@ -621,7 +603,7 @@ def test_simulate_trace_entries_record_config_changes():
     assert all(a - b == 4 for a, b in zip(qs, qs[1:]))
 
 
-# --- determinism and execution modes --------------------------------------------------
+# --- determinism, wherever the forks run ----------------------------------------------
 
 def _assert_same_result(a, b):
     assert sequences_equal(a.received, b.received)
@@ -631,11 +613,9 @@ def _assert_same_result(a, b):
     assert a.sender_trace == b.sender_trace
 
 
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
-def test_simulate_rerun_is_bit_identical(execution):
+def test_simulate_rerun_is_bit_identical():
     clean = make_sequence(15, 96, 64, seed=10)
     config = PipelineConfig(
-        execution=execution,
         feedback_window=5,
         sender=SenderConfig(noise_sigma=25.0),
         loss=replace(PipelineConfig().loss, p_loss=0.05, seed=3),
@@ -643,15 +623,14 @@ def test_simulate_rerun_is_bit_identical(execution):
     _assert_same_result(run_simulate(clean, config), run_simulate(clean, config))
 
 
-@pytest.mark.parametrize("execution", ["sequential", "threaded"])
 @pytest.mark.parametrize("n, cadence", [(13, 3), (7, 5)])
-def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(execution, n, cadence):
+def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(n, cadence):
     # the sender lowers its rate, resolution or quality on each message; at
     # cadence 5 the first one applies at frame 7, the 7-frame clip's end,
     # where it changes no frame and so leaves no trace entry
     clean = make_sequence(n, 40, 36, seed=n, motion=(1.0, 0.5), with_chroma=True)
     config = PipelineConfig(
-        execution=execution, cadence=cadence, feedback_window=4, budget_ms=0.05,
+        cadence=cadence, feedback_window=4, budget_ms=0.05,
         sender=SenderConfig(noise_sigma=25.0),
         loss=replace(PipelineConfig().loss, p_loss=0.1, seed=2),
     )
@@ -670,24 +649,18 @@ def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(execution, n
     assert len(seen) == n
 
 
-def test_sequential_and_threaded_agree():
+def test_simulate_agrees_on_either_lane():
     clean = make_sequence(15, 96, 64, seed=11)
-    base = PipelineConfig(
+    config = PipelineConfig(
         feedback_window=5,
         sender=SenderConfig(noise_sigma=25.0),
         loss=replace(PipelineConfig().loss, p_loss=0.05, seed=4),
     )
-    seq = run_simulate(clean, base)
-    thr = run_simulate(clean, replace(base, execution="threaded"))
-    _assert_same_result(seq, thr)
+    free = run_simulate(clean, config)
+    for placement in (helpers_claim_every_fork, helpers_blocked):
+        with placement():
+            _assert_same_result(run_simulate(clean, config), free)
 
-
-def test_run_denoise_modes_agree_on_outputs_and_reports():
-    _, noisy = _noisy_sequence(12, 25.0, seed=12)
-    out_seq, rep_seq, _ = run_denoise(noisy, PipelineConfig())
-    out_thr, rep_thr, _ = run_denoise(noisy, PipelineConfig(execution="threaded"))
-    assert sequences_equal(out_seq, out_thr)
-    assert rep_seq == rep_thr
 
 
 class _SlowSource:
@@ -706,7 +679,7 @@ class _SlowSource:
         return self.video[t]
 
 
-def test_threaded_run_emits_a_finished_cohort_after_the_next_frame(monkeypatch):
+def test_a_finished_cohort_is_emitted_after_the_next_frame(monkeypatch):
     _, noisy = _noisy_sequence(17, 25.0, seed=16, width=48, height=32)
     expected = run_denoise(noisy)[0]
     source = _SlowSource(noisy, 0.03)
@@ -727,7 +700,7 @@ def test_threaded_run_emits_a_finished_cohort_after_the_next_frame(monkeypatch):
         outputs.append(frame)
 
     cadence = PipelineConfig().cadence
-    run_denoise(source, PipelineConfig(execution="threaded"), sink=sink)
+    run_denoise(source, sink=sink)
     assert sequences_equal(VideoSequence(tuple(outputs)), expected)
     for t, count in enumerate(arrived):
         assert count - finished[t - t % cadence] <= 1, t

@@ -86,7 +86,7 @@ def helpers_claim_every_fork(timeout: float = 30.0):
     """Inside the block, join() on a fork offered to the helper waits until a helper has claimed it.
 
     So every offered fork runs on a helper, whichever lane would have reached
-    it first; forks that are not offered (made on a worker) still run when
+    it first; forks that are not offered (made on a helper) still run when
     joined.
     """
     init, join = lanes.Fork.__init__, lanes.Fork.join
@@ -109,12 +109,12 @@ def helpers_claim_every_fork(timeout: float = 30.0):
         lanes.Fork.__init__, lanes.Fork.join = init, join
 
 
-def on_marked_worker(fn, *args):
-    """fn(*args) on a fresh thread marked as a worker (lanes.mark_worker), so it forks nothing."""
+def on_single_lane(fn, *args):
+    """fn(*args) on a fresh thread marked as the helper threads are, so it offers no fork."""
     outcome = []
 
     def run():
-        lanes.mark_worker()
+        lanes._ON_HELPER.marked = True
         try:
             outcome.append((fn(*args), None))
         except BaseException as exc:
