@@ -38,7 +38,7 @@ import rtcdenoise.cli
 import rtcdenoise.pipeline
 
 import oracles
-from util import frames_equal, on_single_lane, pipe_feeding, sequences_equal, traced_peak
+from util import PLACEMENTS, frames_equal, on_single_lane, pipe_feeding, sequences_equal, traced_peak
 
 
 @pytest.fixture()
@@ -360,14 +360,16 @@ def _clip_bytes(n, width=16, height=12, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["denoise", "simulate"])
-def test_a_truncated_last_frame_is_rejected(tmp_path, command, capsys):
-    # the error comes while an earlier cohort's reports trail; the run still
-    # leaves no file and no thread but the helpers behind
+@pytest.mark.parametrize("placement", ["free", "claimed"])
+def test_a_truncated_last_frame_is_rejected(tmp_path, placement, command, capsys):
+    # the error comes while an earlier cohort's reports trail, on either lane;
+    # the run still leaves no file and no thread but the helpers behind
     clip = tmp_path / "cut.y4m"
     clip.write_bytes(_clip_bytes(13, 24, 20, with_chroma=True)[:-5])
     cfg = _config_file(tmp_path / "run.cfg", cadence=2)
     threads = set(threading.enumerate())
-    _assert_rejects(tmp_path, command, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
+    with PLACEMENTS[placement]():
+        _assert_rejects(tmp_path, command, clip, "truncated frame 12", capsys, ["--config", str(cfg)])
     assert [t.name for t in set(threading.enumerate()) - threads
             if not t.name.startswith("rtcdenoise-helper")] == []
 
@@ -656,12 +658,15 @@ def _config_file(path, cadence=5, extra=""):
 @pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
 @pytest.mark.parametrize("n", [1, 4, 7, 13])
 @pytest.mark.parametrize("cadence", [2, 3, 5])
-def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, cadence, n, with_chroma, capsys):
+@pytest.mark.parametrize("placement", ["free", "claimed"])
+def test_streamed_denoise_matches_the_whole_clip_run(tmp_path, placement, cadence, n, with_chroma, capsys):
+    # the streamed run places its forks as they fall, or every offered one on the helper
     noisy = _mixed_clip(tmp_path / "in.y4m", n, with_chroma)
     cfg = _config_file(tmp_path / "run.cfg", cadence)
     out, report = tmp_path / "out.y4m", tmp_path / "report.jsonl"
-    assert main(["denoise", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
-                 "--out", str(out), "--report", str(report)]) == 0
+    with PLACEMENTS[placement]():
+        assert main(["denoise", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
+                     "--out", str(out), "--report", str(report)]) == 0
     assert capsys.readouterr().out.startswith(f"frames={n} ")
 
     output, reports, _ = run_denoise(noisy, PipelineConfig(cadence=cadence))
@@ -704,14 +709,16 @@ _FEEDBACK = "[analyzer]\nfeedback_window = 4\nbudget_ms = 0.05\n[sender]\nnoise_
 @pytest.mark.parametrize("with_chroma", [False, True], ids=["mono", "c420"])
 @pytest.mark.parametrize("n", [1, 4, 7, 13])
 @pytest.mark.parametrize("cadence", [2, 3, 5])
-def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, cadence, n, with_chroma, capsys):
+@pytest.mark.parametrize("placement", ["free", "claimed"])
+def test_streamed_simulate_matches_the_whole_clip_run(tmp_path, placement, cadence, n, with_chroma, capsys):
     clean = make_sequence(n, 40, 36, seed=n, motion=(1.0, 0.5), with_chroma=with_chroma)
     write_y4m_file(clean, tmp_path / "in.y4m")
     cfg = _config_file(tmp_path / "run.cfg", cadence, _FEEDBACK)
     flags = ("--out-received", "--out-denoised", "--report", "--feedback")
     outs = {flag: tmp_path / f"out{flag}" for flag in flags}
-    assert main(["simulate", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
-                 *_output_args(tmp_path, flags)]) == 0
+    with PLACEMENTS[placement]():
+        assert main(["simulate", "--in", str(tmp_path / "in.y4m"), "--config", str(cfg),
+                     *_output_args(tmp_path, flags)]) == 0
 
     result = run_simulate(clean, parse_config(cfg))
     assert capsys.readouterr().out.startswith(

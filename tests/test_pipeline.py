@@ -34,7 +34,7 @@ import rtcdenoise.video_denoiser
 from rtcdenoise import lanes
 import oracles
 from oracles import denoise_stream
-from util import frames_equal, helpers_blocked, helpers_claim_every_fork, sequences_equal
+from util import PLACEMENTS, frames_equal, helpers_blocked, helpers_claim_every_fork, sequences_equal
 
 
 def _noisy_sequence(n, sigma, seed=0, width=96, height=64, **kwargs):
@@ -171,7 +171,8 @@ FORKED_TASKS = [
 
 
 @pytest.mark.parametrize("module, name", FORKED_TASKS, ids=[name for _, name in FORKED_TASKS])
-def test_stage_failure_raises_instead_of_hanging(module, name, monkeypatch):
+@pytest.mark.parametrize("placement", list(PLACEMENTS))
+def test_stage_failure_raises_instead_of_hanging(placement, module, name, monkeypatch):
     _, noisy = _noisy_sequence(40, 25.0, seed=15)
     original = getattr(module, name)
     lock = threading.Lock()
@@ -207,8 +208,9 @@ def test_stage_failure_raises_instead_of_hanging(module, name, monkeypatch):
             raised_event.set()
 
     worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=30)
+    with PLACEMENTS[placement]():
+        worker.start()
+        worker.join(timeout=30)
     assert not worker.is_alive(), "run_denoise hung after a stage failure"
     assert len(raised) == 1 and str(raised[0][0]) == "injected fault"
     # no task of the run is still running once it has raised, and none starts later
@@ -623,8 +625,9 @@ def test_simulate_rerun_is_bit_identical():
     _assert_same_result(run_simulate(clean, config), run_simulate(clean, config))
 
 
+@pytest.mark.parametrize("placement", ["free", "claimed"])
 @pytest.mark.parametrize("n, cadence", [(13, 3), (7, 5)])
-def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(n, cadence):
+def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(n, cadence, placement):
     # the sender lowers its rate, resolution or quality on each message; at
     # cadence 5 the first one applies at frame 7, the 7-frame clip's end,
     # where it changes no frame and so leaves no trace entry
@@ -637,7 +640,8 @@ def test_run_simulate_sink_gets_every_frame_in_order_and_keeps_none(n, cadence):
     whole = run_simulate(clean, config)
     seen = []
     # a bare iterator: with a sink, no frame_rate is read
-    streamed = run_simulate(iter(clean.frames), config, sink=lambda *item: seen.append(item))
+    with PLACEMENTS[placement]():
+        streamed = run_simulate(iter(clean.frames), config, sink=lambda *item: seen.append(item))
     assert streamed[:3] == (None, None, None)
     assert streamed.feedback_log == whole.feedback_log and len(whole.feedback_log) == n // 4
     assert streamed.sender_trace == whole.sender_trace

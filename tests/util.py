@@ -11,7 +11,7 @@ import termios
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -107,6 +107,15 @@ def helpers_claim_every_fork(timeout: float = 30.0):
         yield
     finally:
         lanes.Fork.__init__, lanes.Fork.join = init, join
+
+
+# Where a run's forks go: as they fall, every offered fork on the helper, and
+# every fork on the caller. Each names a context manager to run inside.
+PLACEMENTS = {
+    "free": nullcontext,
+    "claimed": helpers_claim_every_fork,
+    "blocked": helpers_blocked,
+}
 
 
 def on_single_lane(fn, *args):
