@@ -2,11 +2,11 @@
 
 The encoder surrogate is an 8x8 orthonormal block-DCT with uniform coefficient
 quantization, optionally preceded by a bilinear down/upscale round trip. It
-transforms bands of whole block rows (_CODEC_PIXELS) straight into uint8, so
-at scale 1 no frame-sized float64 array is made; the values equal those of
-one transform of the whole plane. The
-network drops whole horizontal slices (Bernoulli or Gilbert-Elliott) and the
-decoder conceals a lost slice with the co-located slice of the previous
+transforms bands of whole block rows (frame.row_bands) straight into uint8,
+so at scale 1 no frame-sized float64 array is made; the values equal those of
+one transform of the whole plane. lanes.halves places the halves of the
+noise and of the codec. The network drops whole horizontal slices
+(Bernoulli or Gilbert-Elliott) and the decoder conceals a lost slice with the co-located slice of the previous
 decoded frame, which yields the familiar blocky "pixelation" artifacts.
 
 Noise injectors exist to manufacture detector test stimuli. All randomness
@@ -25,9 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import Recommendation
-from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
-from .image_denoiser import _in_halves
-from .lanes import offered
+from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged, row_bands
+from .lanes import halves
 from .rng import NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
@@ -122,12 +121,12 @@ def _add_normals(frame: Frame, seed: int, combine) -> Frame:
     The normals are NoiseRng(seed).normals(pixels) in raster order, drawn run
     by run, so the frame equals the whole-plane formula bit for bit without
     frame-sized float64 temporaries. Where a helper lane takes forks
-    (lanes.offered), it draws the second half of the runs.
+    (lanes.halves), it draws the second half of the runs.
     """
     rng = NoiseRng(seed=seed)
     luma = frame.y.reshape(-1)
     out = np.empty(luma.size, dtype=np.uint8)
-    _in_halves(_normal_runs, luma.size, luma, rng, combine, out)
+    halves(_normal_runs, luma.size, luma, rng, combine, out)
     return frame.with_luma(out.reshape(frame.y.shape))
 
 
@@ -167,21 +166,11 @@ def add_speckle(frame: Frame, sigma_mult: float, seed: int = 0) -> Frame:
     return _add_normals(frame, seed, lambda x, noise: x * (1.0 + sigma_mult * noise))
 
 
-# Pixels per band of the block-DCT quantizer, in whole 8-row block rows. At
-# 480x360 a band is 64 rows, and a call traces 1.2 MB; 1 << 16 ran about as
-# fast (README "Chunk sizes") but traced 2.1 MB.
-_CODEC_PIXELS = 1 << 15
-# Output pixels per row band of the bilinear resize. An encode_decode of a
-# 480x360 frame at scale 3/4 traced 2.9 MB at this size and 3.5 MB at
-# 1 << 15 in the same time; the whole-plane resize traced 6.4 MB.
-_RESIZE_PIXELS = 1 << 14
-
-
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Pixel-center-aligned bilinear resample of a plane, as float64.
 
-    Each band of _RESIZE_PIXELS output pixels reads only the input rows it
-    blends, so the call holds no temporary of the whole plane; every value is
+    Each row band of output pixels (frame.row_bands) reads only the input
+    rows it blends, so the call holds no temporary of the whole plane; every value is
     the float64 formula's, as uint8 values convert to float64 exactly.
     """
     in_h, in_w = plane.shape
@@ -198,7 +187,7 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     ylo, yhi, wy = axis_coords(in_h, out_h)
     xlo, xhi, wx = axis_coords(in_w, out_w)
     out = np.empty((out_h, out_w), dtype=np.float64)
-    for r0, r1 in chunk_bounds(out_h, max(1, _RESIZE_PIXELS // out_w)):
+    for r0, r1 in row_bands(out_h, out_w):
         top, bot = plane[ylo[r0:r1]], plane[yhi[r0:r1]]
         top = top[:, xlo] * (1 - wx) + top[:, xhi] * wx
         bot = bot[:, xlo] * (1 - wx) + bot[:, xhi] * wx
@@ -214,14 +203,13 @@ def _scale_round_trip(plane: np.ndarray, scale: Fraction) -> np.ndarray:
     return _bilinear_resize(_bilinear_resize(plane, small_h, small_w), h, w)
 
 
-def _dct_block_rows(plane: np.ndarray, q: int, band_rows: int, out: np.ndarray,
-                    b0: int, b1: int) -> None:
-    """_block_dct_quantize's block rows b0..b1 into out, band_rows pixel rows at a time."""
+def _dct_block_rows(plane: np.ndarray, q: int, out: np.ndarray, b0: int, b1: int) -> None:
+    """_block_dct_quantize's block rows b0..b1 into out, one band of whole block rows at a time."""
     from scipy.fft import dctn, idctn  # on first use: the receiver's path needs no scipy
 
     h, w = plane.shape
     top = b0 * _BLOCK
-    for r0, r1 in chunk_bounds(min(b1 * _BLOCK, h) - top, band_rows):
+    for r0, r1 in row_bands(min(b1 * _BLOCK, h) - top, w, step=_BLOCK):
         r0, r1 = top + r0, top + r1
         band = np.pad(plane[r0:r1], ((0, (r0 - r1) % _BLOCK), (0, (-w) % _BLOCK)), mode="edge")
         bh, bw = band.shape
@@ -240,14 +228,12 @@ def _block_dct_quantize(plane: np.ndarray, q: int) -> np.ndarray:
     The plane is edge-padded to whole blocks and transformed a band of block
     rows at a time; each block's values depend on that block alone, so they
     equal those of transforming the whole padded plane. Where a helper lane
-    takes forks, it transforms the second half of the block rows, and the
-    bands are half as tall, so the two bands in flight take one band's memory.
+    takes forks (lanes.halves), it transforms the second half of the block
+    rows.
     """
     h, w = plane.shape
     out = np.empty((h, w), dtype=np.uint8)
-    band_pixels = _CODEC_PIXELS // 2 if offered() else _CODEC_PIXELS
-    band_rows = max(_BLOCK, band_pixels // w // _BLOCK * _BLOCK)
-    _in_halves(_dct_block_rows, -(-h // _BLOCK), plane, q, band_rows, out)
+    halves(_dct_block_rows, -(-h // _BLOCK), plane, q, out)
     return out
 
 

@@ -161,11 +161,19 @@ def _split(target: str):
     return part, name, int(index[:-1]) if bracket else None
 
 
+def _lines(text: str) -> list:
+    """The lines of text as an editor numbers them: split at each line feed, a trailing CR dropped.
+
+    str.splitlines would also break at form feeds, NEL and other separators.
+    """
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def _scan(text: str, source: str) -> dict:
     """Tokenize into {section: {key: (value, line)}} with strict validation."""
     staged: dict = {name: {} for name in _SCHEMA}
     section = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_lines(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -243,7 +251,7 @@ def parse_config(path) -> PipelineConfig:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; number the lines as _scan does
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(data[:exc.start].decode("utf-8")))
         raise ConfigError(str(path), line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from exc
     return parse_config_text(text, source=str(path))
 

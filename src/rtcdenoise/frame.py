@@ -12,6 +12,10 @@ The module also states how a numeric setting declares its valid values: a
 dataclass field made by :func:`ranged` carries a :class:`Range`, which
 :func:`check_ranges` enforces from ``__post_init__`` and the config parser
 enforces at the line that sets the field.
+
+It states, too, how a plane is cut for the kernels: the runs of
+:func:`chunk_bounds`, the row bands of :func:`row_bands`, and the sizes that
+more than one kernel module shares.
 """
 
 from __future__ import annotations
@@ -168,11 +172,30 @@ class Frame:
         return self.y.astype(np.float64)
 
 
+# The sizes that more than one module reads, each read at call time as
+# frame.NAME. A size one kernel alone uses stays beside it.
+#
 # Elements per run of the elementwise passes (quantize_plane, the fusion
 # blend, detail retention, the noise injectors). A run is a few calls, so
 # longer runs save few lock hand-offs, and at 1 << 17 their float64
 # temporaries took 940-2,450 page faults per 480x360 call and 1.6-2x the time.
 ELEMENTWISE_PIXELS = 1 << 15
+# Flat positions per run of the bilateral and of the temporal blend of
+# denoise_block. A bilateral run makes eight numpy calls per tap, so short
+# runs wait on lock hand-offs under two threads: two r=3 480x360 frames on two
+# threads took 40 ms at 1 << 15 and 24 ms here, one frame on one thread 23 and
+# 21.5 ms. The three float32 buffers (1.5 MB) fit in a 2 MB L2. A blend run
+# makes 16 calls: two blends on two threads took 2.9-3.0 ms at 1 << 15,
+# 2.3-2.4 here, 2.1-2.2 whole.
+BILATERAL_PIXELS = 1 << 17
+# Output pixels per row band (row_bands) of the metric moments, of the codec's
+# block rows and of its bilinear resize, and per run of PSNR's squared errors.
+# A band's temporaries stay in cache and are reused rather than page-faulted
+# in afresh, and the rows a band filters beyond its own stay few. At 480x360,
+# 1 << 15 and 1 << 16 took about 1.6x and 2.3x the page faults of 1 << 14 per
+# full-reference report, in the same time on one or two threads; a scale-3/4
+# encode_decode traced 2.9 MB here, 3.5 MB at 1 << 15 and 6.4 MB whole-plane.
+BAND_PIXELS = 1 << 14
 
 
 def quantize_plane(values: np.ndarray) -> np.ndarray:
@@ -202,20 +225,25 @@ def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]
     ``size`` defaults to ELEMENTWISE_PIXELS. Kernels run one run at a time,
     so their temporaries stay small and in cache instead of being allocated
     (and page-faulted in) frame-sized on every call. Each kernel family has
-    one size constant, kept beside it: ELEMENTWISE_PIXELS,
-    image_denoiser._BILATERAL_PIXELS, image_denoiser._SMOOTH_PIXELS (the row
-    bands of stage_smooth), metrics._BAND_PIXELS (the row bands of the
-    metric moments), channel._CODEC_PIXELS (the bands of block rows of
-    the codec surrogate) and channel._RESIZE_PIXELS (the row bands of its
-    bilinear resize). Two costs set it: each numpy call hands the interpreter
-    lock over, so under two threads longer runs (fewer calls) wait less; but
-    longer runs need larger temporaries, which leave the core's cache and,
-    past the allocator's mmap threshold, are page-faulted in afresh on each
-    run. The README's "Chunk sizes" gives the measurements.
+    one size constant: ELEMENTWISE_PIXELS, BILATERAL_PIXELS (the bilateral
+    and the temporal blend), BAND_PIXELS (the row bands of the metric
+    moments, of the codec's block rows and of its bilinear resize, and PSNR's
+    runs), all here, and image_denoiser._SMOOTH_PIXELS (the row bands of
+    stage_smooth), beside the one kernel that uses it. Two costs set it: each
+    numpy call hands the interpreter lock over, so under two threads longer
+    runs (fewer calls) wait less; but longer runs need larger temporaries,
+    which leave the core's cache and, past the allocator's mmap threshold,
+    are page-faulted in afresh on each run. The README's "Chunk sizes" gives
+    the measurements.
     """
     size = ELEMENTWISE_PIXELS if size is None else size
     for c0 in range(0, n, size):
         yield c0, min(c0 + size, n)
+
+
+def row_bands(rows: int, width: int, step: int = 1) -> Iterator[tuple[int, int]]:
+    """chunk_bounds over rows: bands of about BAND_PIXELS pixels, a multiple of step rows."""
+    return chunk_bounds(rows, max(step, BAND_PIXELS // width // step * step))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ edges (detail stage) and a noise-scaled Gaussian blur that buys PSNR
 (smooth stage). A fusion stage blends them per pixel, gated by the local
 gradient magnitude of the detail output, so edges keep the bilateral result
 and flat regions take the blur. denoise_keyframe runs the detail stage, then
-the smooth stage, then fuses. When a helper lane takes forks (lanes.Fork),
-each of the two stages forks half of its work to it (stage_detail half of
-its runs, stage_smooth half of its rows) while the caller does the other half
-(_in_halves, which the sender's noise and codec share).
+the smooth stage, then fuses. lanes.halves splits each of the two stages
+over the lanes (stage_detail's runs, stage_smooth's rows), and frame sizes
+the bilateral's runs: the stages hold only their arithmetic.
 
 Every stage is numpy alone, so the receiver never loads scipy. The blur
 still gives scipy.ndimage.correlate1d's values to the bit (stage_smooth).
@@ -25,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .frame import ELEMENTWISE_PIXELS, Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
-from .lanes import Fork, offered
+from . import frame
+from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged
+from .lanes import halves
 from .metrics import _gaussian_taps, _gradient_index, _gradient_run, _symmetric_taps
 
 PASSTHROUGH_SIGMA = 0.5
@@ -70,30 +70,6 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
     return _gaussian_taps(2 * max(1, math.ceil(3.0 * sigma_g)) + 1, sigma_g)
 
 
-# Flat positions per run of the bilateral. A run makes eight numpy calls per
-# tap, so short runs wait on lock hand-offs under two threads: two r=3 480x360
-# frames on two threads took 40 ms at 1 << 15 and 24 ms here, one frame on one
-# thread 23 and 21.5 ms. The three float32 buffers (1.5 MB) fit in a 2 MB L2.
-# The temporal blend of denoise_block (16 calls per run) shares the size: two
-# blends on two threads took 2.9-3.0 ms at 1 << 15, 2.3-2.4 here, 2.1-2.2 whole.
-_BILATERAL_PIXELS = 1 << 17
-
-
-def _in_halves(fn, n: int, *args) -> None:
-    """fn(*args, 0, n), with fn(*args, n // 2, n) forked where a helper lane takes forks.
-
-    fn(*args, lo, hi) must write its part of the result alone. Elsewhere (on
-    a helper thread, or with no helper) it runs as one call: two halves in a
-    row on one lane with every core busy cost 5% of the fps.
-    """
-    if offered():
-        with Fork(fn, *args, n // 2, n) as half:
-            fn(*args, 0, n // 2)
-            half.join()
-    else:
-        fn(*args, 0, n)
-
-
 def _tap_weight(shifted, centre, spatial, inv_2sr, out: np.ndarray) -> np.ndarray:
     """out = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order."""
     np.subtract(shifted, centre, out=out)
@@ -104,9 +80,9 @@ def _tap_weight(shifted, centre, spatial, inv_2sr, out: np.ndarray) -> np.ndarra
 
 
 def _bilateral_runs(padded, taps, inv_2sr, first, out, lo: int, hi: int) -> None:
-    """stage_detail's output at flat positions lo..hi, one _BILATERAL_PIXELS run at a time."""
-    wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, _BILATERAL_PIXELS)), np.float32)
-    for r0, r1 in chunk_bounds(hi - lo, _BILATERAL_PIXELS):
+    """stage_detail's output at flat positions lo..hi, one frame.BILATERAL_PIXELS run at a time."""
+    wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, frame.BILATERAL_PIXELS)), np.float32)
+    for r0, r1 in chunk_bounds(hi - lo, frame.BILATERAL_PIXELS):
         c0, c1 = lo + r0, lo + r1
         centre = padded[first + c0 : first + c1]
         weight_sum = weight_buf[: c1 - c0]
@@ -156,7 +132,7 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     ]
     out = np.empty(h * pw, dtype=np.uint8)
     # a helper filters the second half; each position reads padded alone
-    _in_halves(_bilateral_runs, n, padded, taps, inv_2sr, first, out)
+    halves(_bilateral_runs, n, padded, taps, inv_2sr, first, out)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 
@@ -212,7 +188,7 @@ def stage_smooth(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     padded = np.pad(frame.y, reach, mode="edge").ravel()
     out = np.empty(h * pw, dtype=np.uint8)
     # a helper filters the lower half; each band reads padded alone
-    _in_halves(_smooth_rows, h, padded, kernel, w, out)
+    halves(_smooth_rows, h, padded, kernel, w, out)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 
@@ -234,7 +210,7 @@ def stage_fuse(
     detail = detail_out.y.ravel()
     smooth = smooth_out.y.ravel()
     out = np.empty(index.size, dtype=np.uint8)
-    g_run = np.empty(min(index.size, ELEMENTWISE_PIXELS), dtype=np.float64)
+    g_run = np.empty(min(index.size, frame.ELEMENTWISE_PIXELS), dtype=np.float64)
     for c0, c1 in chunk_bounds(index.size):
         g_c = _gradient_run(index[c0:c1], g_run)  # metrics.gradient_magnitude, one run at a time
         denom = g_c + tau

@@ -7,8 +7,11 @@ so waits cannot deadlock. A fork made with background=True is queued behind
 every other fork: a helper starts it only when no urgent fork is waiting, so
 work that may trail (a frame's report) fills the helper's idle time without
 delaying the work it idles beside. The helper threads, one per usable CPU
-beyond the caller's, start on first use. Forks made on a helper thread are
-not offered: they run when joined.
+beyond the caller's, start on first use. Forks made on a helper thread, or
+with no helper, are not offered: they run when joined.
+
+This module decides every split of the work over the lanes: halves() cuts one
+call in two, and join_all() joins a list of forks from the last.
 """
 
 from __future__ import annotations
@@ -115,3 +118,32 @@ class Fork:
 
     def __exit__(self, *exc) -> None:
         self.cancel()
+
+
+def halves(fn, n: int, *args) -> None:
+    """fn(*args, 0, n), with fn(*args, n // 2, n) forked where a helper lane takes forks.
+
+    fn(*args, lo, hi) must write its part of the result alone. Elsewhere (on
+    a helper thread, or with no helper) it runs as one call: two halves in a
+    row on one lane with every core busy cost 5% of the fps.
+    """
+    if offered():
+        with Fork(fn, *args, n // 2, n) as half:
+            fn(*args, 0, n // 2)
+            half.join()
+    else:
+        fn(*args, 0, n)
+
+
+def join_all(forks) -> list:
+    """Every fork's value, in order, joined from the last; every fork is cancelled on the way out.
+
+    A helper starts forks in the order made, so joining (and cancelling) the
+    last first claims the forks it has not started before waiting on the one
+    it runs. After a raise, no fork is left running and none starts later.
+    """
+    try:
+        return [fork.join() for fork in reversed(forks)][::-1]
+    finally:
+        for fork in reversed(forks):
+            fork.cancel()

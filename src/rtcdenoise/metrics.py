@@ -13,19 +13,20 @@ one reference. full_reference_scores cuts the work into independent pieces,
 each with an exact partial result: PSNR; MS-SSIM level 0 (SSIM is the mean
 of luminance * cs there, so it needs no filtering of its own) and levels 1
 on; VIFp scale 1 and scales 2 on; and a caller's extra piece (build_report's
-detail retention). It forks them all (lanes.Fork) so that the helper lane
-takes them from one end of the list and the calling thread from the other,
-and the filters release the interpreter lock, so the two lanes do about
-equal work whatever each piece costs. MS-SSIM multiplies and
-VIFp sums the per-level results in level order, so the standalone functions,
-which run the same code on one lane with one test frame, give the same bits.
+detail retention). It forks them all (lanes.Fork) and joins them with
+lanes.join_all, so that the helper lane takes them from one end of the list
+and the calling thread from the other, and the filters release the
+interpreter lock, so the two lanes do about equal work whatever each piece
+costs. MS-SSIM multiplies and VIFp sums the per-level results in level
+order, so the standalone functions, which run the same code on one lane
+with one test frame, give the same bits.
 
 Every MS-SSIM level and VIFp scale runs band-major: for each row band of
-window positions, the reference's windowed mean and variance are filtered
-once, then each test frame's moments, and the band's cs, luminance * cs,
-VIFp information and denominator terms go straight into streaming sums
-(_PairwiseSum). PSNR's squared errors and detail_retention's scores stream
-the same way, in runs. So the moments and maps are band-sized: no mean,
+window positions (frame.row_bands), the reference's windowed mean and
+variance are filtered once, then each test frame's moments, and the band's
+cs, luminance * cs, VIFp information and denominator terms go straight
+into streaming sums (_PairwiseSum). PSNR's squared errors (in runs of
+frame.BAND_PIXELS) and detail_retention's scores stream the same way. So the moments and maps are band-sized: no mean,
 variance, weak-reference mask or SSIM map of the whole frame is kept. What
 stays frame-sized is the pyramid below level 0 (float32 2x2 means, a quarter
 of the frame or less) and VIFp's halved planes. The streaming sums add in
@@ -50,13 +51,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from contextlib import ExitStack
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .frame import ELEMENTWISE_PIXELS, PIXEL_MAX, Frame, chunk_bounds
-from .lanes import Fork
+from . import frame
+from .frame import PIXEL_MAX, Frame, chunk_bounds, row_bands
+from .lanes import Fork, join_all
 
 INFINITE = math.inf
 
@@ -99,23 +100,11 @@ _SSIM_TAPS = _gaussian_taps(_SSIM_WINDOW, _SSIM_SIGMA)
 _VIF_TAPS = tuple(_gaussian_taps(size, size / 5.0) for size in (17, 9, 5, 3))
 
 
-# Output pixels per row band of the metric moments (stage_smooth has its own,
-# image_denoiser._SMOOTH_PIXELS). A band's temporaries stay in cache and
-# are reused rather than page-faulted in afresh, and the rows a band filters
-# beyond its own (the window's reach) stay few. At 480x360, 1 << 15 and
-# 1 << 16 took about 1.6x and 2.3x the page faults of 1 << 14 per
-# full-reference report, and its time did not move on one or two threads.
-_BAND_PIXELS = 1 << 14
 # Most values in a leaf of a _PairwiseSum (numpy's tree splits no run of 128
 # values or fewer, so a smaller limit acts as 128). A leaf is one
 # np.add.reduce call, and a sum buffers up to one leaf: at 480x360 a leaf is
 # about 2,700 values, and a report's sums buffer about 0.15 MB.
 _SUM_LEAF = 1 << 12
-
-
-def _row_bands(rows: int, width: int, step: int = 1):
-    """chunk_bounds over rows: bands of about _BAND_PIXELS pixels, a multiple of step rows."""
-    return chunk_bounds(rows, max(step, _BAND_PIXELS // width // step * step))
 
 
 @functools.lru_cache(maxsize=64)
@@ -236,7 +225,7 @@ def _band_moments(reference: np.ndarray, planes: list, taps: np.ndarray, scratch
     the caller may overwrite. scratch's "term" array is free for the caller.
     """
     reach = len(taps) - 1
-    for r0, r1 in _row_bands(reference.shape[0] - reach, reference.shape[1]):
+    for r0, r1 in row_bands(reference.shape[0] - reach, reference.shape[1]):
         rows = slice(r0, r1 + reach)
         a = reference[rows]
         mu_a = _filter_valid(a, taps, scratch, "mu_a")
@@ -295,7 +284,7 @@ def _filter_halve(plane: np.ndarray, taps: np.ndarray, scratch: _Scratch) -> np.
     r = reach // 2
     rows, w = plane.shape[0] - reach, plane.shape[1]
     out = np.empty(((rows + 1) // 2, (w - reach + 1) // 2), dtype=np.float64)
-    for r0, r1 in _row_bands(rows, w, step=2):
+    for r0, r1 in row_bands(rows, w, step=2):
         kept = (r1 - r0 + 1) // 2
         first = r0 + r  # the band's first kept row of window centres
         vertical = scratch.plane("rows", (kept, w))
@@ -320,7 +309,7 @@ def _psnr(reference: np.ndarray, planes: list) -> list:
     for plane in planes:
         b = plane.reshape(-1)
         error = _PairwiseSum(a.size)
-        for c0, c1 in chunk_bounds(a.size, _BAND_PIXELS):
+        for c0, c1 in chunk_bounds(a.size, frame.BAND_PIXELS):
             run = np.subtract(a[c0:c1], b[c0:c1], dtype=np.float64)
             run **= 2
             error.add(run)
@@ -541,7 +530,7 @@ def full_reference_scores(reference: Frame, tests: Sequence[Frame],
     scales 2 on, and extra() if given, whose value follows the scores in
     the returned list. Every piece is forked (lanes.Fork) in list order, so
     the helper claims them from the front while the caller joins them from
-    the back and runs each one no lane has started: the lanes meet wherever
+    the back (lanes.join_all) and runs each one no lane has started: the lanes meet wherever
     the costs put that point, and the caller then waits at most for the one
     piece the helper is finishing. The two largest, VIFp scale 1 and MS-SSIM
     level 0, are at the ends, so each starts one lane, and the small ones
@@ -558,10 +547,8 @@ def full_reference_scores(reference: Frame, tests: Sequence[Frame],
     pieces = [(_vif_scales, a, planes, 1, 2), (_ms_ssim_levels, a, planes, 1),
               *([(extra,)] if extra else []),
               (_psnr, a, planes), (_vif_scales, a, planes, 2), (_ms_ssim_levels, a, planes, 0, 1)]
-    with ExitStack() as stack:
-        forks = [stack.enter_context(Fork(*piece)) for piece in pieces]
-        values = [fork.join() for fork in reversed(forks)][::-1]
-    vif_first, ms_rest, *extra_value, psnr_values, vif_rest, ms_first = values
+    vif_first, ms_rest, *extra_value, psnr_values, vif_rest, ms_first = join_all(
+        [Fork(*piece) for piece in pieces])
     ms_ssim_pairs = _ms_ssim_scores(ms_first + ms_rest)
     vifp_values = _vif_values(vif_first + vif_rest)
     scores = [FullReferenceScores(p, s, m, v)
@@ -616,7 +603,7 @@ def detail_retention(ref: Frame, test: Frame) -> float:
     index_ref = _gradient_index(ref.y).ravel()
     index_test = _gradient_index(test.y).ravel()
     score = _PairwiseSum(index_ref.size)
-    runs = np.empty((3, min(index_ref.size, ELEMENTWISE_PIXELS)), dtype=np.float64)
+    runs = np.empty((3, min(index_ref.size, frame.ELEMENTWISE_PIXELS)), dtype=np.float64)
     for c0, c1 in chunk_bounds(index_ref.size):
         g_ref = _gradient_run(index_ref[c0:c1], runs[0])
         g_test = _gradient_run(index_test[c0:c1], runs[1])

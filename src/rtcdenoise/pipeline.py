@@ -66,7 +66,7 @@ from .detector import (
 )
 from .frame import Frame, VideoSequence
 from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, denoise_keyframe, gaussian_kernel
-from .lanes import Fork, offered
+from .lanes import Fork
 from .rng import NoiseRng
 from .video_denoiser import (
     _LAYER_SHAPES,
@@ -145,14 +145,6 @@ class SenderTraceEntry:
     q: int
     resolution_scale: Fraction
     framerate_divisor: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "frame_index": self.frame_index,
-            "q": self.q,
-            "resolution_scale": float(self.resolution_scale),
-            "framerate_divisor": self.framerate_divisor,
-        }
 
 
 class SimulationResult(NamedTuple):
@@ -273,22 +265,22 @@ def _cohort(
     pairs holds the (received, reference) frames over plan.reach(start);
     keyframes maps every keyframe index the windows reach to its record.
 
-    A no-reference DENOISE cohort with a helper lane forks (lanes.Fork) each
-    distinct first-level block of its windows once, when it starts; each
+    A no-reference DENOISE cohort forks (lanes.Fork) each distinct
+    first-level block of its windows once, when it starts; each
     window then joins its blocks and runs its second-level block in frame
     order. Each temporal frame's report is then a background fork, made once
     its window is done, which the helper takes only when no block waits: the
     reports trail their frames, and the driver joins them when it collects
     the cohort (see _execute). The keyframe's own report, on the latency
     path of the cohort's first frame, runs here. A full-reference report
-    keeps both lanes busy, so those windows and reports run in order.
+    keeps both lanes busy, so those windows and reports run in order. With
+    no helper lane, every fork runs when it is joined.
     """
     record = keyframes[start]
     denoise = record.decision.route is Route.DENOISE
     first = plan.reach(start).start
     sigma, params = record.sigma_work, config.block
-    # forks that would only run when joined gain nothing by being made early
-    forking = denoise and pairs[0][1] is None and offered()
+    forking = denoise and pairs[0][1] is None
 
     def window(t: int) -> List[Frame]:
         """Window t's frames; a position on a keyframe reads the keyframe's output."""

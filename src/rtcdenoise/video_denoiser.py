@@ -8,7 +8,9 @@ differences (motion) suppress the contribution of misaligned neighbors.
 
 Blocks run in one of two modes: CLASSICAL (closed-form exponential gating,
 the default) or CONV (a small 3-layer residual convolution net with weights
-loaded from a checksummed file).
+loaded from a checksummed file). A classical block blends in runs of
+frame.BILATERAL_PIXELS; a window's three first-level blocks are forks
+(lanes.Fork), which denoise_window joins with lanes.join_all.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import frame
 from .frame import Frame, Range, check_ranges, chunk_bounds, clamp_index, quantize_plane, ranged
-from .image_denoiser import _BILATERAL_PIXELS, PASSTHROUGH_SIGMA, CascadeParams, stage_detail
-from .lanes import Fork
+from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, stage_detail
+from .lanes import Fork, join_all
 from .rng import NoiseRng
 
 DEFAULT_CADENCE = 5
@@ -104,11 +107,6 @@ class WindowPlan:
     def reach(self, k: int) -> range:
         """The indices keyframe k's cohort reads: one back, through two past its end."""
         return range(max(k - 1, 0), min(self.cohort(k).stop + 2, self.n_frames))
-
-
-def schedule_windows(n_frames: int, cadence: int = DEFAULT_CADENCE) -> WindowPlan:
-    """The window plan for n_frames at the given keyframe cadence."""
-    return WindowPlan(n_frames=n_frames, cadence=cadence)
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
     # in runs, so blocks on two lanes hold no frame-sized temporaries; a and b
     # are copied to float32 once, and w_c reuses b's copy. Three run arrays,
     # allocated per run: one block of all three raised peak RSS by 2 MB.
-    for c0, c1 in chunk_bounds(b.size, _BILATERAL_PIXELS):
+    for c0, c1 in chunk_bounds(b.size, frame.BILATERAL_PIXELS):
         blend, b_c, c_c = a[c0:c1].astype(np.float32), b[c0:c1].astype(np.float32), c[c0:c1]
         # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
         w_a = np.subtract(blend, b_c)
@@ -318,18 +316,10 @@ def denoise_window(window: Sequence[Frame], sigma: float,
     """Two-step cascade over exactly five frames; returns the denoised center.
 
     The first-level blocks are the forks fork_blocks makes in, or finds in,
-    blocks (see there), joined here. Without blocks the call forks its own
-    and cancels them on return, so none of them is left running.
+    blocks (see there), joined here by lanes.join_all, so none of them is
+    left running when the call returns or raises.
     """
     if len(window) != 5:
         raise ValueError(f"window must hold 5 frames, got {len(window)}")
     forks = fork_blocks(window, sigma, params, {} if blocks is None else blocks)
-    try:
-        # a helper starts forks in the order made, so joining the last first
-        # claims the blocks it has not started before waiting on a running one
-        last, middle = forks[2].join(), forks[1].join()
-        return denoise_block(forks[0].join(), middle, last, sigma, params)
-    finally:
-        if blocks is None:
-            for fork in forks:
-                fork.cancel()
+    return denoise_block(*join_all(forks), sigma, params)

@@ -22,6 +22,7 @@ from rtcdenoise import (
     Route,
     SenderConfig,
     VideoSequence,
+    WindowPlan,
     add_gaussian_noise,
     analyze_frame,
     denoise_keyframe,
@@ -37,7 +38,6 @@ from rtcdenoise import (
     quantize_plane,
     run_denoise,
     run_simulate,
-    schedule_windows,
     ssim,
     stage_smooth,
     transmit,
@@ -132,7 +132,7 @@ def test_criterion_3_topology():
     checked = 0
     for n in range(1, 26):
         for cadence in range(2, 7):
-            plan = schedule_windows(n, cadence)
+            plan = WindowPlan(n, cadence)
             roles, windows = oracles.schedule_reference(n, cadence)
             assert [r.value for r in plan.roles] == [
                 "keyframe" if r == "keyframe" else "temporal" for r in roles

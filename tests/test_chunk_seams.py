@@ -1,14 +1,16 @@
 """Chunked kernels give the same bits whatever their chunk size.
 
 Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
-image_denoiser._BILATERAL_PIXELS (the bilateral and the temporal blend),
-image_denoiser._SMOOTH_PIXELS (row bands of stage_smooth),
-metrics._BAND_PIXELS (row bands of the metric moments) and
-channel._CODEC_PIXELS (bands of block rows of the codec). At their shipped
-sizes every test frame elsewhere fits in one chunk, so these tests shrink each
-constant to small odd sizes, putting many seams inside small frames, and
-compare against the oracles.
+frame.BILATERAL_PIXELS (the bilateral and the temporal blend),
+frame.BAND_PIXELS (row bands of the metric moments, of the codec's block rows
+and of its bilinear resize, and PSNR's runs) and image_denoiser._SMOOTH_PIXELS
+(row bands of stage_smooth). At their shipped sizes every test frame
+elsewhere fits in one chunk, so these tests shrink each constant to small odd
+sizes, putting many seams inside small frames, and compare against the
+oracles.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ import pytest
 from rtcdenoise import (
     BlockParams,
     CascadeParams,
+    Frame,
     PipelineConfig,
+    SenderConfig,
     VideoSequence,
     add_gaussian_noise,
     denoise_block,
@@ -55,7 +59,7 @@ def _noisy(width, height, seed, sigma=25.0, with_chroma=False):
 @pytest.mark.parametrize("size", SMALL_SIZES)
 @pytest.mark.parametrize("radius", [1, 3])
 def test_bilateral_across_chunk_seams_matches_oracle(monkeypatch, size, radius):
-    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)
+    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", size)
     shape = (9, 11) if size == 1 else (21, 17)
     frame = _noisy(shape[1], shape[0], seed=40 + size)
     for sigma in (8.0, 25.0):
@@ -66,7 +70,7 @@ def test_bilateral_across_chunk_seams_matches_oracle(monkeypatch, size, radius):
 
 @pytest.mark.parametrize("size", SMALL_SIZES)
 def test_classical_block_across_chunk_seams_matches_oracle(monkeypatch, size):
-    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)
+    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", size)
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
     shape = (9, 11) if size == 1 else (23, 19)
     clean = make_sequence(3, shape[1], shape[0], seed=9, motion=(1.0, 0.0))
@@ -77,7 +81,7 @@ def test_classical_block_across_chunk_seams_matches_oracle(monkeypatch, size):
 
 @pytest.mark.parametrize("size", SMALL_SIZES)
 def test_temporal_blend_across_chunk_seams_matches_oracle(monkeypatch, size):
-    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", size)  # the blend's runs
+    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", size)  # the blend's runs
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
     shape = (9, 11) if size == 1 else (23, 19)
     clean = make_sequence(3, shape[1], shape[0], seed=10, motion=(1.0, 0.0), with_chroma=True)
@@ -146,7 +150,7 @@ def test_stage_smooth_across_band_seams_equals_whole_plane_filter(monkeypatch, r
 
 @pytest.mark.parametrize("size", BAND_SIZES)
 def test_metrics_across_band_seams_equal_separable_reference(monkeypatch, size):
-    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+    monkeypatch.setattr(frame_module, "BAND_PIXELS", size)
     ref = make_frame(53, 47, seed=26)
     tests = [_noisy(53, 47, seed=26), stage_smooth(ref, 40.0)]
     a = ref.luma_f64()
@@ -161,7 +165,7 @@ def test_metrics_across_band_seams_equal_separable_reference(monkeypatch, size):
 
 @pytest.mark.parametrize("size", BAND_SIZES)
 def test_filter_halve_across_band_seams_equals_whole_plane_filter(monkeypatch, size):
-    monkeypatch.setattr(metrics, "_BAND_PIXELS", size)
+    monkeypatch.setattr(frame_module, "BAND_PIXELS", size)
     rng = np.random.default_rng(size)
     for shape in ((47, 53), (18, 17)):
         levels = rng.integers(0, 256, shape)
@@ -176,16 +180,21 @@ def test_filter_halve_across_band_seams_equals_whole_plane_filter(monkeypatch, s
 
 
 # at 53 pixels per row, one, two and three block rows; every size is one block
-# row at 480
+# row at 480. The resize of scales 3/4 and 1/2 runs in row bands of the same size.
 @pytest.mark.parametrize("size", [1, 2 * 8 * 53, 3 * 8 * 53])
 def test_block_dct_across_band_seams_equals_whole_plane_transform(monkeypatch, size):
-    monkeypatch.setattr(channel, "_CODEC_PIXELS", size)
+    monkeypatch.setattr(frame_module, "BAND_PIXELS", size)
     rng = np.random.default_rng(size)
     for shape in ((37, 53), (360, 480)):
         luma = rng.integers(0, 256, shape, dtype=np.uint8)
         for q in (1, 16):
             assert np.array_equal(channel._block_dct_quantize(luma, q),
                                   oracles.block_dct_quantize(luma, q))
+            for scale in (Fraction(3, 4), Fraction(1, 2)):
+                config = SenderConfig(q=q, q_min=1, resolution_scale=scale)
+                expected = oracles.block_dct_quantize(oracles.scale_round_trip(luma, scale), q)
+                assert np.array_equal(channel.encode_decode(Frame(luma), config).y, expected), \
+                    (shape, q, scale)
 
 
 # --- forks on either lane, every family cut small ------------------------------
@@ -200,9 +209,9 @@ def test_placements_agree_with_every_family_across_seams(monkeypatch):
     # a 48x32 plane is 1,536 pixels; the bilateral runs over (32 - 1) * 54 + 48
     # flat positions at radius 3; at 48 pixels per row a 97-pixel band is 2 rows
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", 61)
-    monkeypatch.setattr(image_denoiser, "_BILATERAL_PIXELS", 127)
+    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", 127)
     monkeypatch.setattr(image_denoiser, "_SMOOTH_PIXELS", 97)
-    monkeypatch.setattr(metrics, "_BAND_PIXELS", 97)
+    monkeypatch.setattr(frame_module, "BAND_PIXELS", 97)
     runs = [run_denoise(noisy)]
     for placement in (helpers_claim_every_fork, helpers_blocked):
         with placement():

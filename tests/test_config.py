@@ -207,6 +207,9 @@ def test_comments_blanks_and_whitespace_tolerated():
         ("[sender]\nnoise_sigma = inf\n", "sender.noise_sigma: must be in [0, 1e+300], got inf", 2),
         ("[loss]\n\np_loss = -inf\n", "loss.p_loss: must be in [0, 1], got -inf", 3),
         ("[analyzer]\nbudget_ms = 1e999\n", "analyzer.budget_ms: must be in (0, inf), got inf", 2),
+        # only a line feed ends a line: str.splitlines would read "more" as a key line
+        ("[pipeline]\n# note\x0cmore\nseed = x\n", "pipeline.seed: ", 3),
+        ("[pipeline]\n# note\x85more\nseed = x\n", "pipeline.seed: ", 3),
     ],
 )
 def test_errors_carry_source_and_line(text, fragment, line):
@@ -214,6 +217,13 @@ def test_errors_carry_source_and_line(text, fragment, line):
         parse_config_text(text, source="test.cfg")
     assert str(excinfo.value).startswith(f"test.cfg:{line}: ")
     assert fragment in str(excinfo.value)
+
+
+def test_a_bad_byte_is_numbered_at_the_line_an_editor_shows(tmp_path):
+    path = tmp_path / "ff.cfg"
+    path.write_bytes(b"[pipeline]\n# a\x0cb\x0bc\nseed = \xff\n")
+    with pytest.raises(ConfigError, match=r"ff\.cfg:3: not UTF-8 text: byte 0xff"):
+        parse_config(path)
 
 
 def test_cross_field_range_errors_located():

@@ -1,0 +1,45 @@
+"""Static checks on where the package decides how work is placed and cut.
+
+lanes alone decides whether a fork is offered to a helper lane, and a run or
+band size that more than one module reads lives in frame, which each reader
+reads at call time (frame.NAME): a size bound by ``from .x import NAME`` keeps
+its value when a test shrinks it, so the seams it sizes would go untested.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rtcdenoise"
+_MODULES = sorted(_PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_has_modules():
+    assert {"lanes.py", "frame.py", "metrics.py"} <= {path.name for path in _MODULES}
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_size_by_value(path):
+    imported = [(node.lineno, alias.name)
+                for node in ast.walk(_tree(path)) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name.endswith("_PIXELS")]
+    assert imported == [], f"{path.name} binds sizes at import; read them as frame.NAME"
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "lanes.py"],
+                         ids=lambda path: path.name)
+def test_only_lanes_names_offered(path):
+    named = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name) and node.id == "offered":
+            named.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "offered":
+            named.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            named += [node.lineno for alias in node.names if alias.name == "offered"]
+    assert named == [], f"{path.name} decides placement; leave it to lanes"

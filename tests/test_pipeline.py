@@ -14,6 +14,7 @@ from rtcdenoise import (
     Route,
     SenderConfig,
     VideoSequence,
+    WindowPlan,
     add_gaussian_noise,
     analyze_frame,
     denoise_keyframe,
@@ -25,7 +26,6 @@ from rtcdenoise import (
     median_filter_3x3,
     run_denoise,
     run_simulate,
-    schedule_windows,
 )
 
 import rtcdenoise.image_denoiser
@@ -111,7 +111,7 @@ def test_run_denoise_matches_manual_recomposition():
     config = PipelineConfig()
     out, _, _ = run_denoise(noisy, config)
 
-    plan = schedule_windows(n, cadence)
+    plan = WindowPlan(n, cadence)
     records = {}
     for k in plan.keyframe_indices:
         estimate = analyze_frame(noisy[k])
@@ -149,7 +149,7 @@ def test_run_denoise_matches_stream_oracle(cadence, n):
     _, noisy = _noisy_sequence(n, 25.0, seed=16)
     out, reports, stats = run_denoise(noisy, PipelineConfig(cadence=cadence))
     assert stats.frames_denoised == n
-    plan = schedule_windows(n, cadence)
+    plan = WindowPlan(n, cadence)
     keys = plan.keyframe_indices
     expected = denoise_stream(noisy, {k: out[k] for k in keys},
                               {k: reports[k].sigma for k in keys}, plan)
@@ -382,7 +382,7 @@ def test_reports_trail_their_cohort_until_the_next_one_starts(monkeypatch):
     monkeypatch.setattr(rtcdenoise.pipeline, "_cohort", recording)
     out, reports, stats = run_denoise(noisy)
     # every temporal frame's report trails it; each keyframe's runs in its cohort
-    assert len(trailing) == 23 - len(schedule_windows(23).keyframe_indices)
+    assert len(trailing) == 23 - len(WindowPlan(23).keyframe_indices)
     assert unfinished == [0] * 5
     assert all(fork.done() for fork in trailing)
     assert len(stats.analyze_ms) == 23 and all(ms > 0 for ms in stats.analyze_ms)
@@ -398,7 +398,7 @@ def test_standalone_window_equals_cohort_output_and_oracle():
     _, noisy = _noisy_sequence(n, sigma, seed=20, width=24, height=16)
     out, reports, stats = run_denoise(noisy)
     assert stats.frames_denoised == n
-    plan = schedule_windows(n)
+    plan = WindowPlan(n)
     keys = plan.keyframe_indices
     sigma_work = reports[0].sigma  # Gaussian noise: no prefilter, so the cascade's sigma
     for t in plan.cohort(0)[1:]:
@@ -483,7 +483,8 @@ def _run_counted(run):
 
 def _schedules(config, run):
     """run(config) as it falls, with the helper claiming every fork, with the
-    helpers blocked (the caller claims every fork) and under a tiny switch interval."""
+    helpers blocked (the caller claims every fork), under a tiny switch
+    interval, and with no helper (as on one CPU: each fork runs when joined)."""
     results = {"free": _run_counted(lambda: run(config))}
     with helpers_claim_every_fork():
         results["claimed"] = _run_counted(lambda: run(config))
@@ -495,6 +496,9 @@ def _schedules(config, run):
         results["switching"] = _run_counted(lambda: run(config))
     finally:
         sys.setswitchinterval(interval)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lanes, "_HELPER", None)
+        results["helperless"] = _run_counted(lambda: run(config))
     return results
 
 
@@ -514,7 +518,7 @@ def test_schedules_give_identical_denoise_results(cadence, n):
     results = _schedules(PipelineConfig(cadence=cadence), lambda c: run_denoise(noisy, c))
     (out, reports, stats), counts = results["free"]
     assert 0 < stats.frames_bypassed < n
-    assert counts["denoise_block"] == _expected_blocks(schedule_windows(n, cadence), reports)
+    assert counts["denoise_block"] == _expected_blocks(WindowPlan(n, cadence), reports)
     for schedule, ((other_out, other_reports, _), other_counts) in results.items():
         assert sequences_equal(other_out, out), schedule
         assert other_reports == reports, schedule
@@ -741,15 +745,3 @@ def test_stats_accounting_invariants():
     payload = stats.to_json_dict()
     assert payload["frame_count"] == 11
     assert payload["detect_ms"] == list(stats.detect_ms)
-
-
-def test_trace_entry_json_shape():
-    clean = make_sequence(6, 96, 64, seed=14)
-    result = run_simulate(clean, PipelineConfig(feedback_window=0))
-    payload = result.sender_trace[0].to_json_dict()
-    assert payload == {
-        "frame_index": 0,
-        "q": 16,
-        "resolution_scale": 1.0,
-        "framerate_divisor": 1,
-    }

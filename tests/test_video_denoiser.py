@@ -11,6 +11,7 @@ from rtcdenoise import (
     Frame,
     FrameRole,
     VideoSequence,
+    WindowPlan,
     add_gaussian_noise,
     denoise_block,
     denoise_window,
@@ -19,7 +20,6 @@ from rtcdenoise import (
     random_weights,
     read_weights,
     read_weights_file,
-    schedule_windows,
     write_weights,
     write_weights_file,
     zero_weights,
@@ -39,7 +39,7 @@ def _const(value, h=16, w=16):
 # --- window scheduling --------------------------------------------------------
 
 def test_schedule_hand_traced_example():
-    plan = schedule_windows(7, cadence=5)
+    plan = WindowPlan(7, cadence=5)
     assert plan.keyframe_indices == (0, 5)
     assert plan.role(0) is FrameRole.KEYFRAME
     assert plan.role(3) is FrameRole.TEMPORAL
@@ -51,7 +51,7 @@ def test_schedule_hand_traced_example():
 def test_schedule_matches_reference_exhaustively():
     for n in range(1, 26):
         for cadence in range(2, 7):
-            plan = schedule_windows(n, cadence)
+            plan = WindowPlan(n, cadence)
             roles, windows = oracles.schedule_reference(n, cadence)
             assert plan.n_frames == n and plan.cadence == cadence
             got_roles = ["keyframe" if r is FrameRole.KEYFRAME else "temporal" for r in plan.roles]
@@ -62,7 +62,7 @@ def test_schedule_matches_reference_exhaustively():
 def test_cohort_and_reach_match_reference_exhaustively():
     for n in range(1, 26):
         for cadence in range(2, 7):
-            plan = schedule_windows(n, cadence)
+            plan = WindowPlan(n, cadence)
             roles, windows = oracles.schedule_reference(n, cadence)
             keyframes = [t for t in range(n) if roles[t] == "keyframe"]
             covered = []
@@ -78,7 +78,7 @@ def test_cohort_and_reach_match_reference_exhaustively():
 
 
 def test_schedule_accessor_errors():
-    plan = schedule_windows(6, cadence=3)
+    plan = WindowPlan(6, cadence=3)
     with pytest.raises(ValueError):
         plan.window(0)  # keyframes have no window
     with pytest.raises(IndexError):
@@ -92,9 +92,9 @@ def test_schedule_accessor_errors():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        schedule_windows(0)
+        WindowPlan(0)
     with pytest.raises(ValueError):
-        schedule_windows(5, cadence=1)
+        WindowPlan(5, cadence=1)
 
 
 # --- classical block ----------------------------------------------------------
@@ -365,7 +365,7 @@ def _run_stream(n=12, cadence=5, sigma=18.0, seed=6):
         frames=tuple(add_gaussian_noise(f, sigma, seed=t) for t, f in enumerate(clean)),
         frame_rate=clean.frame_rate,
     )
-    plan = schedule_windows(n, cadence)
+    plan = WindowPlan(n, cadence)
     keyframe_outputs = {k: _const(40 + k, 32, 48) for k in plan.keyframe_indices}
     sigmas = {k: sigma for k in plan.keyframe_indices}
     return noisy, plan, keyframe_outputs, sigmas
@@ -417,7 +417,7 @@ def test_stream_reduces_flicker_on_static_scene():
     clean = make_sequence(n, 64, 48, seed=3)
     noisy_frames = tuple(add_gaussian_noise(f, 20.0, seed=t) for t, f in enumerate(clean))
     noisy = VideoSequence(frames=noisy_frames, frame_rate=clean.frame_rate)
-    plan = schedule_windows(n, 5)
+    plan = WindowPlan(n, 5)
     outputs = {k: noisy[k] for k in plan.keyframe_indices}
     sigmas = {k: 20.0 for k in plan.keyframe_indices}
     result = denoise_stream(noisy, outputs, sigmas, plan)
