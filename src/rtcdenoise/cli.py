@@ -155,7 +155,10 @@ def _replacing(path: Optional[str], mode: str = "w", buffering: int = _OUT_BUFFE
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path given, not the hidden temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, mode, **options) as fh:
             if old is not None:

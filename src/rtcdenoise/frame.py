@@ -180,13 +180,13 @@ class Frame:
 # longer runs save few lock hand-offs, and at 1 << 17 their float64
 # temporaries took 940-2,450 page faults per 480x360 call and 1.6-2x the time.
 ELEMENTWISE_PIXELS = 1 << 15
-# Flat positions per run of the bilateral and of the temporal blend of
-# denoise_block. A bilateral run makes eight numpy calls per tap, so short
-# runs wait on lock hand-offs under two threads: two r=3 480x360 frames on two
-# threads took 40 ms at 1 << 15 and 24 ms here, one frame on one thread 23 and
-# 21.5 ms. The three float32 buffers (1.5 MB) fit in a 2 MB L2. A blend run
-# makes 16 calls: two blends on two threads took 2.9-3.0 ms at 1 << 15,
-# 2.3-2.4 here, 2.1-2.2 whole.
+# Flat positions per run of image_denoiser._bilateral_runs, the one
+# range-weighted kernel: the keyframe bilateral, and denoise_block's motion
+# gate (a three-tap bilateral along time). A run makes eight numpy calls per
+# tap, so short runs wait on lock hand-offs under two threads: two r=3
+# 480x360 frames on two threads took 40 ms at 1 << 15 and 24 ms here, one
+# frame on one thread 23 and 21.5 ms. The three float32 buffers (1.5 MB) fit
+# in a 2 MB L2.
 BILATERAL_PIXELS = 1 << 17
 # Output pixels per row band (row_bands) of the metric moments, of the codec's
 # block rows and of its bilinear resize, and per run of PSNR's squared errors.
@@ -225,16 +225,16 @@ def chunk_bounds(n: int, size: Optional[int] = None) -> Iterator[tuple[int, int]
     ``size`` defaults to ELEMENTWISE_PIXELS. Kernels run one run at a time,
     so their temporaries stay small and in cache instead of being allocated
     (and page-faulted in) frame-sized on every call. Each kernel family has
-    one size constant: ELEMENTWISE_PIXELS, BILATERAL_PIXELS (the bilateral
-    and the temporal blend), BAND_PIXELS (the row bands of the metric
-    moments, of the codec's block rows and of its bilinear resize, and PSNR's
-    runs), all here, and image_denoiser._SMOOTH_PIXELS (the row bands of
-    stage_smooth), beside the one kernel that uses it. Two costs set it: each
-    numpy call hands the interpreter lock over, so under two threads longer
-    runs (fewer calls) wait less; but longer runs need larger temporaries,
-    which leave the core's cache and, past the allocator's mmap threshold,
-    are page-faulted in afresh on each run. The README's "Chunk sizes" gives
-    the measurements.
+    one size constant: ELEMENTWISE_PIXELS, BILATERAL_PIXELS (the one
+    range-weighted kernel, run by the bilateral and the motion gate),
+    BAND_PIXELS (the row bands of the metric moments, of the codec's block
+    rows and of its bilinear resize, and PSNR's runs), all here, and
+    image_denoiser._SMOOTH_PIXELS (the row bands of stage_smooth), beside the
+    one kernel that uses it. Two costs set it: each numpy call hands the
+    interpreter lock over, so under two threads longer runs (fewer calls)
+    wait less; but longer runs need larger temporaries, which leave the
+    core's cache and, past the allocator's mmap threshold, are page-faulted
+    in afresh on each run. The README's "Chunk sizes" gives the measurements.
     """
     size = ELEMENTWISE_PIXELS if size is None else size
     for c0 in range(0, n, size):

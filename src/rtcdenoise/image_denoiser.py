@@ -7,7 +7,9 @@ gradient magnitude of the detail output, so edges keep the bilateral result
 and flat regions take the blur. denoise_keyframe runs the detail stage, then
 the smooth stage, then fuses. lanes.halves splits each of the two stages
 over the lanes (stage_detail's runs, stage_smooth's rows), and frame sizes
-the bilateral's runs: the stages hold only their arithmetic.
+the bilateral's runs: the stages hold only their arithmetic. The
+bilateral's kernel is the package's one range-weighted average: the motion
+gate of video_denoiser runs on it too.
 
 Every stage is numpy alone, so the receiver never loads scipy. The blur
 still gives scipy.ndimage.correlate1d's values to the bit (stage_smooth).
@@ -71,33 +73,41 @@ def gaussian_kernel(sigma_g: float) -> np.ndarray:
 
 
 def _tap_weight(shifted, centre, spatial, inv_2sr, out: np.ndarray) -> np.ndarray:
-    """out = exp(-(dy^2 + dx^2) / (2 ss^2) - delta^2 / (2 sr^2)), in this order."""
-    np.subtract(shifted, centre, out=out)
+    """out = exp(spatial - delta^2 * inv_2sr), in this order, delta taken exactly in float32."""
+    np.subtract(shifted, centre, out=out, dtype=np.float32)
     np.multiply(out, out, out=out)
     np.multiply(out, inv_2sr, out=out)
     np.subtract(spatial, out, out=out)
     return np.exp(out, out=out)
 
 
-def _bilateral_runs(padded, taps, inv_2sr, first, out, lo: int, hi: int) -> None:
-    """stage_detail's output at flat positions lo..hi, one frame.BILATERAL_PIXELS run at a time."""
+def _bilateral_runs(taps, inv_2sr, out, lo: int, hi: int) -> None:
+    """Range-weighted averages at flat positions lo..hi, one frame.BILATERAL_PIXELS run at a time.
+
+    taps are (source, offset, spatial) in summation order. Position i adds
+    source[offset + i] with the weight _tap_weight gives its delta from the
+    centre tap, which has spatial None and weight exactly 1, and is not first.
+    stage_detail passes a window over one padded plane, denoise_block a triplet.
+    """
+    centre_source, centre_offset, _ = next(tap for tap in taps if tap[2] is None)
+    (first_source, first_offset, first_spatial), rest = taps[0], taps[1:]
     wgt_buf, weight_buf, value_buf = np.empty((3, min(hi - lo, frame.BILATERAL_PIXELS)), np.float32)
     for r0, r1 in chunk_bounds(hi - lo, frame.BILATERAL_PIXELS):
         c0, c1 = lo + r0, lo + r1
-        centre = padded[first + c0 : first + c1]
+        centre = centre_source[centre_offset + c0 : centre_offset + c1]
         weight_sum = weight_buf[: c1 - c0]
         value_sum = value_buf[: c1 - c0]
-        # the first tap, a corner, starts both sums, as 0 + x == x
-        shifted = padded[first + taps[0][0] + c0 : first + taps[0][0] + c1]
-        _tap_weight(shifted, centre, taps[0][1], inv_2sr, weight_sum)
+        # the first tap starts both sums, as 0 + x == x
+        shifted = first_source[first_offset + c0 : first_offset + c1]
+        _tap_weight(shifted, centre, first_spatial, inv_2sr, weight_sum)
         np.multiply(weight_sum, shifted, out=value_sum)
-        for shift, spatial in taps[1:]:
-            if shift == 0:
+        for source, offset, spatial in rest:
+            if spatial is None:
                 # the centre tap has delta 0, so its weight is exp(0) = 1
                 weight_sum += 1.0
                 value_sum += centre
                 continue
-            shifted = padded[first + shift + c0 : first + shift + c1]
+            shifted = source[offset + c0 : offset + c1]
             wgt = _tap_weight(shifted, centre, spatial, inv_2sr, wgt_buf[: c1 - c0])
             weight_sum += wgt
             wgt *= shifted
@@ -126,13 +136,14 @@ def stage_detail(frame: Frame, sigma_est: float, params: CascadeParams = Cascade
     first = r * pw + r  # flat index of pixel (0, 0)
     n = (h - 1) * pw + w
     taps = [
-        (dy * pw + dx, np.float32(-(dy * dy + dx * dx)) * inv_2ss)
+        (padded, first + dy * pw + dx, np.float32(-(dy * dy + dx * dx)) * inv_2ss)
         for dy in range(-r, r + 1)
         for dx in range(-r, r + 1)
     ]
+    taps[len(taps) // 2] = (padded, first, None)  # the centre tap
     out = np.empty(h * pw, dtype=np.uint8)
     # a helper filters the second half; each position reads padded alone
-    halves(_bilateral_runs, n, padded, taps, inv_2sr, first, out)
+    halves(_bilateral_runs, n, taps, inv_2sr, out)
     plane = np.ascontiguousarray(out.reshape(h, pw)[:, :w])
     return frame.with_luma(plane)
 

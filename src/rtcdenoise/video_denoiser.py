@@ -8,9 +8,11 @@ differences (motion) suppress the contribution of misaligned neighbors.
 
 Blocks run in one of two modes: CLASSICAL (closed-form exponential gating,
 the default) or CONV (a small 3-layer residual convolution net with weights
-loaded from a checksummed file). A classical block blends in runs of
-frame.BILATERAL_PIXELS; a window's three first-level blocks are forks
-(lanes.Fork), which denoise_window joins with lanes.join_all.
+loaded from a checksummed file). A classical block's motion gate is a
+three-tap bilateral along time with no spatial term, run on the keyframe
+bilateral's kernel (image_denoiser._bilateral_runs); a window's three
+first-level blocks are forks (lanes.Fork), which denoise_window joins with
+lanes.join_all.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import frame
-from .frame import Frame, Range, check_ranges, chunk_bounds, clamp_index, quantize_plane, ranged
-from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, stage_detail
+from .frame import Frame, Range, check_ranges, clamp_index, ranged
+from .image_denoiser import PASSTHROUGH_SIGMA, CascadeParams, _bilateral_runs, stage_detail
 from .lanes import Fork, join_all
 from .rng import NoiseRng
 
@@ -246,7 +247,12 @@ def _conv_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray, sigma: float,
 
 def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
                   params: BlockParams = BlockParams()) -> Frame:
-    """Denoise the temporal center f_b from the triplet (f_a, f_b, f_c)."""
+    """Denoise the temporal center f_b from the triplet (f_a, f_b, f_c).
+
+    CLASSICAL: the motion gate (w_a a + b + w_c c) / (w_a + 1 + w_c), w_n =
+    exp(-(n - b)^2 / (2 (k_temporal max(sigma, 0.5))^2)), then the radius-1
+    bilateral if spatial_enabled. CONV: b plus the residual net's output.
+    """
     shape = (f_b.height, f_b.width)
     if (f_a.height, f_a.width) != shape or (f_c.height, f_c.width) != shape:
         raise ValueError("triplet frames must share dimensions")
@@ -258,33 +264,11 @@ def denoise_block(f_a: Frame, f_b: Frame, f_c: Frame, sigma: float,
         a, b, c = (f.y.astype(np.float32) for f in (f_a, f_b, f_c))
         return f_b.with_luma(_conv_residual(a, b, c, sigma, params.conv_weights))
 
-    sigma_eff = max(sigma, 0.5)
-    neg_inv = -np.float32(1.0 / (2.0 * (params.k_temporal * sigma_eff) ** 2))
+    inv = np.float32(1.0 / (2.0 * (params.k_temporal * max(sigma, 0.5)) ** 2))
     a, b, c = (f.y.ravel() for f in (f_a, f_b, f_c))
     out = np.empty(b.size, dtype=np.uint8)
-    # in runs, so blocks on two lanes hold no frame-sized temporaries; a and b
-    # are copied to float32 once, and w_c reuses b's copy. Three run arrays,
-    # allocated per run: one block of all three raised peak RSS by 2 MB.
-    for c0, c1 in chunk_bounds(b.size, frame.BILATERAL_PIXELS):
-        blend, b_c, c_c = a[c0:c1].astype(np.float32), b[c0:c1].astype(np.float32), c[c0:c1]
-        # w = exp(-d * d * inv) per neighbour; (-d * d) * inv == (d * d) * -inv exactly
-        w_a = np.subtract(blend, b_c)
-        w_a *= w_a
-        w_a *= neg_inv
-        np.exp(w_a, out=w_a)
-        # (w_a a + b + w_c c) / (w_a + 1 + w_c), in this order, in float32
-        blend *= w_a
-        blend += b_c
-        w_c = np.subtract(c_c, b_c, out=b_c)  # b is read for the last time
-        w_c *= w_c
-        w_c *= neg_inv
-        np.exp(w_c, out=w_c)
-        w_a += 1.0
-        w_a += w_c
-        w_c *= c_c
-        blend += w_c
-        blend /= w_a
-        out[c0:c1] = quantize_plane(blend)
+    # a bilateral along time with no spatial term, in runs: no frame-sized temporaries
+    _bilateral_runs([(a, 0, 0), (b, 0, None), (c, 0, 0)], inv, out, 0, b.size)
     fused = f_b.with_luma(out.reshape(shape))
     if params.spatial_enabled and sigma >= PASSTHROUGH_SIGMA:
         fused = stage_detail(fused, sigma, _SPATIAL_PARAMS)

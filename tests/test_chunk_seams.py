@@ -1,13 +1,13 @@
 """Chunked kernels give the same bits whatever their chunk size.
 
 Each kernel family sizes its runs with one constant: frame.ELEMENTWISE_PIXELS,
-frame.BILATERAL_PIXELS (the bilateral and the temporal blend),
-frame.BAND_PIXELS (row bands of the metric moments, of the codec's block rows
-and of its bilinear resize, and PSNR's runs) and image_denoiser._SMOOTH_PIXELS
-(row bands of stage_smooth). At their shipped sizes every test frame
-elsewhere fits in one chunk, so these tests shrink each constant to small odd
-sizes, putting many seams inside small frames, and compare against the
-oracles.
+frame.BILATERAL_PIXELS (the one range-weighted kernel, run by the bilateral
+and the motion gate), frame.BAND_PIXELS (row bands of the metric moments, of
+the codec's block rows and of its bilinear resize, and PSNR's runs) and
+image_denoiser._SMOOTH_PIXELS (row bands of stage_smooth). At their shipped
+sizes every test frame elsewhere fits in one chunk, so these tests shrink each
+constant to small odd sizes, putting many seams inside small frames, and
+compare against the oracles.
 """
 
 from fractions import Fraction
@@ -81,7 +81,7 @@ def test_classical_block_across_chunk_seams_matches_oracle(monkeypatch, size):
 
 @pytest.mark.parametrize("size", SMALL_SIZES)
 def test_temporal_blend_across_chunk_seams_matches_oracle(monkeypatch, size):
-    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", size)  # the blend's runs
+    monkeypatch.setattr(frame_module, "BILATERAL_PIXELS", size)  # the motion gate's runs
     monkeypatch.setattr(frame_module, "ELEMENTWISE_PIXELS", size)
     shape = (9, 11) if size == 1 else (23, 19)
     clean = make_sequence(3, shape[1], shape[0], seed=10, motion=(1.0, 0.0), with_chroma=True)

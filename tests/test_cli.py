@@ -158,6 +158,18 @@ def test_two_outputs_naming_one_path_end_as_if_written_in_turn(tmp_path, clean_c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.y4m", "run.cfg", "same"]
 
 
+@pytest.mark.parametrize("command, flag", [("denoise", "--out"), ("denoise", "--report"),
+                                           ("simulate", "--out-received"), ("simulate", "--report"),
+                                           ("simulate", "--feedback"), ("inject", "--out")])
+def test_an_output_in_a_missing_folder_is_named_as_given(tmp_path, clean_clip, command, flag, capsys):
+    missing = tmp_path / "missing" / "o.y4m"
+    options = ["--noise", "gaussian:5"] if command == "inject" else []
+    assert main([command, "--in", str(clean_clip), *options, flag, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.y4m"]
+
+
 # --- denoise -----------------------------------------------------------------
 
 def test_denoise_round_trip(tmp_path, noisy_clip, capsys):

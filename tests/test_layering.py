@@ -4,6 +4,8 @@ lanes alone decides whether a fork is offered to a helper lane, and a run or
 band size that more than one module reads lives in frame, which each reader
 reads at call time (frame.NAME): a size bound by ``from .x import NAME`` keeps
 its value when a test shrinks it, so the seams it sizes would go untested.
+The denoisers weigh by range in one kernel, image_denoiser._bilateral_runs,
+whose one exponential is _tap_weight's.
 """
 
 import ast
@@ -43,3 +45,30 @@ def test_only_lanes_names_offered(path):
         elif isinstance(node, ast.ImportFrom):
             named += [node.lineno for alias in node.names if alias.name == "offered"]
     assert named == [], f"{path.name} decides placement; leave it to lanes"
+
+
+def _exp_calls(path: Path) -> list:
+    """(module, enclosing function) of each np.exp(...) call in path."""
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "exp"
+                    and isinstance(func.value, ast.Name) and func.value.id == "np"):
+                calls.append((path.name, owner))
+            visit(child, owner)
+
+    visit(_tree(path), None)
+    return calls
+
+
+def test_the_denoisers_have_one_exp_site():
+    # the keyframe bilateral and the temporal motion gate both run on _bilateral_runs
+    calls = [call for name in ("image_denoiser.py", "video_denoiser.py")
+             for call in _exp_calls(_PACKAGE / name)]
+    assert calls == [("image_denoiser.py", "_tap_weight")], \
+        "range weights are _tap_weight's; run them through image_denoiser._bilateral_runs"

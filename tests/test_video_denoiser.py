@@ -135,7 +135,12 @@ def test_block_small_sigma_floor():
 
 
 @pytest.mark.parametrize("spatial_enabled", [False, True])
-@pytest.mark.parametrize("sigma, k", [(0.2, 1.0), (18.0, 1.0), (18.0, 0.35)])
+@pytest.mark.parametrize("sigma, k", [(0.2, 1.0), (18.0, 1.0), (18.0, 0.35),
+                                      # the gate at its bounds: a differing
+                                      # neighbour's weight underflows to 0, or
+                                      # stays above 0.87
+                                      (0.2, MIN_K_TEMPORAL), (18.0, MIN_K_TEMPORAL),
+                                      (0.2, MAX_K_TEMPORAL), (18.0, MAX_K_TEMPORAL)])
 def test_classical_block_matches_oracle(spatial_enabled, sigma, k):
     clean = make_sequence(3, 37, 23, seed=9, motion=(1.0, 0.0), with_chroma=True)
     a, b, c = (add_gaussian_noise(f, 18.0, seed=30 + i) for i, f in enumerate(clean))
