@@ -33,6 +33,7 @@ DEFAULT_BUDGET_MS = 40.0
 DEFAULT_FEEDBACK_WINDOW = 25
 DEFAULT_WEIGHTS = (0.4, 0.4, 0.2)
 BUDGET_MS_RANGE = Range(0, open_lo=True)
+MIN_DELTA_PSNR = 0.5  # dB; a mean gain below it is "not helping" (RAISE_BITRATE)
 
 
 class Recommendation(Enum):
@@ -80,7 +81,6 @@ class FeedbackMessage:
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
-    min_delta_psnr: float = ranged(0.5, Range())
     sigma_threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range())
     budget_ms: float = ranged(DEFAULT_BUDGET_MS, BUDGET_MS_RANGE)
 
@@ -213,7 +213,7 @@ def make_feedback(
     mean_runtime = sum(r.runtime_ms for r in reports) / len(reports)
     mean_sigma = sum(r.sigma for r in reports) / len(reports)
 
-    if mean_delta_psnr < policy.min_delta_psnr and mean_sigma >= policy.sigma_threshold:
+    if mean_delta_psnr < MIN_DELTA_PSNR and mean_sigma >= policy.sigma_threshold:
         rec = Recommendation.RAISE_BITRATE
     elif mean_runtime > 2.0 * policy.budget_ms:
         rec = Recommendation.LOWER_FRAMERATE

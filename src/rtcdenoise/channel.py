@@ -8,6 +8,7 @@ one transform of the whole plane. lanes.halves places the halves of the
 noise and of the codec. The network drops whole horizontal slices
 (Bernoulli or Gilbert-Elliott) and the decoder conceals a lost slice with the co-located slice of the previous
 decoded frame, which yields the familiar blocky "pixelation" artifacts.
+LossModel is settings only; a run's LossState carries the loss process across transmit calls.
 
 Noise injectors exist to manufacture detector test stimuli. All randomness
 comes from the counter-based generator in rng.py, so results are bit-identical
@@ -68,9 +69,9 @@ class LossKind(Enum):
     GILBERT_ELLIOTT = "gilbert-elliott"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossModel:
-    """Slice-loss process. Mutable: transmit() advances draw counter and state."""
+    """Slice-loss settings; a run's LossState carries the process from frame to frame."""
 
     kind: LossKind = LossKind.BERNOULLI
     p_loss: float = ranged(0.0, _PROBABILITY)       # bernoulli loss probability
@@ -79,31 +80,18 @@ class LossModel:
     p_loss_bad: float = ranged(0.8, _PROBABILITY)    # loss probability while in the bad state
     slice_height: int = ranged(16, Range(1))
     seed: int = 0
-    in_bad: bool = False
-    draws: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", LossKind(self.kind))
         check_ranges(self)
 
-    def _next_uniform(self) -> float:
-        rng = NoiseRng(seed=self.seed, counter=self.draws)
-        u = float(rng.uniforms(1)[0])
-        self.draws += 1
-        return u
 
-    def step_slice(self) -> bool:
-        """Advance one slice; returns True when the slice is lost."""
-        if self.kind is LossKind.BERNOULLI:
-            return self._next_uniform() < self.p_loss
-        lost = self.in_bad and self._next_uniform() < self.p_loss_bad
-        if not self.in_bad:
-            self._next_uniform()  # keep two draws per slice in both states
-        flip = self._next_uniform()
-        if self.in_bad:
-            self.in_bad = flip >= self.p_exit_bad
-        else:
-            self.in_bad = flip < self.p_enter_bad
-        return lost
+@dataclass
+class LossState:
+    """A loss process's run state: its uniform stream and the Gilbert-Elliott channel state."""
+
+    rng: NoiseRng
+    in_bad: bool = False
 
 
 def _normal_runs(luma: np.ndarray, rng: NoiseRng, combine, out: np.ndarray,
@@ -256,16 +244,29 @@ def transmit(
     frame: Frame,
     prev_decoded: Optional[Frame],
     loss: LossModel,
+    state: Optional[LossState] = None,
 ) -> tuple[Frame, list[int]]:
-    """Apply slice loss and concealment; advances the loss model state.
+    """Apply slice loss and concealment; advances state (None: afresh at NoiseRng(loss.seed)).
 
-    A lost slice is concealed with the co-located rows of prev_decoded, or
+    A frame takes its uniforms in one draw: per slice, one for Bernoulli, and
+    two for Gilbert-Elliott in either state (the loss, read when bad, then the
+    flip). A lost slice is concealed with the co-located rows of prev_decoded, or
     mid-gray where it has no such plane. Chroma rows are co-sliced with luma
     (half vertical resolution), so a lost slice conceals the matching chroma
     region too.
     """
+    if state is None:
+        state = LossState(NoiseRng(loss.seed))
     n_slices = (frame.height + loss.slice_height - 1) // loss.slice_height
-    lost = [i for i in range(n_slices) if loss.step_slice()]
+    if loss.kind is LossKind.BERNOULLI:
+        lost = [i for i, u in enumerate(state.rng.uniforms(n_slices).tolist()) if u < loss.p_loss]
+    else:
+        lost = []
+        draws = state.rng.uniforms(2 * n_slices).tolist()
+        for i, (u_loss, u_flip) in enumerate(zip(draws[0::2], draws[1::2])):
+            if state.in_bad and u_loss < loss.p_loss_bad:
+                lost.append(i)
+            state.in_bad = u_flip >= loss.p_exit_bad if state.in_bad else u_flip < loss.p_enter_bad
     if not lost:
         return frame, []
 

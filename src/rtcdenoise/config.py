@@ -10,8 +10,10 @@ produced by dump_config() parses back to an identical configuration.
 [pipeline] execution = sequential | threaded is accepted and ignored: the
 pipeline has one driver, and files written for an older version still parse.
 
-The [loss] seed is a sub-stream id, not an absolute seed: the pipeline mixes
-it with [pipeline] seed, so one seed knob reproduces an entire run.
+A PipelineConfig holds settings only; a run keeps its state elsewhere. The
+[loss] seed is a sub-stream id, not an absolute seed: the simulated sender
+(pipeline._Sender) mixes it with [pipeline] seed into its loss stream, so one
+seed knob reproduces an entire run.
 """
 
 from __future__ import annotations
@@ -27,11 +29,8 @@ from .channel import SCALE_LADDER, LossKind, LossModel, SenderConfig
 from .detector import DEFAULT_FORK_THRESHOLD
 from .frame import Range, check_range, check_ranges, range_of, ranged
 from .image_denoiser import CascadeParams
-from .rng import NoiseRng
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
-_CAPTURE_STREAM = 1  # rng substream tags under [pipeline] seed
-_LOSS_STREAM = 2
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 
 
@@ -280,14 +279,3 @@ def dump_config(config: PipelineConfig) -> str:
                 lines.append(f"{row.key} = {shown}")
         lines.append("")
     return "\n".join(lines)
-
-
-def fresh_loss_model(config: PipelineConfig) -> LossModel:
-    """Per-run copy of the loss template with state zeroed and the seed mixed.
-
-    The effective seed combines [pipeline] seed and [loss] seed so that one
-    top-level seed reproduces a whole run while distinct loss sub-streams
-    stay decorrelated.
-    """
-    mixed = NoiseRng(seed=config.seed).derive(_LOSS_STREAM).derive(config.loss.seed).seed
-    return replace(config.loss, seed=int(mixed), in_bad=False, draws=0)

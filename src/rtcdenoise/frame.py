@@ -10,8 +10,8 @@ floating point copies internally and re-quantize on the way out.
 
 The module also states how a numeric setting declares its valid values: a
 dataclass field made by :func:`ranged` carries a :class:`Range`, which
-:func:`check_ranges` enforces from ``__post_init__`` and the config parser
-enforces at the line that sets the field.
+:func:`check_ranges` enforces from ``__post_init__`` (an ``int`` field's value
+too must be an integer) and the config parser at the line that sets the field.
 
 It states, too, how a plane is cut for the kernels: the runs of
 :func:`chunk_bounds`, the row bands of :func:`row_bands`, and the sizes that
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator, Optional
 
 import numpy as np
@@ -97,9 +98,12 @@ def range_of(owner, name: str) -> Optional[Range]:
 
 
 def check_ranges(obj) -> None:
-    """From a dataclass's __post_init__: check every ranged field, in field order."""
+    """From a dataclass's __post_init__: check each field's Range, and that an int field holds an integer."""
     for spec in fields(obj):
-        check_range(spec.name, getattr(obj, spec.name), spec.metadata.get(_RANGE))
+        value = getattr(obj, spec.name)
+        check_range(spec.name, value, spec.metadata.get(_RANGE))
+        if spec.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{spec.name}: must be an integer, got {value}")
 
 
 def chroma_shape(height: int, width: int) -> tuple[int, int]:

@@ -29,6 +29,9 @@ sigma delta by definition: no work was performed. Measured wall-clock
 latencies are reported separately in PipelineStats, which carries no
 cross-run determinism promise.
 
+The simulated sender (_Sender) owns its run state and derives both of its
+random streams, capture noise and slice loss, from [pipeline] seed.
+
 Feedback timing is likewise plan-derived: the message aggregating the window
 that ends at frame w becomes visible to the sender right after the last frame
 w's cohort reads, so the sender applies it at the same frame position however
@@ -53,8 +56,8 @@ from .analyzer import (
     build_report_noref,
     make_feedback,
 )
-from .channel import SenderConfig, add_gaussian_noise, encode_decode, sender_step, transmit
-from .config import _CAPTURE_STREAM, PipelineConfig, fresh_loss_model
+from .channel import LossState, SenderConfig, add_gaussian_noise, encode_decode, sender_step, transmit
+from .config import PipelineConfig
 from .detector import (
     ForkDecision,
     NoiseCategory,
@@ -324,13 +327,14 @@ def _cohort(
 
 
 class _Sender:
-    """Simulated sender: capture noise, codec, channel, feedback application."""
+    """Simulated sender and its run state: capture noise, codec, channel, feedback application."""
 
     def __init__(self, config: PipelineConfig):
-        self._capture = NoiseRng(config.seed).derive(_CAPTURE_STREAM)
-        self._noise_sigma = config.sender.noise_sigma
+        root = NoiseRng(config.seed)  # [loss] seed picks the loss process's substream
+        self._capture = root.derive(1)
         self.config: SenderConfig = config.sender
-        self.loss = fresh_loss_model(config)
+        self.loss = config.loss
+        self.loss_state = LossState(root.derive(2).derive(config.loss.seed))
         self._next_encode_at = 0
         self._prev: Optional[Frame] = None
         self.trace: List[SenderTraceEntry] = [self._entry(0)]
@@ -353,11 +357,11 @@ class _Sender:
         """(received, clean): frame index as the receiver gets it, and its reference."""
         if index >= self._next_encode_at:
             frame = clean
-            if self._noise_sigma > 0:
+            if self.config.noise_sigma > 0:
                 seed = int(self._capture.derive(index).seed)
-                frame = add_gaussian_noise(frame, self._noise_sigma, seed=seed)
+                frame = add_gaussian_noise(frame, self.config.noise_sigma, seed=seed)
             encoded = encode_decode(frame, self.config)
-            received, _ = transmit(encoded, self._prev, self.loss)
+            received, _ = transmit(encoded, self._prev, self.loss, self.loss_state)
             self._next_encode_at = index + self.config.framerate_divisor
         else:
             received = self._prev  # frame dropped by the sender; repeat last

@@ -218,6 +218,7 @@ class BlockParams:
     conv_weights: Optional[ConvWeightSet] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", BlockMode(self.mode))
         check_ranges(self)
 
 

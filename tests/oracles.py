@@ -12,7 +12,9 @@ All metric functions take plain 2-D float64 arrays in [0, 255].
 formulas, one `NoiseRng.normals` block per frame, and `block_dct_quantize`
 is the codec's block-DCT round trip in one transform of the whole plane;
 `scale_round_trip` is its bilinear round trip on whole float64 planes, and
-`quantize` rounds one value at a time. `bilateral`, `fuse` and
+`quantize` rounds one value at a time. `lost_slices` is the slice-loss
+process with one single-uniform NoiseRng call per draw, which transmit's one
+draw per frame must equal. `bilateral`, `fuse` and
 `classical_block` are per-pixel loops in the kernels' float32/float64
 operation order, so the kernels must equal them bit for bit. `correlate_nearest`,
 `smooth` and `median3x3` are the scipy filters the package's numpy kernels
@@ -38,6 +40,7 @@ from rtcdenoise import (
     AnalyzerReport,
     BlockParams,
     FrameRole,
+    LossKind,
     NoiseRng,
     VideoSequence,
     denoise_window,
@@ -217,6 +220,37 @@ def quantize(values: np.ndarray) -> np.ndarray:
         return 0 if v < 1.0 else 255 if v >= 255.0 else math.floor(v)
 
     return np.array([one(x) for x in np.ravel(values)], dtype=np.uint8).reshape(np.shape(values))
+
+
+def lost_slices(loss, seed: int, n_slices: int, n_frames: int) -> list:
+    """Each of n_frames chained frames' lost slice indices, one uniform per NoiseRng call.
+
+    Uniform j is NoiseRng(seed, j).uniforms(1). A slice takes one for
+    Bernoulli, and two for Gilbert-Elliott in either channel state: the loss
+    draw, read in the bad state only, then the state flip.
+    """
+    draws = 0
+
+    def draw() -> float:
+        nonlocal draws
+        draws += 1
+        return float(NoiseRng(seed, draws - 1).uniforms(1)[0])
+
+    in_bad = False
+    frames = []
+    for _ in range(n_frames):
+        lost = []
+        for i in range(n_slices):
+            if loss.kind is LossKind.BERNOULLI:
+                if draw() < loss.p_loss:
+                    lost.append(i)
+                continue
+            u_loss, flip = draw(), draw()
+            if in_bad and u_loss < loss.p_loss_bad:
+                lost.append(i)
+            in_bad = flip >= loss.p_exit_bad if in_bad else flip < loss.p_enter_bad
+        frames.append(lost)
+    return frames
 
 
 def schedule_reference(n_frames: int, cadence: int):

@@ -9,6 +9,8 @@ from rtcdenoise import (
     Frame,
     LossKind,
     LossModel,
+    LossState,
+    NoiseRng,
     Recommendation,
     SenderConfig,
     add_gaussian_noise,
@@ -342,13 +344,15 @@ def test_transmit_conceals_chroma_mid_gray_when_previous_frame_has_none():
 def test_transmit_draw_accounting_is_state_independent():
     frame = make_frame(64, 32, seed=1)  # two 16-row slices
     bern = LossModel(kind=LossKind.BERNOULLI, p_loss=0.5, seed=3)
-    transmit(frame, None, bern)
-    assert bern.draws == 2
+    state = LossState(NoiseRng(bern.seed))
+    transmit(frame, None, bern, state)
+    assert state.rng.counter == 2
     ge = LossModel(kind=LossKind.GILBERT_ELLIOTT, p_enter_bad=0.9, p_loss_bad=1.0, seed=3)
-    transmit(frame, None, ge)
-    assert ge.draws == 4  # two draws per slice in either state
-    transmit(frame, None, ge)
-    assert ge.draws == 8
+    state = LossState(NoiseRng(ge.seed))
+    transmit(frame, None, ge, state)
+    assert state.rng.counter == 4  # two draws per slice in either state
+    transmit(frame, None, ge, state)
+    assert state.rng.counter == 8
 
 
 def test_transmit_deterministic_for_seed():
@@ -370,12 +374,37 @@ def test_gilbert_elliott_bursts_lose_more_than_independent():
         p_loss_bad=1.0,
         seed=2,
     )
+    state = LossState(NoiseRng(ge.seed))
     lost_total = 0
     for _ in range(50):
-        _, lost = transmit(frame, None, ge)
+        _, lost = transmit(frame, None, ge, state)
         lost_total += len(lost)
     assert lost_total > 0
-    assert ge.draws == 50 * 16 * 2
+    assert state.rng.counter == 50 * 16 * 2
+
+
+@pytest.mark.parametrize("loss", [
+    LossModel(p_loss=0.3, slice_height=7, seed=5),
+    LossModel(kind=LossKind.GILBERT_ELLIOTT, p_enter_bad=0.2, p_exit_bad=0.3, p_loss_bad=0.7,
+              slice_height=7, seed=5),
+], ids=["bernoulli", "gilbert-elliott"])
+def test_transmit_chain_matches_one_draw_per_uniform(loss):
+    # a frame's uniforms come from one call, and a state carries the process
+    # across calls: 50 chained frames equal the single-draw oracle
+    frame = make_frame(37, 23, seed=4, with_chroma=True)  # 4 slices, the last one short
+    state = LossState(NoiseRng(loss.seed))
+    got = [transmit(frame, None, loss, state)[1] for _ in range(50)]
+    assert got == oracles.lost_slices(loss, loss.seed, n_slices=4, n_frames=50)
+    assert sum(map(len, got)) > 0
+    # without a state, each call starts the process afresh
+    assert [transmit(frame, None, loss)[1] for _ in range(3)] == [got[0]] * 3
+
+
+def test_loss_kind_given_by_value_runs_that_kind():
+    loss = LossModel(kind="bernoulli", p_loss=0.0, seed=1)
+    state = LossState(NoiseRng(loss.seed))
+    frame = make_frame(16, 320, seed=1)  # 20 slices
+    assert all(transmit(frame, None, loss, state)[1] == [] for _ in range(30))
 
 
 def test_loss_model_validation():

@@ -2,6 +2,7 @@ import io
 import math
 import random
 import time
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,11 +17,9 @@ from rtcdenoise import (
     FeedbackPolicy,
     LossKind,
     LossModel,
-    NoiseRng,
     PipelineConfig,
     SenderConfig,
     dump_config,
-    fresh_loss_model,
     parse_config,
     parse_config_text,
     random_weights,
@@ -29,6 +28,7 @@ from rtcdenoise import (
 )
 from rtcdenoise.config import _KEYS, _SCHEMA, _split
 from rtcdenoise.frame import range_of
+from rtcdenoise.image_denoiser import MAX_WINDOW_RADIUS
 
 FULL_SAMPLE = """
 # full configuration exercising every key
@@ -451,16 +451,13 @@ def test_fusion_tau_auto_maps_to_none():
     assert "fusion_tau = auto" in dump_config(config)
 
 
-def test_fresh_loss_model_zeroes_state_and_mixes_seed():
-    config = parse_config_text("[pipeline]\nseed = 11\n[loss]\np_loss = 0.3\nseed = 4\n")
-    dirty = fresh_loss_model(config)
-    assert dirty.draws == 0 and dirty.in_bad is False
-    assert dirty.p_loss == 0.3
-    expected = NoiseRng(seed=11).derive(2).derive(4).seed
-    assert dirty.seed == int(expected)
-    # distinct pipeline seeds give distinct channel streams for the same template
-    other = fresh_loss_model(parse_config_text("[pipeline]\nseed = 12\n[loss]\nseed = 4\n"))
-    assert other.seed != dirty.seed
+def test_loss_settings_are_frozen():
+    # a PipelineConfig holds settings only; the sender owns the loss process's state
+    config = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.loss.p_loss = 0.5
+    assert [spec.name for spec in fields(LossModel)] == [
+        "kind", "p_loss", "p_enter_bad", "p_exit_bad", "p_loss_bad", "slice_height", "seed"]
 
 
 _NAN = float("nan")
@@ -494,6 +491,54 @@ _NAN = float("nan")
 def test_direct_api_rejects_non_finite_values(build):
     with pytest.raises(ValueError, match="must be in .*, got (nan|inf)"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LossModel(kind="burst"), "is not a valid LossKind"),
+        (lambda: BlockParams(mode="fast"), "is not a valid BlockMode"),
+        (lambda: PipelineConfig(cadence=2.5), "cadence: must be an integer, got 2.5"),
+        (lambda: PipelineConfig(feedback_window=2.5), "feedback_window: must be an integer, got 2.5"),
+        (lambda: PipelineConfig(seed=2.5), "seed: must be an integer, got 2.5"),
+        (lambda: CascadeParams(window_radius=2.5), "window_radius: must be an integer, got 2.5"),
+        (lambda: CascadeParams(window_radius=True), "window_radius: must be an integer, got True"),
+        (lambda: LossModel(slice_height=2.5), "slice_height: must be an integer, got 2.5"),
+        (lambda: LossModel(seed=np.float64(3)), "seed: must be an integer, got 3.0"),
+        (lambda: SenderConfig(q=16.5), "q: must be an integer, got 16.5"),
+        (lambda: SenderConfig(framerate_divisor=1.5), "framerate_divisor: must be an integer, got 1.5"),
+    ],
+    ids=["loss-kind", "block-mode", "cadence", "feedback-window", "seed", "window-radius",
+         "window-radius-bool", "slice-height", "loss-seed-float", "q", "framerate-divisor"],
+)
+def test_direct_api_rejects_values_no_config_file_can_state(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_enum_fields_take_their_value():
+    assert LossModel(kind="gilbert-elliott").kind is LossKind.GILBERT_ELLIOTT
+    assert BlockParams(mode="conv").mode is BlockMode.CONV
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(loss=LossModel(kind="gilbert-elliott", slice_height=1, seed=-3),
+                       block=BlockParams(mode="classical")),
+        PipelineConfig(seed=np.int64(7), cadence=np.int32(2), feedback_window=np.int64(0),
+                       cascade=CascadeParams(window_radius=np.int64(MAX_WINDOW_RADIUS)),
+                       sender=SenderConfig(q=np.int64(64), q_min=np.uint8(64), q_max=64,
+                                           framerate_divisor=np.int16(4)),
+                       loss=LossModel(slice_height=np.uint8(1), seed=np.int64(-1))),
+        PipelineConfig(cadence=2, feedback_window=0,
+                       cascade=CascadeParams(window_radius=1),
+                       sender=SenderConfig(q=1, q_min=1, q_max=1, framerate_divisor=1)),
+    ],
+    ids=["enum-values", "numpy-ints-at-bounds", "ints-at-lower-bounds"],
+)
+def test_api_configs_round_trip(config):
+    assert parse_config_text(dump_config(config)) == config
 
 
 def test_dump_config_refuses_conv_weights_without_a_path():

@@ -5,13 +5,17 @@ band size that more than one module reads lives in frame, which each reader
 reads at call time (frame.NAME): a size bound by ``from .x import NAME`` keeps
 its value when a test shrinks it, so the seams it sizes would go untested.
 The denoisers weigh by range in one kernel, image_denoiser._bilateral_runs,
-whose one exponential is _tap_weight's.
+whose one exponential is _tap_weight's. A PipelineConfig holds settings
+only: every dataclass in it is frozen, and a run keeps its state elsewhere.
 """
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+
+from rtcdenoise import BlockParams, PipelineConfig, zero_weights
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rtcdenoise"
 _MODULES = sorted(_PACKAGE.glob("*.py"))
@@ -72,3 +76,20 @@ def test_the_denoisers_have_one_exp_site():
              for call in _exp_calls(_PACKAGE / name)]
     assert calls == [("image_denoiser.py", "_tap_weight")], \
         "range weights are _tap_weight's; run them through image_denoiser._bilateral_runs"
+
+
+def _dataclasses_in(value):
+    """value, if it is a dataclass instance, and every one reachable through its fields."""
+    if is_dataclass(value) and not isinstance(value, type):
+        yield value
+        for spec in fields(value):
+            yield from _dataclasses_in(getattr(value, spec.name))
+
+
+def test_every_dataclass_in_a_config_is_frozen():
+    config = PipelineConfig(block=BlockParams(conv_weights=zero_weights()))
+    found = {type(part).__name__: type(part).__dataclass_params__.frozen
+             for part in _dataclasses_in(config)}
+    assert {"PipelineConfig", "LossModel", "ConvWeightSet"} <= set(found)
+    assert [name for name, frozen in found.items() if not frozen] == [], \
+        "a config holds settings only; keep run state in an object the run owns"

@@ -9,7 +9,9 @@ import pytest
 
 from rtcdenoise import (
     Frame,
+    LossModel,
     NoiseCategory,
+    NoiseRng,
     PipelineConfig,
     Route,
     SenderConfig,
@@ -627,6 +629,22 @@ def test_simulate_rerun_is_bit_identical():
         loss=replace(PipelineConfig().loss, p_loss=0.05, seed=3),
     )
     _assert_same_result(run_simulate(clean, config), run_simulate(clean, config))
+
+
+def test_sender_mixes_the_loss_seed_into_the_pipeline_seed():
+    config = PipelineConfig(seed=11, loss=LossModel(p_loss=0.3, seed=4))
+    sender = rtcdenoise.pipeline._Sender(config)
+    assert sender.loss is config.loss  # kept as given: [loss] seed stays a substream id
+    state = sender.loss_state
+    assert state.rng.seed == NoiseRng(seed=11).derive(2).derive(4).seed
+    assert state.rng.counter == 0 and state.in_bad is False
+    # distinct pipeline seeds give distinct channel streams for the same settings
+    other = rtcdenoise.pipeline._Sender(replace(config, seed=12))
+    assert other.loss_state.rng.seed != state.rng.seed
+    # the stream runs on from frame to frame: one draw per 16-row slice
+    for index, frame in enumerate(make_sequence(2, 96, 64, seed=1)):
+        sender.produce(index, frame)
+    assert state.rng.counter == 2 * 4
 
 
 @pytest.mark.parametrize("placement", ["free", "claimed"])
