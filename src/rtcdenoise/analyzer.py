@@ -11,7 +11,9 @@ Feedback aggregates a window of reports into one recommendation:
   LOWER_FRAMERATE  mean runtime above twice the budget
   LOWER_RESOLUTION mean runtime above the budget
   NONE             otherwise
-The two runtime rules overlap; the more drastic one is checked first.
+The two runtime rules overlap; the more drastic one is checked first. The
+threshold and the budget are make_feedback's arguments; a run passes its
+PipelineConfig.threshold and budget_ms.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .detector import DEFAULT_FORK_THRESHOLD
-from .frame import Frame, Range, check_ranges, ranged
+from .detector import DEFAULT_FORK_THRESHOLD, FORK_THRESHOLD_RANGE
+from .frame import Frame, Range, check_range
 from .metrics import detail_retention, full_reference_scores
 # bench/tracing.py looks these up on this module; build_report scores
 # through full_reference_scores instead of calling them
@@ -77,15 +79,6 @@ class FeedbackMessage:
     def __post_init__(self):
         if self.window_end < self.window_start:
             raise ValueError("window_end must be >= window_start")
-
-
-@dataclass(frozen=True)
-class FeedbackPolicy:
-    sigma_threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range())
-    budget_ms: float = ranged(DEFAULT_BUDGET_MS, BUDGET_MS_RANGE)
-
-    def __post_init__(self):
-        check_ranges(self)
 
 
 def performance_score(
@@ -202,9 +195,12 @@ def _mean_improvement(reports: Sequence[AnalyzerReport]) -> float:
 
 def make_feedback(
     reports: Sequence[AnalyzerReport],
-    policy: FeedbackPolicy = FeedbackPolicy(),
+    sigma_threshold: float = DEFAULT_FORK_THRESHOLD,
+    budget_ms: float = DEFAULT_BUDGET_MS,
 ) -> FeedbackMessage:
-    """Aggregate a window of reports into one sender recommendation."""
+    """Aggregate a window of reports into one recommendation; each limit takes its config range."""
+    check_range("sigma_threshold", sigma_threshold, FORK_THRESHOLD_RANGE)
+    check_range("budget_ms", budget_ms, BUDGET_MS_RANGE)
     if not reports:
         raise ValueError("make_feedback needs at least one report")
     mean_delta_psnr = _mean_improvement(reports)
@@ -213,11 +209,11 @@ def make_feedback(
     mean_runtime = sum(r.runtime_ms for r in reports) / len(reports)
     mean_sigma = sum(r.sigma for r in reports) / len(reports)
 
-    if mean_delta_psnr < MIN_DELTA_PSNR and mean_sigma >= policy.sigma_threshold:
+    if mean_delta_psnr < MIN_DELTA_PSNR and mean_sigma >= sigma_threshold:
         rec = Recommendation.RAISE_BITRATE
-    elif mean_runtime > 2.0 * policy.budget_ms:
+    elif mean_runtime > 2.0 * budget_ms:
         rec = Recommendation.LOWER_FRAMERATE
-    elif mean_runtime > policy.budget_ms:
+    elif mean_runtime > budget_ms:
         rec = Recommendation.LOWER_RESOLUTION
     else:
         rec = Recommendation.NONE

@@ -28,7 +28,7 @@ import numpy as np
 from .analyzer import Recommendation
 from .frame import Frame, Range, check_ranges, chunk_bounds, quantize_plane, ranged, row_bands
 from .lanes import halves
-from .rng import NoiseRng
+from .rng import SEED_RANGE, NoiseRng
 
 SCALE_LADDER = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 1))
 MAX_FRAMERATE_DIVISOR = 4
@@ -79,10 +79,11 @@ class LossModel:
     p_exit_bad: float = ranged(0.5, _PROBABILITY)    # gilbert-elliott: bad -> good
     p_loss_bad: float = ranged(0.8, _PROBABILITY)    # loss probability while in the bad state
     slice_height: int = ranged(16, Range(1))
-    seed: int = 0
+    seed: int = ranged(0, SEED_RANGE)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", LossKind(self.kind))
+        kind = self.kind.lower() if isinstance(self.kind, str) else self.kind
+        object.__setattr__(self, "kind", LossKind(kind))
         check_ranges(self)
 
 

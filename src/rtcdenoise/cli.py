@@ -23,14 +23,14 @@ from typing import Callable, Iterator, List, Optional
 from .analyzer import _jsonable, feedback_to_json, report_to_json
 from .channel import MAX_NOISE_STRENGTH, add_gaussian_noise, add_salt_pepper, add_speckle
 from .config import ConfigError, PipelineConfig, dump_config, parse_config
-from .detector import MIN_DETECT_SIDE, analyze_frame
+from .detector import MIN_DETECT_SIDE, analyze_frame, luma_histogram
 from .frame import FormatError, Frame
 from .frameio import Y4MReader, Y4MWriter, open_y4m
 # bench/tracing.py SITES wraps these on this module; no subcommand calls them
 from .frameio import read_y4m_file, write_y4m_file  # noqa: F401
 from .metrics import MIN_METRIC_SIDE, full_reference_scores
 from .pipeline import run_denoise, run_simulate
-from .rng import NoiseRng
+from .rng import SEED_RANGE, NoiseRng
 
 # kind -> (injector, name of its value, largest accepted value)
 _INJECTORS = {
@@ -74,6 +74,17 @@ def _noise_spec(text: str):
     return kind, strength
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in SEED_RANGE, as [pipeline] seed takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if seed not in SEED_RANGE:
+        raise argparse.ArgumentTypeError(f"must be in {SEED_RANGE}, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rtcdenoise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -86,7 +97,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--report", metavar="OUT.jsonl")
     sim.add_argument("--feedback", metavar="OUT.jsonl")
     sim.add_argument("--stats", metavar="OUT.json")
-    sim.add_argument("--seed", type=int, metavar="N")
+    sim.add_argument("--seed", type=_seed, metavar="N")
     sim.add_argument("--dump-config", action="store_true",
                      help="print the resolved configuration and exit")
 
@@ -103,7 +114,7 @@ def _build_parser() -> _Parser:
     inj.add_argument("--noise", action="append", required=True, type=_noise_spec,
                      metavar="KIND:VALUE",
                      help="gaussian:SIGMA, saltpepper:DENSITY, or speckle:MULT; repeatable")
-    inj.add_argument("--seed", type=int, default=0, metavar="N")
+    inj.add_argument("--seed", type=_seed, default=0, metavar="N")
     inj.add_argument("--out", required=True, metavar="NOISY.y4m")
 
     det = sub.add_parser("detect", help="per-frame noise estimate and category")
@@ -294,7 +305,7 @@ def _cmd_detect(args) -> int:
             )
             if args.histogram:
                 path = os.path.join(args.histogram, f"hist_{t:05d}.txt")
-                _write_lines(path, (str(int(count)) for count in est.histogram))
+                _write_lines(path, (str(int(count)) for count in luma_histogram(frame)))
     return 0
 
 

@@ -26,9 +26,10 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .analyzer import BUDGET_MS_RANGE, DEFAULT_BUDGET_MS, DEFAULT_FEEDBACK_WINDOW, DEFAULT_WEIGHTS
 from .channel import SCALE_LADDER, LossKind, LossModel, SenderConfig
-from .detector import DEFAULT_FORK_THRESHOLD
+from .detector import DEFAULT_FORK_THRESHOLD, FORK_THRESHOLD_RANGE
 from .frame import Range, check_range, check_ranges, range_of, ranged
 from .image_denoiser import CascadeParams
+from .rng import SEED_RANGE
 from .video_denoiser import DEFAULT_CADENCE, BlockMode, BlockParams, read_weights_file
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
@@ -45,8 +46,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    threshold: float = ranged(DEFAULT_FORK_THRESHOLD, Range(0))
-    seed: int = 0
+    threshold: float = ranged(DEFAULT_FORK_THRESHOLD, FORK_THRESHOLD_RANGE)
+    seed: int = ranged(0, SEED_RANGE)
     cascade: CascadeParams = field(default_factory=CascadeParams)
     cadence: int = ranged(DEFAULT_CADENCE, Range(2))
     block: BlockParams = field(default_factory=BlockParams)

@@ -6,6 +6,11 @@ categorizer uses three cheap statistics: the fraction of saturated pixels for
 impulse noise, the excess of horizontal differences at 8-pixel column
 boundaries for block/pixelation artifacts, and the correlation between local
 mean and local variance for signal-dependent noise.
+
+analyze_frame returns sigma, the category and those three statistics as a
+NoiseEstimate, and fork_decision routes on it; both are plain values that
+compare by value. The luma histogram behind the impulse fraction is
+luma_histogram's, which `rtcdenoise detect --histogram` writes out.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from enum import Enum
 
 import numpy as np
 
-from .frame import PIXEL_MAX, Frame
+from .frame import PIXEL_MAX, Frame, Range
 
 DEFAULT_FORK_THRESHOLD = 20.0
+FORK_THRESHOLD_RANGE = Range(0)
 # smallest frame side the sigma estimate accepts (its 3x3 kernel)
 MIN_DETECT_SIDE = 3
 
@@ -49,19 +55,16 @@ class NoiseEstimate:
     impulse_fraction: float
     blockiness_ratio: float
     mean_var_correlation: float
-    histogram: np.ndarray
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        self.histogram.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class ForkDecision:
     route: Route
     estimate: NoiseEstimate
-    threshold_used: float
 
 
 def estimate_sigma(frame: Frame) -> float:
@@ -86,10 +89,7 @@ def estimate_sigma(frame: Frame) -> float:
 
 
 def impulse_fraction(frame: Frame) -> float:
-    return _impulse_fraction(luma_histogram(frame))
-
-
-def _impulse_fraction(histogram: np.ndarray) -> float:
+    histogram = luma_histogram(frame)
     return (histogram[0] + histogram[PIXEL_MAX]) / histogram.sum()
 
 
@@ -156,8 +156,7 @@ def classify_noise(frame: Frame, sigma: float) -> NoiseCategory:
 
 def analyze_frame(frame: Frame) -> NoiseEstimate:
     sigma = estimate_sigma(frame)
-    histogram = luma_histogram(frame)
-    impulse = _impulse_fraction(histogram)
+    impulse = impulse_fraction(frame)
     blockiness = blockiness_ratio(frame)
     mean_var_corr = mean_var_correlation(frame)
     return NoiseEstimate(
@@ -166,7 +165,6 @@ def analyze_frame(frame: Frame) -> NoiseEstimate:
         impulse_fraction=impulse,
         blockiness_ratio=blockiness,
         mean_var_correlation=mean_var_corr,
-        histogram=histogram,
     )
 
 
@@ -175,7 +173,7 @@ def fork_decision(estimate: NoiseEstimate, threshold: float = DEFAULT_FORK_THRES
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     route = Route.DENOISE if estimate.sigma >= threshold else Route.BYPASS
-    return ForkDecision(route=route, estimate=estimate, threshold_used=threshold)
+    return ForkDecision(route=route, estimate=estimate)
 
 
 def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -45,6 +45,10 @@ class FormatError(ValueError):
 _RANGE = "range"  # dataclasses.field metadata key holding the field's Range
 
 
+def _bound(end) -> str:
+    return str(end) if isinstance(end, int) else f"{end:g}"
+
+
 @dataclass(frozen=True)
 class Range:
     """The valid values of a number: lo..hi, each end closed unless marked open.
@@ -64,9 +68,9 @@ class Range:
                     or not (isinstance(value, int) or math.isfinite(value)))
 
     def __str__(self) -> str:
-        """Interval notation: "[1, 15]", "(0, inf)"; an unbounded end is open."""
-        lo = "-inf" if self.lo is None else f"{self.lo:g}"
-        hi = "inf" if self.hi is None else f"{self.hi:g}"
+        """Interval notation: "[1, 15]", "(0, inf)"; an unbounded end is open, an integer end exact."""
+        lo = "-inf" if self.lo is None else _bound(self.lo)
+        hi = "inf" if self.hi is None else _bound(self.hi)
         left = "(" if self.open_lo or self.lo is None else "["
         right = ")" if self.open_hi or self.hi is None else "]"
         return f"{left}{lo}, {hi}{right}"
@@ -121,12 +125,13 @@ def _check_plane(name: str, plane: np.ndarray, shape: tuple[int, int]) -> np.nda
     return plane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """One 8-bit video frame (luma plane ``y``, optional 4:2:0 chroma ``u``/``v``).
 
     Planes are read-only; frames read from Y4M hold read-only views of the
-    bytes read rather than copies. ``planes`` lists them in Y4M order.
+    bytes read rather than copies. ``planes`` lists them in Y4M order. A frame
+    compares and hashes by identity, so it can key a cache of work done on it.
     """
 
     y: np.ndarray

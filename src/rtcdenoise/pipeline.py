@@ -51,7 +51,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from .analyzer import (
     AnalyzerReport,
     FeedbackMessage,
-    FeedbackPolicy,
     build_report,
     build_report_noref,
     make_feedback,
@@ -321,7 +320,7 @@ def _cohort(
             fork.cancel()
         raise
     finally:
-        for _, fork in blocks.values():
+        for fork in blocks.values():
             fork.cancel()
     return record, emitted
 
@@ -398,7 +397,6 @@ def _execute(
     """
     unbounded = plan = WindowPlan(sys.maxsize, config.cadence)
     window = config.feedback_window if on_feedback else 0
-    policy = FeedbackPolicy(sigma_threshold=config.threshold, budget_ms=config.budget_ms)
 
     # feedback message k applies right after the last frame read by the
     # cohort that holds its window's final frame
@@ -437,7 +435,7 @@ def _execute(
             analyze_ms.append(report_ms)
             latency_ms.append(item.span_ms + report_ms)  # keyframe + window + report
             if window and len(latency_ms) % window == 0:
-                feedback_log.append(make_feedback(list(recent), policy))
+                feedback_log.append(make_feedback(list(recent), config.threshold, config.budget_ms))
 
     wall_start = time.perf_counter()
     try:

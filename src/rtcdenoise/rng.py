@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .frame import Range
+
+# the seeds a setting may name: those NoiseRng keeps as given, not mod 2**64
+SEED_RANGE = Range(0, 2**64 - 1)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -51,7 +55,11 @@ class NoiseRng:
 
     The stream position is an explicit counter, so generator state is just
     ``(seed, counter)`` and can be copied, compared, or serialized freely.
+    Two streams are equal when both agree; a stream does not hash, since its
+    counter advances. A seed is kept mod 2**64.
     """
+
+    __hash__ = None
 
     def __init__(self, seed: int, counter: int = 0):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
@@ -107,6 +115,11 @@ class NoiseRng:
         np.cos(u2, out=u2)
         u1 *= u2
         return u1
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseRng):
+            return NotImplemented
+        return (self.seed, self.counter) == (other.seed, other.counter)
 
     def __repr__(self) -> str:
         return f"NoiseRng(seed={int(self.seed):#x}, counter={self.counter})"

@@ -110,9 +110,9 @@ class WindowPlan:
         return range(max(k - 1, 0), min(self.cohort(k).stop + 2, self.n_frames))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvWeightSet:
-    """Kernels and biases for the 3-layer block net; arrays are float32."""
+    """Kernels and biases for the 3-layer block net; arrays are float32, compared by their bits."""
 
     kernels: tuple  # per layer: (out_ch, in_ch, 3, 3)
     biases: tuple   # per layer: (out_ch,)
@@ -130,6 +130,15 @@ class ConvWeightSet:
                 raise ValueError("weights must be float32")
             k.setflags(write=False)
             b.setflags(write=False)
+
+    def _bits(self) -> tuple:
+        return tuple(array.tobytes() for array in (*self.kernels, *self.biases))
+
+    def __eq__(self, other):
+        return self._bits() == other._bits() if isinstance(other, ConvWeightSet) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._bits())
 
 
 def zero_weights() -> ConvWeightSet:
@@ -218,7 +227,8 @@ class BlockParams:
     conv_weights: Optional[ConvWeightSet] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", BlockMode(self.mode))
+        mode = self.mode.lower() if isinstance(self.mode, str) else self.mode
+        object.__setattr__(self, "mode", BlockMode(mode))
         check_ranges(self)
 
 
@@ -281,18 +291,14 @@ def fork_blocks(window: Sequence[Frame], sigma: float, params: BlockParams, bloc
 
     blocks keeps the forks across calls that share sigma and params, such as
     the windows of one cohort: consecutive windows share two of their three
-    triplets, and each distinct triplet is denoised once. An entry is keyed by
-    the identity of the triplet's frames and holds those frames and the
-    block's Fork, so no key can be reused by another frame while cached.
+    triplets, and each distinct triplet is denoised once. It maps a triplet
+    of frames, which compare by identity, to its block's Fork.
     """
-    forks = []
-    for i in range(3):
-        triplet = tuple(window[i : i + 3])
-        key = tuple(id(f) for f in triplet)
-        if key not in blocks:
-            blocks[key] = (triplet, Fork(denoise_block, *triplet, sigma, params))
-        forks.append(blocks[key][1])
-    return forks
+    triplets = [tuple(window[i : i + 3]) for i in range(3)]
+    for triplet in triplets:
+        if triplet not in blocks:
+            blocks[triplet] = Fork(denoise_block, *triplet, sigma, params)
+    return [blocks[triplet] for triplet in triplets]
 
 
 def denoise_window(window: Sequence[Frame], sigma: float,

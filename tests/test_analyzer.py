@@ -9,7 +9,6 @@ from rtcdenoise import (
     DEFAULT_WEIGHTS,
     AnalyzerReport,
     FeedbackMessage,
-    FeedbackPolicy,
     Frame,
     Recommendation,
     add_gaussian_noise,
@@ -234,16 +233,17 @@ def test_feedback_no_raise_when_stream_is_clean():
     # poor gain but sigma below the threshold: nothing to raise bitrate for
     reports = [_report(delta_psnr=0.1, sigma=5.0, runtime_ms=1.0, index=i) for i in range(3)]
     assert make_feedback(reports).recommendation is Recommendation.NONE
+    # the run's threshold decides what counts as noisy; a tie is noisy, as in fork_decision
+    assert make_feedback(reports, sigma_threshold=5.0).recommendation is Recommendation.RAISE_BITRATE
 
 
 def test_feedback_runtime_ladder():
-    policy = FeedbackPolicy(budget_ms=10.0)
     over = [_report(delta_psnr=3.0, runtime_ms=15.0, index=i) for i in range(4)]
-    assert make_feedback(over, policy).recommendation is Recommendation.LOWER_RESOLUTION
+    assert make_feedback(over, budget_ms=10.0).recommendation is Recommendation.LOWER_RESOLUTION
     way_over = [_report(delta_psnr=3.0, runtime_ms=25.0, index=i) for i in range(4)]
-    assert make_feedback(way_over, policy).recommendation is Recommendation.LOWER_FRAMERATE
+    assert make_feedback(way_over, budget_ms=10.0).recommendation is Recommendation.LOWER_FRAMERATE
     at_budget = [_report(delta_psnr=3.0, runtime_ms=10.0, index=i) for i in range(4)]
-    assert make_feedback(at_budget, policy).recommendation is Recommendation.NONE
+    assert make_feedback(at_budget, budget_ms=10.0).recommendation is Recommendation.NONE
 
 
 def test_feedback_bitrate_outranks_runtime():
@@ -276,8 +276,12 @@ def test_feedback_empty_window_raises():
 
 
 def test_feedback_policy_validation():
-    with pytest.raises(ValueError):
-        FeedbackPolicy(budget_ms=0.0)
+    for budget_ms in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"budget_ms: must be in \(0, inf\)"):
+            make_feedback([_report()], budget_ms=budget_ms)
+    for threshold in (-1.0, math.nan, math.inf):  # the range PipelineConfig.threshold takes
+        with pytest.raises(ValueError, match=r"sigma_threshold: must be in \[0, inf\)"):
+            make_feedback([_report()], sigma_threshold=threshold)
     with pytest.raises(ValueError):
         FeedbackMessage(
             window_start=5, window_end=4,

@@ -235,6 +235,47 @@ def test_inject_rejects_out_of_range_values(clean_clip, tmp_path, spec, problem,
     assert not out.exists()
 
 
+_SEED_OUT = {"simulate": ["--out-received"], "inject": ["--noise", "gaussian:5", "--out"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "inject"])
+@pytest.mark.parametrize("seed, problem", [
+    ("-1", "must be in [0, 18446744073709551615], got -1"),
+    (str(2 ** 64), "must be in [0, 18446744073709551615], got 18446744073709551616"),
+    ("1.5", "expected an integer, got '1.5'"),
+])
+def test_a_seed_outside_the_streams_is_a_usage_error(clean_clip, tmp_path, command, seed, problem,
+                                                      capsys):
+    # a stream keeps its seed mod 2**64, so -1 would give the run that 2**64 - 1 gives
+    out = tmp_path / "x.y4m"
+    assert main([command, "--in", str(clean_clip), "--seed", seed, *_SEED_OUT[command], str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"argument --seed: {problem}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "inject"])
+def test_seeds_at_both_bounds_run(clean_clip, tmp_path, command, capsys):
+    noisy = tmp_path / "noisy.cfg"  # capture noise, so the seed shows in the received clip
+    noisy.write_text("[sender]\nnoise_sigma = 10\n")
+    options = ["--config", str(noisy)] if command == "simulate" else []
+    outs = []
+    for seed in ("0", str(2 ** 64 - 1)):
+        out = tmp_path / f"{seed}.y4m"
+        assert main([command, "--in", str(clean_clip), "--seed", seed, *_SEED_OUT[command], str(out),
+                     *options]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1]
+
+
+def test_an_out_of_range_config_seed_is_a_data_error(tmp_path, clean_clip, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[pipeline]\nseed = -1\n")
+    assert main(["simulate", "--in", str(clean_clip), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:2: pipeline.seed: must be in [0, 18446744073709551615], got -1"]
+
+
 def test_inject_speckle_at_cap_stays_finite(tmp_path, capsys):
     dark = tmp_path / "dark.y4m"
     write_y4m_file(VideoSequence((Frame(y=np.array([[0, 1], [128, 255]], dtype=np.uint8)),) * 2), dark)

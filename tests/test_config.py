@@ -14,12 +14,12 @@ from rtcdenoise import (
     BlockParams,
     CascadeParams,
     ConfigError,
-    FeedbackPolicy,
     LossKind,
     LossModel,
     PipelineConfig,
     SenderConfig,
     dump_config,
+    make_feedback,
     parse_config,
     parse_config_text,
     random_weights,
@@ -355,7 +355,6 @@ def _fuzz_values(row, valid, rng) -> tuple:
     """
     if valid is None:
         spellings = {
-            "seed": (["0", "7", "-3", str(2 ** 70)], ["1.5", "x"]),
             "execution": (["sequential", "threaded"], ["Threaded", "turbo"]),
             "mode": (["classical", "CLASSICAL"], ["conv", "neural"]),
             "spatial_enabled": (["true", "Yes", "on", "1", "false", "NO", "off", "0"], ["maybe"]),
@@ -435,6 +434,17 @@ def test_conv_weights_loaded_via_config(tmp_path):
         assert np.array_equal(k1, k2)
 
 
+def test_a_conv_config_round_trips_equal(tmp_path):
+    path = tmp_path / "w.cwb"
+    write_weights_file(random_weights(seed=5), path)
+    config = parse_config_text(f"[video_denoiser]\nmode = conv\nweights = {path}\n")
+    again = parse_config_text(dump_config(config))
+    assert again.block.conv_weights is not config.block.conv_weights  # read afresh
+    assert again == config and hash(again) == hash(config)
+    write_weights_file(random_weights(seed=6), path)
+    assert parse_config_text(dump_config(config)) != config
+
+
 def test_conv_weights_file_errors_become_config_errors(tmp_path):
     missing = tmp_path / "nope.cwb"
     with pytest.raises(ConfigError, match="cannot load weights"):
@@ -475,7 +485,8 @@ _NAN = float("nan")
         lambda: CascadeParams(gaussian_sigma_divisor=_NAN),
         lambda: CascadeParams(fusion_tau=_NAN),
         lambda: BlockParams(k_temporal=_NAN),
-        lambda: FeedbackPolicy(budget_ms=_NAN),
+        lambda: make_feedback([], budget_ms=_NAN),  # the limits are checked before the reports
+        lambda: make_feedback([], sigma_threshold=_NAN),
         lambda: PipelineConfig(cadence=_NAN),
         lambda: PipelineConfig(cadence=float("inf")),
         lambda: PipelineConfig(feedback_window=_NAN),
@@ -485,7 +496,7 @@ _NAN = float("nan")
     ],
     ids=["threshold-nan", "threshold-inf", "budget-nan", "weight-nan", "noise-sigma-nan",
          "bilateral-sigma-nan", "gaussian-divisor-nan", "fusion-tau-nan", "k-temporal-nan",
-         "policy-budget-nan", "cadence-nan", "cadence-inf", "feedback-window-nan",
+         "policy-budget-nan", "policy-threshold-nan", "cadence-nan", "cadence-inf", "feedback-window-nan",
          "feedback-window-inf", "slice-height-nan", "slice-height-inf"],
 )
 def test_direct_api_rejects_non_finite_values(build):
@@ -519,19 +530,34 @@ def test_direct_api_rejects_values_no_config_file_can_state(build, message):
 def test_enum_fields_take_their_value():
     assert LossModel(kind="gilbert-elliott").kind is LossKind.GILBERT_ELLIOTT
     assert BlockParams(mode="conv").mode is BlockMode.CONV
+    # in any case, as a config file spells it
+    assert LossModel(kind="Gilbert-Elliott") == LossModel(kind=LossKind.GILBERT_ELLIOTT)
+    assert BlockParams(mode="CONV").mode is BlockMode.CONV
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: PipelineConfig(seed=seed),
+    lambda seed: LossModel(seed=seed),
+], ids=["pipeline", "loss"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["minus-one", "two-to-the-64"])
+def test_seeds_are_the_ones_a_stream_keeps(build, seed):
+    # NoiseRng keeps a seed mod 2**64, so a seed outside [0, 2**64 - 1] would alias another run
+    with pytest.raises(ValueError, match=f"seed: must be in \\[0, 18446744073709551615\\], got {seed}"):
+        build(seed)
+    assert build(0) != build(2 ** 64 - 1)
 
 
 @pytest.mark.parametrize(
     "config",
     [
-        PipelineConfig(loss=LossModel(kind="gilbert-elliott", slice_height=1, seed=-3),
+        PipelineConfig(loss=LossModel(kind="gilbert-elliott", slice_height=1, seed=2 ** 64 - 1),
                        block=BlockParams(mode="classical")),
         PipelineConfig(seed=np.int64(7), cadence=np.int32(2), feedback_window=np.int64(0),
                        cascade=CascadeParams(window_radius=np.int64(MAX_WINDOW_RADIUS)),
                        sender=SenderConfig(q=np.int64(64), q_min=np.uint8(64), q_max=64,
                                            framerate_divisor=np.int16(4)),
-                       loss=LossModel(slice_height=np.uint8(1), seed=np.int64(-1))),
-        PipelineConfig(cadence=2, feedback_window=0,
+                       loss=LossModel(slice_height=np.uint8(1), seed=np.uint64(2 ** 64 - 1))),
+        PipelineConfig(seed=0, cadence=2, feedback_window=0, loss=LossModel(seed=0),
                        cascade=CascadeParams(window_radius=1),
                        sender=SenderConfig(q=1, q_min=1, q_max=1, framerate_divisor=1)),
     ],

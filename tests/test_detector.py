@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,8 +181,6 @@ def test_analyze_frame_fields_consistent(natural_frames):
     assert est.impulse_fraction == impulse_fraction(frame)
     assert est.blockiness_ratio == blockiness_ratio(frame)
     assert est.mean_var_correlation == mean_var_correlation(frame)
-    assert np.array_equal(est.histogram, luma_histogram(frame))
-    assert not est.histogram.flags.writeable
 
 
 def test_noise_estimate_rejects_negative_sigma():
@@ -192,7 +191,6 @@ def test_noise_estimate_rejects_negative_sigma():
             impulse_fraction=0.0,
             blockiness_ratio=0.0,
             mean_var_correlation=0.0,
-            histogram=np.zeros(256, dtype=np.int64),
         )
 
 
@@ -200,7 +198,11 @@ def test_fork_decision_tie_routes_to_denoise():
     est = analyze_frame(add_gaussian_noise(_midgray(), 25.0, seed=5))
     assert fork_decision(est, threshold=est.sigma).route is Route.DENOISE
     assert fork_decision(est, threshold=est.sigma + 0.001).route is Route.BYPASS
-    assert fork_decision(est).threshold_used == DEFAULT_FORK_THRESHOLD
+    at_default = replace(est, sigma=DEFAULT_FORK_THRESHOLD)
+    assert fork_decision(at_default).route is Route.DENOISE
+    below = replace(est, sigma=math.nextafter(DEFAULT_FORK_THRESHOLD, 0.0))
+    assert fork_decision(below) == fork_decision(below, threshold=DEFAULT_FORK_THRESHOLD)
+    assert fork_decision(below).route is Route.BYPASS
 
 
 def test_fork_decision_rejects_negative_threshold():

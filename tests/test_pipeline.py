@@ -10,6 +10,7 @@ import pytest
 from rtcdenoise import (
     Frame,
     LossModel,
+    LossState,
     NoiseCategory,
     NoiseRng,
     PipelineConfig,
@@ -645,6 +646,17 @@ def test_sender_mixes_the_loss_seed_into_the_pipeline_seed():
     for index, frame in enumerate(make_sequence(2, 96, 64, seed=1)):
         sender.produce(index, frame)
     assert state.rng.counter == 2 * 4
+
+
+def test_the_largest_seeds_run_a_run_of_their_own():
+    top = 2 ** 64 - 1  # the largest seed a stream keeps as given
+    config = PipelineConfig(seed=top, sender=SenderConfig(noise_sigma=10.0),
+                            loss=LossModel(p_loss=0.3, seed=top))
+    assert rtcdenoise.pipeline._Sender(config).loss_state == LossState(NoiseRng(top).derive(2).derive(top))
+    clean = make_sequence(4, 48, 32, seed=2)
+    lowest = run_simulate(clean, replace(config, seed=0, loss=replace(config.loss, seed=0)))
+    highest = run_simulate(clean, config)
+    assert not frames_equal(lowest.received[0], highest.received[0])
 
 
 @pytest.mark.parametrize("placement", ["free", "claimed"])

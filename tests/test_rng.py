@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rtcdenoise import NoiseRng
+from rtcdenoise import LossState, NoiseRng
 from rtcdenoise.frame import ELEMENTWISE_PIXELS
 
 MASK = (1 << 64) - 1
@@ -127,3 +127,17 @@ def test_normals_finite():
     z = NoiseRng(8).normals(100_000)
     assert np.all(np.isfinite(z))
     assert math.isfinite(float(z.max()))
+
+
+def test_streams_compare_by_seed_and_counter():
+    assert NoiseRng(1) == NoiseRng(1) != NoiseRng(2)
+    assert NoiseRng(-1) == NoiseRng(2 ** 64 - 1)  # a seed is kept mod 2**64
+    a, b = NoiseRng(1), NoiseRng(1)
+    a.uniforms(3)
+    assert a != b and a == NoiseRng(1, counter=3)
+    b.normals(1)  # two uniforms
+    b.raw(1)
+    assert a == b
+    with pytest.raises(TypeError):  # the counter advances, so a stream is no key
+        hash(a)
+    assert LossState(NoiseRng(1)) == LossState(NoiseRng(1)) != LossState(NoiseRng(1), in_bad=True)
